@@ -14,7 +14,7 @@ the classical Bernoulli numbers, and at λ = 1 every one of them past
 
 from fractions import Fraction
 
-from degenpoly import bernoulli_number, bernoulli_polynomial, bernoulli_taps, classical_triangles
+from degenpoly import bernoulli_polynomial, bernoulli_taps, classical_triangles
 
 ###############################################################################
 # The first few numbers, symbolically
@@ -57,4 +57,4 @@ for n in range(4):
 
 b3 = bernoulli_polynomial(3)
 print("\nβ[3](1/2) =", b3.eval_x(Fraction(1, 2)))
-assert b3.eval_x(0) == bernoulli_number(3)
+assert b3.eval_x(0) == bernoulli_taps(3)[3]

@@ -17,7 +17,6 @@ from degenpoly import (
     descent_distribution,
     eulerian_explicit,
     eulerian_poly,
-    eulerian_recursive,
     eulerian_table,
     excedance_distribution,
 )
@@ -36,8 +35,9 @@ for n in range(5):
 # ---------------
 
 print("\nexplicit sum vs recursion, rows 0..8:")
+recursive = eulerian_table(8, "recursion")
 agree = all(
-    eulerian_explicit(n, k) == eulerian_recursive(n, k)
+    eulerian_explicit(n, k) == recursive.entry(n, k)
     for n in range(9)
     for k in range(n + 1)
 )

@@ -32,11 +32,11 @@ failed = [spec for spec in results if spec.status != "pass"]
 print(f"\n{len(results) - len(failed)} passed, {len(failed)} failed")
 
 ###############################################################################
-# Smoke mode
-# ----------
-# Exact polynomial equality is the default. The sampled mode evaluates
-# both sides at five fixed rational λ values instead; it is faster but
-# explicitly non-exhaustive, so it is only a smoke signal.
+# Exact comparison
+# ----------------
+# Both sides of every case are compared as polynomials in λ, so a pass
+# covers every value of λ at once. Sampling λ at a few points would not:
+# a check at n_max = 20 compares polynomials of λ-degree up to 19.
 
-smoke = run_suite(["thm-2.7-worpitzky"], ranges={"n_max": 10}, mode="smoke")
-print("\nsmoke mode:", smoke[0].id, smoke[0].status)
+(worpitzky,) = run_suite(["thm-2.7-worpitzky"], ranges={"n_max": 10})
+print("\nexact over Q[λ][x]:", worpitzky.id, worpitzky.status, worpitzky.ranges)

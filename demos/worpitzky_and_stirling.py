@@ -18,7 +18,7 @@ from degenpoly import (
     eulerian_explicit,
     eulerian_from_stirling2,
     falling_factorial_degenerate,
-    stirling1_degenerate,
+    stirling1_row,
     stirling2_degenerate,
     stirling2_from_eulerian,
     worpitzky_lhs,
@@ -62,4 +62,4 @@ for n in range(1, 5):
 
 print("\nfirst-kind rows:")
 for n in range(5):
-    print(f"  n={n}: " + " | ".join(str(stirling1_degenerate(n, k)) for k in range(n + 1)))
+    print(f"  n={n}: " + " | ".join(str(entry) for entry in stirling1_row(n)))

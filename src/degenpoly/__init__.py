@@ -15,12 +15,10 @@ from .algebra import (
     X,
     XLPoly,
     binomial_poly,
-    eval_lambda,
     falling_factorial_classical,
     falling_factorial_degenerate,
-    substitute_lambda,
 )
-from .egf import Egf, bernoulli_taps, degenerate_exp, degenerate_exp_power, egf_mul, gf_residual
+from .egf import Egf, bernoulli_taps, degenerate_exp, degenerate_exp_power, gf_residual
 from .oracles import (
     ClassicalTriangles,
     PermStatDistribution,
@@ -30,16 +28,14 @@ from .oracles import (
 )
 from .sequences import (
     EulerianTable,
-    bernoulli_number,
     bernoulli_polynomial,
     eulerian_at_minus_one,
     eulerian_explicit,
     eulerian_from_stirling2,
     eulerian_poly,
-    eulerian_recursive,
     eulerian_table,
     power_sum,
-    stirling1_degenerate,
+    stirling1_row,
     stirling2_degenerate,
     stirling2_from_eulerian,
     worpitzky_lhs,
@@ -54,15 +50,12 @@ __all__ = [
     "X",
     "XLPoly",
     "binomial_poly",
-    "eval_lambda",
     "falling_factorial_classical",
     "falling_factorial_degenerate",
-    "substitute_lambda",
     "Egf",
     "bernoulli_taps",
     "degenerate_exp",
     "degenerate_exp_power",
-    "egf_mul",
     "gf_residual",
     "ClassicalTriangles",
     "PermStatDistribution",
@@ -70,16 +63,14 @@ __all__ = [
     "descent_distribution",
     "excedance_distribution",
     "EulerianTable",
-    "bernoulli_number",
     "bernoulli_polynomial",
     "eulerian_at_minus_one",
     "eulerian_explicit",
     "eulerian_from_stirling2",
     "eulerian_poly",
-    "eulerian_recursive",
     "eulerian_table",
     "power_sum",
-    "stirling1_degenerate",
+    "stirling1_row",
     "stirling2_degenerate",
     "stirling2_from_eulerian",
     "worpitzky_lhs",

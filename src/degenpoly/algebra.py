@@ -37,8 +37,6 @@ __all__ = [
     "falling_factorial_degenerate",
     "falling_factorial_classical",
     "binomial_poly",
-    "substitute_lambda",
-    "eval_lambda",
 ]
 
 
@@ -412,18 +410,3 @@ def binomial_poly(offset: int, n: int) -> XLPoly:
     for i in range(n):
         result = result * (X + (offset - i))
     return result * Fraction(1, factorial(n))
-
-
-def substitute_lambda(p: LambdaPoly, s: Scalar) -> LambdaPoly:
-    """Substitute λ -> s·λ; used e.g. to pass from λ to λ/2 or -λ."""
-    return p.scale_lambda(s)
-
-
-def eval_lambda(p, v: Scalar):
-    """Evaluate at λ = v: a LambdaPoly gives a Rational, an XLPoly gives
-    the λ-free XLPoly obtained by substituting the value."""
-    if isinstance(p, LambdaPoly):
-        return p.eval(v)
-    if isinstance(p, XLPoly):
-        return p.eval_lambda(v)
-    raise TypeError(f"expected LambdaPoly or XLPoly, got {type(p).__name__}")

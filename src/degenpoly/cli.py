@@ -32,7 +32,12 @@ from . import __version__
 from .algebra import LambdaPoly, XLPoly
 from .egf import bernoulli_taps
 from .sequences import (
+    AT_MINUS_ONE_ROUTES,
+    BERNOULLI_ROUTES,
     EULERIAN_ROUTES,
+    POWER_SUM_ROUTES,
+    STIRLING1_ROUTES,
+    STIRLING2_ROUTES,
     eulerian_at_minus_one,
     eulerian_poly,
     eulerian_table,
@@ -41,21 +46,28 @@ from .sequences import (
     stirling2_degenerate,
     stirling2_from_eulerian,
 )
-from .verify import UnknownCheckError, run_suite
+from .verify import RangeOverrideError, UnknownCheckError, run_suite
 
 DEFAULT_N_CAP = 64
 N_CAP_ENV = "DEGENPOLY_MAX_N"
 
 TABLE_FAMILIES = ("eulerian-number", "eulerian-poly", "bernoulli", "stirling1", "stirling2")
+#: Routes per family, default first (the library's own route tuples).
 FAMILY_ROUTES = {
     "eulerian-number": EULERIAN_ROUTES,
     "eulerian-poly": EULERIAN_ROUTES,
-    "bernoulli": ("egf-triangular",),
-    "stirling1": ("basis-conversion",),
-    "stirling2": ("explicit", "eulerian"),
+    "bernoulli": BERNOULLI_ROUTES,
+    "stirling1": STIRLING1_ROUTES,
+    "stirling2": STIRLING2_ROUTES,
+    "powersum": POWER_SUM_ROUTES,
+    "eulerian-at": AT_MINUS_ONE_ROUTES,
 }
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+#: Tokens argparse reads as values rather than options: its own negative
+#: numbers ("-3", "-0.5") plus negative rationals ("-2/3").
+_NEGATIVE_VALUE_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 class UsageError(Exception):
@@ -270,9 +282,7 @@ def cmd_eval(args, out) -> int:
         if args.m < 1 or args.n < 1:
             raise UsageError("powersum requires m >= 1 and n >= 1")
         _check_cap("--n", args.n)
-        route = args.route or "direct"
-        if route not in ("direct", "eulerian", "bernoulli"):
-            raise UsageError("powersum route must be direct, eulerian or bernoulli")
+        route = _resolve_route(args.expr, args.route)
         value = power_sum(args.m, args.n, route).eval(lam)
         parameters = {
             "m": args.m,
@@ -285,9 +295,7 @@ def cmd_eval(args, out) -> int:
         if args.x is None or args.n is None:
             raise UsageError("eulerian-at requires --x and --n")
         _check_cap("--n", args.n)
-        route = args.route or "direct"
-        if route not in ("direct", "bernoulli"):
-            raise UsageError("eulerian-at route must be direct or bernoulli")
+        route = _resolve_route(args.expr, args.route)
         if route == "bernoulli":
             if args.x != Fraction(-1):
                 raise UsageError("the bernoulli route only applies at x = -1")
@@ -333,10 +341,9 @@ def cmd_verify(args, out) -> int:
         if value is not None:
             _check_cap("--" + key.replace("_", "-"), value)
             ranges[key] = value
-    mode = "smoke" if args.smoke else "exact"
     try:
-        results = run_suite(selection, ranges or None, mode)
-    except UnknownCheckError as exc:
+        results = run_suite(selection, ranges or None)
+    except (UnknownCheckError, RangeOverrideError) as exc:
         raise UsageError(str(exc)) from None
 
     failed = [spec for spec in results if spec.status == "fail"]
@@ -362,16 +369,12 @@ def cmd_verify(args, out) -> int:
                 "total": len(results),
                 "passed": len(results) - len(failed),
                 "failed": len(failed),
-                "mode": mode,
+                "mode": "exact",
             },
-            "metadata": _metadata(mode=mode, timestamp=args.timestamp),
+            "metadata": _metadata(mode="exact", timestamp=args.timestamp),
         }
         _emit_json(doc, out)
     else:
-        if mode == "smoke":
-            out.write(
-                "mode: smoke - sampled at 5 rational λ values, NON-EXHAUSTIVE\n"
-            )
         for spec in results:
             bounds = ", ".join(f"{k}={v}" for k, v in sorted(spec.ranges.items()))
             out.write(f"{spec.status.upper():4s} {spec.id} ({bounds})\n")
@@ -383,7 +386,7 @@ def cmd_verify(args, out) -> int:
                 out.write(f"       rhs = {ce.rhs}\n")
         out.write(
             f"{len(results)} checks: {len(results) - len(failed)} passed, "
-            f"{len(failed)} failed (mode: {mode})\n"
+            f"{len(failed)} failed (mode: exact)\n"
         )
     return 1 if failed else 0
 
@@ -407,8 +410,16 @@ def _lambda_arg(token: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes "--lambda -2/3" as a value, like "--n -3"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE_RE
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="degenpoly",
         description="Exact tables, evaluation and identity checks for the "
         "degenerate Eulerian, Bernoulli and Stirling families.",
@@ -448,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=None, dest="n_max")
     p_verify.add_argument("--m-max", type=int, default=None, dest="m_max")
     p_verify.add_argument("--k-max", type=int, default=None, dest="k_max")
-    p_verify.add_argument("--smoke", action="store_true", help="sample λ instead of exact equality (non-exhaustive)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--timestamp", action="store_true")
     p_verify.set_defaults(func=cmd_verify)

@@ -28,7 +28,6 @@ from .algebra import LambdaPoly, X, falling_factorial_degenerate
 
 __all__ = [
     "Egf",
-    "egf_mul",
     "degenerate_exp",
     "degenerate_exp_power",
     "bernoulli_taps",
@@ -78,9 +77,17 @@ class Egf:
         return Egf(self.order, tuple(a - b for a, b in zip(self.taps, other.taps)))
 
     def __mul__(self, other):
+        """Product of two truncated EGFs: tap_n = Σ_k C(n,k)·a_k·b_{n-k}."""
         if not isinstance(other, Egf):
             return NotImplemented
-        return egf_mul(self, other)
+        self._check_order(other)
+        taps = []
+        for n in range(self.order + 1):
+            acc = self.taps[0] * other.taps[n]
+            for k in range(1, n + 1):
+                acc = acc + comb(n, k) * (self.taps[k] * other.taps[n - k])
+            taps.append(acc)
+        return Egf(self.order, taps)
 
     def __eq__(self, other):
         if not isinstance(other, Egf):
@@ -92,18 +99,6 @@ class Egf:
 
     def __repr__(self):
         return f"Egf(order={self.order}, taps={list(self.taps)!r})"
-
-
-def egf_mul(f: Egf, g: Egf) -> Egf:
-    """Product of two truncated EGFs: tap_n = Σ_k C(n,k)·a_k·b_{n-k}."""
-    f._check_order(g)
-    taps = []
-    for n in range(f.order + 1):
-        acc = f.taps[0] * g.taps[n]
-        for k in range(1, n + 1):
-            acc = acc + comb(n, k) * (f.taps[k] * g.taps[n - k])
-        taps.append(acc)
-    return Egf(f.order, taps)
 
 
 def degenerate_exp(u, order: int, sign: int = 1) -> Egf:

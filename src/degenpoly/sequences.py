@@ -40,24 +40,32 @@ from .egf import bernoulli_taps
 
 __all__ = [
     "EULERIAN_ROUTES",
+    "AT_MINUS_ONE_ROUTES",
+    "BERNOULLI_ROUTES",
+    "STIRLING2_ROUTES",
+    "STIRLING1_ROUTES",
+    "POWER_SUM_ROUTES",
     "EulerianTable",
     "eulerian_explicit",
-    "eulerian_recursive",
     "eulerian_table",
     "eulerian_poly",
     "eulerian_at_minus_one",
-    "bernoulli_number",
     "bernoulli_polynomial",
     "stirling2_degenerate",
     "stirling2_from_eulerian",
-    "stirling1_degenerate",
     "stirling1_row",
     "eulerian_from_stirling2",
     "power_sum",
     "worpitzky_lhs",
 ]
 
-EULERIAN_ROUTES = ("explicit", "recursion", "gf-recursion")
+# Route names per family; the first one is the default.
+EULERIAN_ROUTES = ("recursion", "explicit", "gf-recursion")
+AT_MINUS_ONE_ROUTES = ("direct", "bernoulli")
+BERNOULLI_ROUTES = ("egf-triangular",)
+STIRLING2_ROUTES = ("explicit", "eulerian")
+STIRLING1_ROUTES = ("basis-conversion",)
+POWER_SUM_ROUTES = ("direct", "eulerian", "bernoulli")
 
 
 def _check_nonneg(**kwargs):
@@ -105,18 +113,6 @@ def _recursion_rows(max_n: int) -> List[List[LambdaPoly]]:
             row.append(acc)
         rows.append(row)
     return rows
-
-
-def eulerian_recursive(n: int, k: int) -> LambdaPoly:
-    """Degenerate Eulerian number via the two-term recursion.
-
-    Out-of-triangle indices return the zero polynomial, matching the
-    neighbor convention the recursion itself relies on.
-    """
-    _check_nonneg(n=n, k=k)
-    if k > n:
-        return LambdaPoly()
-    return _recursion_rows(n)[n][k]
 
 
 def _explicit_rows(max_n: int) -> List[List[LambdaPoly]]:
@@ -174,7 +170,7 @@ class EulerianTable:
         return self.rows[n]
 
 
-def eulerian_table(max_n: int, route: str = "recursion") -> EulerianTable:
+def eulerian_table(max_n: int, route: str = EULERIAN_ROUTES[0]) -> EulerianTable:
     """Build the full triangle 0..max_n by the chosen route."""
     _check_nonneg(max_n=max_n)
     if route == "recursion":
@@ -190,7 +186,7 @@ def eulerian_table(max_n: int, route: str = "recursion") -> EulerianTable:
     return EulerianTable(max_n, route, tuple(tuple(r) for r in rows))
 
 
-def eulerian_poly(n: int, route: str = "recursion") -> XLPoly:
+def eulerian_poly(n: int, route: str = EULERIAN_ROUTES[0]) -> XLPoly:
     """Degenerate Eulerian polynomial A_n(x) = Σ_k A(n,k)·x^k.
 
     Routes 'explicit' and 'recursion' assemble the polynomial from the
@@ -203,7 +199,7 @@ def eulerian_poly(n: int, route: str = "recursion") -> XLPoly:
     return XLPoly(eulerian_table(n, route).row(n))
 
 
-def eulerian_at_minus_one(n: int, route: str = "direct") -> LambdaPoly:
+def eulerian_at_minus_one(n: int, route: str = AT_MINUS_ONE_ROUTES[0]) -> LambdaPoly:
     """The value A_n(-1), i.e. the alternating sum Σ_k (-1)^k A(n,k).
 
     route 'direct' evaluates the Eulerian polynomial at x = -1; route
@@ -222,13 +218,7 @@ def eulerian_at_minus_one(n: int, route: str = "direct") -> LambdaPoly:
         beta = bernoulli_taps(n + 1)[n + 1]
         halved = beta.scale_lambda(Fraction(1, 2))
         return (2 ** (n + 1) * halved - beta) * Fraction(2 ** (n + 1), n + 1)
-    raise ValueError(f"unknown route {route!r}, expected 'direct' or 'bernoulli'")
-
-
-def bernoulli_number(n: int) -> LambdaPoly:
-    """Degenerate Bernoulli number β_{n,λ}."""
-    _check_nonneg(n=n)
-    return bernoulli_taps(n)[n]
+    raise ValueError(f"unknown route {route!r}, expected one of {AT_MINUS_ONE_ROUTES}")
 
 
 def bernoulli_polynomial(n: int) -> XLPoly:
@@ -292,14 +282,6 @@ def stirling1_row(n: int) -> List[LambdaPoly]:
     return out
 
 
-def stirling1_degenerate(n: int, k: int) -> LambdaPoly:
-    """Degenerate Stirling number of the first kind S1(n,k)."""
-    _check_nonneg(n=n, k=k)
-    if k > n:
-        return LambdaPoly()
-    return stirling1_row(n)[k]
-
-
 def eulerian_from_stirling2(n: int, k: int) -> LambdaPoly:
     """A(n,k-1) as a finite sum over second-kind Stirling numbers:
 
@@ -316,7 +298,7 @@ def eulerian_from_stirling2(n: int, k: int) -> LambdaPoly:
     return acc
 
 
-def power_sum(m: int, n: int, route: str = "direct") -> LambdaPoly:
+def power_sum(m: int, n: int, route: str = POWER_SUM_ROUTES[0]) -> LambdaPoly:
     """The degenerate power sum Σ_{k=1}^{m} (k)_{n,λ}, by three routes:
 
       direct     literal summation of the falling factorials
@@ -339,7 +321,7 @@ def power_sum(m: int, n: int, route: str = "direct") -> LambdaPoly:
     if route == "bernoulli":
         poly = bernoulli_polynomial(n + 1)
         return (poly.eval_x(m + 1) - poly.eval_x(0)) * Fraction(1, n + 1)
-    raise ValueError(f"unknown route {route!r}, expected direct|eulerian|bernoulli")
+    raise ValueError(f"unknown route {route!r}, expected one of {POWER_SUM_ROUTES}")
 
 
 def worpitzky_lhs(n: int) -> XLPoly:

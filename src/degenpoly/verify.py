@@ -3,9 +3,12 @@
 Each check scans a parameter range in lexicographic order and compares two
 independently computed values. A check either passes over its whole range
 or fails carrying the smallest counterexample (parameters plus both sides
-rendered as polynomial text). Identity testing is exact polynomial
-equality by default; the 'smoke' mode instead samples five fixed rational
-λ values and is clearly labeled non-exhaustive.
+rendered as polynomial text). Every case is compared by exact equality of
+polynomials over Q[λ] (or Q[λ][x]), never by sampling λ.
+
+A check may declare the largest ranges it supports (the permutation
+enumerations stop at n = MAX_ENUMERATION_N); an override above them raises
+RangeOverrideError, and run_suite raises it before running any check.
 
 Checks are pure and independent of each other; running any selection in
 any order yields identical per-check results.
@@ -13,14 +16,19 @@ any order yields identical per-check results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import LambdaPoly, X, XLPoly, binomial_poly, falling_factorial_degenerate
 from .egf import bernoulli_taps, gf_residual
-from .oracles import classical_triangles, descent_distribution, excedance_distribution
+from .oracles import (
+    MAX_ENUMERATION_N,
+    classical_triangles,
+    descent_distribution,
+    excedance_distribution,
+)
 from .sequences import (
     eulerian_at_minus_one,
     eulerian_explicit,
@@ -34,29 +42,16 @@ from .sequences import (
 )
 
 __all__ = [
-    "MODES",
-    "SMOKE_LAMBDAS",
     "Check",
     "CheckSpec",
     "Counterexample",
+    "RangeOverrideError",
     "UnknownCheckError",
     "check_ids",
     "get_check",
     "run_check",
     "run_suite",
 ]
-
-MODES = ("exact", "smoke")
-
-#: Fixed λ sample points for the non-exhaustive smoke mode.
-SMOKE_LAMBDAS = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(2, 3),
-)
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -86,6 +81,7 @@ class Check:
     statement: str
     default_ranges: Dict[str, int]
     cases: Callable[[Dict[str, int]], Cases]
+    max_ranges: Dict[str, int] = field(default_factory=dict)
 
 
 class UnknownCheckError(ValueError):
@@ -100,32 +96,33 @@ class UnknownCheckError(ValueError):
         )
 
 
-def _eval_at(value, lam: Fraction):
-    if isinstance(value, LambdaPoly):
-        return value.eval(lam)
-    if isinstance(value, XLPoly):
-        return value.eval_lambda(lam)
-    return value
+class RangeOverrideError(ValueError):
+    """Raised for a range override above what a check supports."""
 
 
-def _agree(lhs, rhs, mode: str) -> bool:
-    if mode == "exact":
-        return lhs == rhs
-    return all(_eval_at(lhs, v) == _eval_at(rhs, v) for v in SMOKE_LAMBDAS)
-
-
-def run_check(check: Check, ranges: Optional[Dict[str, int]] = None, mode: str = "exact") -> CheckSpec:
-    """Run one check over its (possibly overridden) ranges."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+def _effective_ranges(check: Check, ranges: Optional[Dict[str, int]]) -> Dict[str, int]:
     effective = dict(check.default_ranges)
-    if ranges:
-        for key, value in ranges.items():
-            if key in effective:
-                effective[key] = value
+    for key, value in (ranges or {}).items():
+        if key in effective:
+            limit = check.max_ranges.get(key)
+            if limit is not None and value > limit:
+                raise RangeOverrideError(
+                    f"{check.id} supports {key} <= {limit}, got {key}={value}"
+                )
+            effective[key] = value
+    return effective
+
+
+def _agree(lhs, rhs) -> bool:
+    return lhs == rhs
+
+
+def run_check(check: Check, ranges: Optional[Dict[str, int]] = None) -> CheckSpec:
+    """Run one check over its (possibly overridden) ranges."""
+    effective = _effective_ranges(check, ranges)
     spec = CheckSpec(id=check.id, statement=check.statement, ranges=effective)
     for params, lhs, rhs in check.cases(effective):
-        if not _agree(lhs, rhs, mode):
+        if not _agree(lhs, rhs):
             spec.status = "fail"
             spec.counterexample = Counterexample(dict(params), str(lhs), str(rhs))
             return spec
@@ -412,12 +409,14 @@ REGISTRY: Tuple[Check, ...] = (
         "the λ=0 Eulerian row equals the brute-force descent distribution",
         {"n_max": 7},
         _cases_descent_oracle,
+        {"n_max": MAX_ENUMERATION_N},
     ),
     Check(
         "lambda0-excedance-oracle",
         "descents and excedances are equidistributed over S_n",
         {"n_max": 7},
         _cases_excedance_oracle,
+        {"n_max": MAX_ENUMERATION_N},
     ),
     Check(
         "lambda1-bernoulli-vanishing",
@@ -463,12 +462,12 @@ def get_check(check_id: str) -> Check:
 def run_suite(
     selection: Optional[Iterable[str]] = None,
     ranges: Optional[Dict[str, int]] = None,
-    mode: str = "exact",
 ) -> List[CheckSpec]:
     """Run a selection of checks (default: all) and return their results.
 
     Results come back in registry order regardless of selection order, so
-    identical selections always produce identical reports.
+    identical selections always produce identical reports. Every override
+    is checked against every selected check before the first one runs.
     """
     if selection is None or selection == "all":
         selected = list(REGISTRY)
@@ -479,4 +478,6 @@ def run_suite(
             raise UnknownCheckError(unknown, check_ids())
         chosen = set(wanted)
         selected = [check for check in REGISTRY if check.id in chosen]
-    return [run_check(check, ranges, mode) for check in selected]
+    for check in selected:
+        _effective_ranges(check, ranges)
+    return [run_check(check, ranges) for check in selected]

@@ -12,10 +12,8 @@ from degenpoly.algebra import (
     X,
     XLPoly,
     binomial_poly,
-    eval_lambda,
     falling_factorial_classical,
     falling_factorial_degenerate,
-    substitute_lambda,
 )
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -183,21 +181,21 @@ def test_negative_n_rejected():
 
 def test_substitute_lambda_examples():
     p = LambdaPoly((F(1, 6), 0, F(-1, 6)))  # the second Bernoulli value
-    assert substitute_lambda(p, F(1, 2)) == LambdaPoly((F(1, 6), 0, F(-1, 24)))
-    assert substitute_lambda(p, 1) == p
-    assert substitute_lambda(p, 0) == LambdaPoly((F(1, 6),))
+    assert p.scale_lambda(F(1, 2)) == LambdaPoly((F(1, 6), 0, F(-1, 24)))
+    assert p.scale_lambda(1) == p
+    assert p.scale_lambda(0) == LambdaPoly((F(1, 6),))
 
 
 @given(lambda_polys, small_fractions, small_fractions)
 def test_substitute_lambda_composes(p, a, b):
-    assert substitute_lambda(substitute_lambda(p, a), b) == substitute_lambda(p, a * b)
+    assert p.scale_lambda(a).scale_lambda(b) == p.scale_lambda(a * b)
 
 
 def test_eval_lambda_examples():
     p = LambdaPoly((1, -3, 2))
-    assert eval_lambda(p, 0) == 1
-    assert eval_lambda(p, 1) == 0
-    assert eval_lambda(LambdaPoly((4, 0, -4)), 0) == 4
+    assert p.eval(0) == 1
+    assert p.eval(1) == 0
+    assert LambdaPoly((4, 0, -4)).eval(0) == 4
 
 
 @given(lambda_polys, small_fractions)
@@ -208,7 +206,7 @@ def test_eval_lambda_matches_naive_sum(p, v):
 
 def test_eval_lambda_on_xl():
     p = falling_factorial_degenerate(X, 2)
-    assert eval_lambda(p, F(1, 2)) == X * X - F(1, 2) * X
+    assert p.eval_lambda(F(1, 2)) == X * X - F(1, 2) * X
 
 
 def test_constant_value_guard():

@@ -169,6 +169,18 @@ def test_eval_eulerian_at():
     assert doc["value"] == "-2/3"
 
 
+def test_eval_negative_rational_as_separate_token():
+    separate = run_cli("eval", "powersum", "--m", "20", "--n", "12", "--lambda", "-2/3")
+    assert separate == run_cli("eval", "powersum", "--m", "20", "--n", "12", "--lambda=-2/3")
+    assert separate[0] == 0
+    separate = run_cli("eval", "eulerian-at", "--x", "-1/2", "--n", "4", "--lambda", "-3")
+    assert separate == run_cli("eval", "eulerian-at", "--x=-1/2", "--n", "4", "--lambda=-3")
+    assert separate[0] == 0
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "-0.5")
+    assert excinfo.value.code == 2
+
+
 def test_eval_validation():
     assert run_cli("eval", "powersum", "--n", "2", "--lambda", "0")[0] == 2  # missing --m
     assert run_cli("eval", "powersum", "--m", "0", "--n", "2", "--lambda", "0")[0] == 2
@@ -195,10 +207,19 @@ def test_verify_json_document():
     assert doc["checks"][0]["counterexample"] is None
 
 
-def test_verify_smoke_label():
-    code, text = run_cli("verify", "--check", "eulerian-top-entry", "--n-max", "5", "--smoke")
+def test_verify_has_no_smoke_flag():
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("verify", "--check", "eulerian-top-entry", "--smoke")
+    assert excinfo.value.code == 2
+
+
+def test_verify_range_overrides(capsys):
+    code, text = run_cli("verify", "--check", "lambda0-eulerian-triangle", "--n-max", "21")
     assert code == 0
-    assert "NON-EXHAUSTIVE" in text
+    assert text.splitlines()[0] == "PASS lambda0-eulerian-triangle (n_max=21)"
+    code, text = run_cli("verify", "--check", "lambda0-descent-oracle", "--n-max", "10")
+    assert code == 2 and text == ""
+    assert "lambda0-descent-oracle" in capsys.readouterr().err
 
 
 def test_verify_unknown_check_exits_2(capsys):

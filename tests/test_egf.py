@@ -12,7 +12,6 @@ from degenpoly.egf import (
     bernoulli_taps,
     degenerate_exp,
     degenerate_exp_power,
-    egf_mul,
     gf_residual,
 )
 from degenpoly.oracles import classical_triangles
@@ -35,26 +34,26 @@ def egf_triples(draw):
 
 def test_mul_identity():
     one = Egf.constant(LambdaPoly((1,)), 4)
-    assert egf_mul(one, one) == one
+    assert one * one == one
 
 
 def test_exp_squared_gives_powers_of_two():
     # all-ones taps are e^t; its square must have taps 2^n
     exp = Egf(5, tuple(LambdaPoly((1,)) for _ in range(6)))
-    sq = egf_mul(exp, exp)
+    sq = exp * exp
     assert [tap.constant_value() for tap in sq.taps] == [2**n for n in range(6)]
 
 
 def test_degenerate_exp_one_squared():
     e1 = degenerate_exp(1, 2)
-    tap2 = egf_mul(e1, e1).taps[2]
+    tap2 = (e1 * e1).taps[2]
     # by hand: (1)_{2,λ} + 2·1·1 + (1)_{2,λ} = 4 - 2λ = (2)_{2,λ}
     assert tap2 == LambdaPoly((4, -2)) == falling_factorial_degenerate(2, 2)
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        egf_mul(Egf.constant(LambdaPoly((1,)), 3), Egf.constant(LambdaPoly((1,)), 4))
+        Egf.constant(LambdaPoly((1,)), 3) * Egf.constant(LambdaPoly((1,)), 4)
     with pytest.raises(ValueError):
         Egf(2, (LambdaPoly((1,)),))
 
@@ -63,8 +62,8 @@ def test_order_mismatch_rejected():
 @settings(max_examples=60, deadline=None)
 def test_mul_commutes_and_associates(series):
     f, g, h = series
-    assert egf_mul(f, g) == egf_mul(g, f)
-    assert egf_mul(egf_mul(f, g), h) == egf_mul(f, egf_mul(g, h))
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +100,13 @@ def test_exponent_form_power_law():
         e1 = degenerate_exp_power(1, order)
         acc = Egf.constant(LambdaPoly((1,)), order)
         for m in range(1, 5):
-            acc = egf_mul(acc, e1)
+            acc = acc * e1
             assert acc == degenerate_exp_power(m, order), (m, order)
 
 
 def test_scaled_argument_form_has_no_power_law():
     # e_λ(t)·e_λ(2t) and e_λ(3t) agree at λ=0 only
-    lhs = egf_mul(degenerate_exp(F(1), 4), degenerate_exp(F(2), 4))
+    lhs = degenerate_exp(F(1), 4) * degenerate_exp(F(2), 4)
     rhs = degenerate_exp(F(3), 4)
     assert lhs != rhs
     assert [t.eval(0) for t in lhs.taps] == [t.eval(0) for t in rhs.taps]

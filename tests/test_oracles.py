@@ -1,6 +1,7 @@
 """Permutation statistics and classical triangle oracles."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -83,5 +84,9 @@ def test_classical_bernoulli_values():
 
 
 def test_triangle_bound_enforced():
+    # only a negative size is rejected; the integer recursions run at any n
     with pytest.raises(ValueError):
-        classical_triangles(21)
+        classical_triangles(-1)
+    big = classical_triangles(30)
+    assert sum(big.eulerian[30]) == factorial(30)
+    assert big.stirling2[30][30] == 1

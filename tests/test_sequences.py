@@ -15,18 +15,17 @@ from degenpoly.algebra import (
     XLPoly,
     falling_factorial_degenerate,
 )
+from degenpoly.egf import bernoulli_taps
 from degenpoly.sequences import (
     EULERIAN_ROUTES,
-    bernoulli_number,
     bernoulli_polynomial,
     eulerian_at_minus_one,
     eulerian_explicit,
     eulerian_from_stirling2,
     eulerian_poly,
-    eulerian_recursive,
     eulerian_table,
     power_sum,
-    stirling1_degenerate,
+    stirling1_row,
     stirling2_degenerate,
     stirling2_from_eulerian,
     worpitzky_lhs,
@@ -61,17 +60,19 @@ def test_explicit_vanishes_beyond_triangle():
 
 
 def test_recursive_small_values():
-    assert eulerian_recursive(0, 0) == 1
-    assert eulerian_recursive(1, 0) == 1
-    assert eulerian_recursive(2, 1) == LambdaPoly((1, 1))
-    assert eulerian_recursive(3, 2) == LambdaPoly((1, 3, 2))
-    assert eulerian_recursive(4, 6).is_zero
+    recursive = eulerian_table(4, "recursion")
+    assert recursive.entry(0, 0) == 1
+    assert recursive.entry(1, 0) == 1
+    assert recursive.entry(2, 1) == LambdaPoly((1, 1))
+    assert recursive.entry(3, 2) == LambdaPoly((1, 3, 2))
+    assert recursive.entry(4, 6).is_zero  # outside the triangle
 
 
 def test_routes_agree_on_small_triangle():
+    recursive = eulerian_table(10, "recursion")
     for n in range(11):
         for k in range(n + 1):
-            assert eulerian_explicit(n, k) == eulerian_recursive(n, k), (n, k)
+            assert eulerian_explicit(n, k) == recursive.entry(n, k), (n, k)
 
 
 def test_table_routes_match():
@@ -161,12 +162,13 @@ def test_bernoulli_polynomial_small():
     assert bernoulli_polynomial(0) == XLPoly.constant(1)
     assert bernoulli_polynomial(1) == X + XLPoly.constant(LambdaPoly((F(-1, 2), F(1, 2))))
     b2 = bernoulli_polynomial(2)
-    assert b2.eval_x(0) == bernoulli_number(2) == LambdaPoly((F(1, 6), 0, F(-1, 6)))
+    assert b2.eval_x(0) == bernoulli_taps(2)[2] == LambdaPoly((F(1, 6), 0, F(-1, 6)))
 
 
 def test_bernoulli_polynomial_at_zero_gives_numbers():
+    beta = bernoulli_taps(8)
     for n in range(9):
-        assert bernoulli_polynomial(n).eval_x(0) == bernoulli_number(n), n
+        assert bernoulli_polynomial(n).eval_x(0) == beta[n], n
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +199,10 @@ def test_stirling2_from_eulerian_matches():
 
 
 def test_stirling1_small_values():
-    assert stirling1_degenerate(1, 1) == 1
-    assert stirling1_degenerate(1, 0).is_zero
-    assert stirling1_degenerate(2, 1) == LambdaPoly((-1, 1))
-    assert stirling1_degenerate(2, 2) == 1
+    assert stirling1_row(1) == [LambdaPoly(), 1]
+    assert stirling1_row(2) == [LambdaPoly(), LambdaPoly((-1, 1)), 1]
     for n in range(9):
-        assert stirling1_degenerate(n, n) == 1
+        assert stirling1_row(n)[n] == 1
 
 
 def test_stirling1_reconstructs_classical_falling_factorial():
@@ -211,8 +211,8 @@ def test_stirling1_reconstructs_classical_falling_factorial():
 
     for n in range(9):
         acc = XLPoly()
-        for k in range(n + 1):
-            acc = acc + falling_factorial_degenerate(X, k) * stirling1_degenerate(n, k)
+        for k, entry in enumerate(stirling1_row(n)):
+            acc = acc + falling_factorial_degenerate(X, k) * entry
         assert acc == falling_factorial_classical(n), n
 
 

@@ -1,13 +1,16 @@
-"""Harness behavior: reports, counterexamples, smoke mode, selection."""
+"""Harness behavior: reports, counterexamples, range limits, selection."""
+
+from fractions import Fraction as F
 
 import pytest
 
 from degenpoly.algebra import LambdaPoly
+from degenpoly.oracles import MAX_ENUMERATION_N
 from degenpoly.sequences import eulerian_explicit, eulerian_table
 from degenpoly.verify import (
     REGISTRY,
-    SMOKE_LAMBDAS,
     Check,
+    RangeOverrideError,
     UnknownCheckError,
     check_ids,
     get_check,
@@ -91,27 +94,31 @@ def test_pass_never_carries_counterexample():
         assert spec.status == "pass" and spec.counterexample is None
 
 
-def test_smoke_mode_passes_real_checks():
-    (spec,) = run_suite(["thm-2.7-worpitzky"], ranges={"n_max": 6}, mode="smoke")
-    assert spec.status == "pass"
-
-
-def test_smoke_mode_is_weaker_than_exact():
-    # perturb by a polynomial vanishing at every smoke sample point: the
-    # exact mode must catch it, the sampled mode cannot
+def test_exact_comparison_catches_sampling_blind_spot():
+    # a perturbation that vanishes at five rational λ values would pass any
+    # comparison sampling only those points; exact equality must catch it
     blind_spot = LambdaPoly((1,))
-    for root in SMOKE_LAMBDAS:
+    for root in (F(0), F(1), F(-1), F(1, 2), F(2, 3)):
         blind_spot = blind_spot * LambdaPoly((-root, 1))
-    check = _perturbed_check({(1, 0): blind_spot})
-    assert run_check(check, mode="smoke").status == "pass"
-    exact = run_check(check, mode="exact")
-    assert exact.status == "fail"
-    assert exact.counterexample.parameters == {"n": 1, "k": 0}
+    spec = run_check(_perturbed_check({(1, 0): blind_spot}))
+    assert spec.status == "fail"
+    assert spec.counterexample.parameters == {"n": 1, "k": 0}
 
 
-def test_bad_mode_rejected():
-    with pytest.raises(ValueError):
-        run_suite(["eulerian-top-entry"], mode="fuzzy")
+def test_enumeration_range_limit():
+    for cid in ("lambda0-descent-oracle", "lambda0-excedance-oracle"):
+        with pytest.raises(RangeOverrideError, match=cid):
+            run_suite([cid], ranges={"n_max": MAX_ENUMERATION_N + 1})
+        (spec,) = run_suite([cid], ranges={"n_max": 8})
+        assert spec.status == "pass"
+    # the whole selection is checked before any check runs
+    with pytest.raises(RangeOverrideError):
+        run_suite(ranges={"n_max": MAX_ENUMERATION_N + 1})
+
+
+def test_classical_triangle_checks_take_any_n():
+    (spec,) = run_suite(["lambda0-eulerian-triangle"], ranges={"n_max": 21})
+    assert spec.status == "pass"
 
 
 def test_deterministic_repeat():
