@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Union
+from typing import Dict, Iterable, Union
 
 Rational = Fraction
 
@@ -370,26 +370,38 @@ LAM = LambdaPoly.variable()
 X = XLPoly.variable()
 
 
+#: (base)_{0,λ}, (base)_{1,λ}, ... per integer base and for X, each list
+#: extended by one factor per new j and never rebuilt.
+_FALLING: Dict[object, list] = {}
+
+
 def falling_factorial_degenerate(base, n: int):
     """Degenerate falling factorial base·(base-λ)·(base-2λ)···(base-(n-1)λ).
 
     An XLPoly base gives an XLPoly (generalized falling factorial of x);
     a rational base gives a LambdaPoly. n = 0 is the empty product 1.
+    Products for integer bases and for X are memoized per process; other
+    bases are multiplied out on every call.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if isinstance(base, XLPoly):
-        lam = XLPoly.constant(LAM)
-        result = XLPoly.constant(1)
-        for i in range(n):
-            result = result * (base - i * lam)
-        return result
-    if isinstance(base, (int, Fraction)):
-        result = LambdaPoly((1,))
-        for i in range(n):
-            result = result * LambdaPoly((base, -i))
-        return result
-    raise TypeError(f"base must be XLPoly or rational, got {type(base).__name__}")
+        one, memoized = XLPoly.constant(1), base == X
+    elif isinstance(base, (int, Fraction)):
+        one, memoized = LambdaPoly((1,)), isinstance(base, int)
+    else:
+        raise TypeError(f"base must be XLPoly or rational, got {type(base).__name__}")
+    products = _FALLING.setdefault(base, [one]) if memoized else [one]
+    for i in range(len(products) - 1, n):
+        products.append(products[-1] * _falling_factor(base, i))
+    return products[n]
+
+
+def _falling_factor(base, i: int):
+    """The factor base - i·λ."""
+    if isinstance(base, XLPoly):
+        return base - i * XLPoly.constant(LAM)
+    return LambdaPoly((base, -i))
 
 
 def falling_factorial_classical(n: int) -> XLPoly:

@@ -45,6 +45,7 @@ from .sequences import (
     stirling1_row,
     stirling2_degenerate,
     stirling2_from_eulerian,
+    _clear_memos,
 )
 from .verify import RangeOverrideError, UnknownCheckError, run_suite
 
@@ -470,6 +471,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Each command starts from empty memos, so what it costs does not depend
+    # on the commands run before it in the same process.
+    _clear_memos()
     try:
         return args.func(args, out)
     except UsageError as exc:

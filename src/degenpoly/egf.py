@@ -141,6 +141,10 @@ def degenerate_exp_power(base, order: int, sign: int = 1) -> Egf:
     return Egf(order, taps)
 
 
+#: β_{0,λ}, β_{1,λ}, ... as far as any call has asked, extended in place.
+_BERNOULLI: List[LambdaPoly] = [LambdaPoly((1,))]
+
+
 def bernoulli_taps(order: int) -> List[LambdaPoly]:
     """Degenerate Bernoulli numbers β_{0,λ} .. β_{N,λ} by triangular solve.
 
@@ -148,22 +152,22 @@ def bernoulli_taps(order: int) -> List[LambdaPoly]:
     so β_0 = 1 and for n ≥ 1:
 
         β_n = -Σ_{k=0}^{n-1} C(n,k) · β_k · (1)_{n-k+1,λ}/(n-k+1)
+
+    The solved taps are kept per process: a larger order continues the
+    solve from the last kept tap. Each call returns a new list.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    # g[j] = (1)_{j+1,λ}/(j+1), built incrementally from (1)_{j,λ}.
-    fall = LambdaPoly((1,))
-    g = []
-    for j in range(order + 1):
-        fall = fall * LambdaPoly((1, -j))  # now (1)_{j+1,λ}
-        g.append(fall * Fraction(1, j + 1))
-    beta = [LambdaPoly((1,))]
-    for n in range(1, order + 1):
-        acc = LambdaPoly()
-        for k in range(n):
-            acc = acc + comb(n, k) * (beta[k] * g[n - k])
-        beta.append(-acc)
-    return beta
+    beta = _BERNOULLI
+    if len(beta) <= order:
+        # g[j] = (1)_{j+1,λ}/(j+1)
+        g = [falling_factorial_degenerate(1, j + 1) * Fraction(1, j + 1) for j in range(order + 1)]
+        for n in range(len(beta), order + 1):
+            acc = LambdaPoly()
+            for k in range(n):
+                acc = acc + comb(n, k) * (beta[k] * g[n - k])
+            beta.append(-acc)
+    return beta[: order + 1]
 
 
 def gf_residual(n_max: int) -> Egf:

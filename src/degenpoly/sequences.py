@@ -19,6 +19,13 @@ base rings.
 Where a formula is stated for -λ (the Worpitzky expansion, the Stirling
 bridge, the power-sum expansion), the table entry is λ-negated via
 ``scale_lambda(-1)`` rather than kept as a second table.
+
+The Eulerian triangles (one per route) and the second-kind Stirling
+numbers are memoized per process, like the falling factorials and the
+Bernoulli taps they are built from: filled on first use, sliced for a
+smaller n, continued by the route's own recursion for a larger one, never
+rebuilt. Each route keeps its own rows, so no route answers for another.
+``_clear_memos`` empties them all; the CLI calls it before each command.
 """
 
 from __future__ import annotations
@@ -26,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import (
+    _FALLING,
     LambdaPoly,
     X,
     XLPoly,
@@ -36,7 +44,7 @@ from .algebra import (
     falling_factorial_classical,
     falling_factorial_degenerate,
 )
-from .egf import bernoulli_taps
+from .egf import _BERNOULLI, bernoulli_taps
 
 __all__ = [
     "EULERIAN_ROUTES",
@@ -91,15 +99,16 @@ def eulerian_explicit(n: int, k: int) -> LambdaPoly:
     return acc
 
 
-def _recursion_rows(max_n: int) -> List[List[LambdaPoly]]:
-    """Triangle rows 0..max_n of the two-term recursion
+def _extend_recursion(rows: List[tuple], max_n: int) -> None:
+    """Append triangle rows up to max_n by the two-term recursion
 
         A(n,k) = ((n-k)+(n-1)λ)·A(n-1,k-1) + (k+1-(n-1)λ)·A(n-1,k)
 
     with A(0,0) = 1 and zero outside the triangle.
     """
-    rows = [[LambdaPoly((1,))]]
-    for n in range(1, max_n + 1):
+    if not rows:
+        rows.append((LambdaPoly((1,)),))
+    for n in range(len(rows), max_n + 1):
         prev = rows[-1]
         row = []
         for k in range(n + 1):
@@ -111,43 +120,44 @@ def _recursion_rows(max_n: int) -> List[List[LambdaPoly]]:
             if k <= n - 1:  # A(n-1,k) in range
                 acc = acc + right * prev[k]
             row.append(acc)
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
 
 
-def _explicit_rows(max_n: int) -> List[List[LambdaPoly]]:
-    rows = []
-    for n in range(max_n + 1):
-        # (j)_{n,λ} for j = 1..n+1, shared across the whole row.
-        falls = [falling_factorial_degenerate(j, n) for j in range(n + 2)]
-        row = []
-        for k in range(n + 1):
-            acc = LambdaPoly()
-            for i in range(k + 1):
-                term = comb(n + 1, i) * falls[k - i + 1]
-                acc = acc + (term if i % 2 == 0 else -term)
-            row.append(acc)
-        rows.append(row)
-    return rows
+def _extend_explicit(rows: List[tuple], max_n: int) -> None:
+    for n in range(len(rows), max_n + 1):
+        rows.append(tuple(eulerian_explicit(n, k) for k in range(n + 1)))
 
 
-def _gf_recursion_polys(max_n: int) -> List[XLPoly]:
-    """A_0(x)..A_max(x) by the generating-function recursion
+def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
+    """Append rows up to max_n as the coefficients of A_n(x), built by the
+    generating-function recursion
 
         A_n(x) = Σ_{i=0}^{n-1} C(n,i)·A_i(x)·(1)_{n-i,-λ}·(x-1)^{n-i-1}
     """
-    polys = [XLPoly.constant(1)]
+    if not rows:
+        rows.append((LambdaPoly((1,)),))
+    polys = [XLPoly(row) for row in rows]
     # (1)_{m,-λ} and (x-1)^m, precomputed up to m = max_n.
     ones = [falling_factorial_degenerate(1, m).scale_lambda(-1) for m in range(max_n + 1)]
     xm1_pow = [XLPoly.constant(1)]
     for _ in range(max_n):
         xm1_pow.append(xm1_pow[-1] * (X - 1))
-    for n in range(1, max_n + 1):
+    for n in range(len(rows), max_n + 1):
         acc = XLPoly()
         for i in range(n):
             acc = acc + comb(n, i) * (polys[i] * xm1_pow[n - i - 1]) * ones[n - i]
         polys.append(acc)
-    return polys
+        rows.append(tuple(acc.coeff(k) for k in range(n + 1)))
+
+
+#: Each route's triangle rows as far as any call has asked. A route only
+#: ever extends its own rows, so no route answers for another.
+_EULERIAN_ROWS: Dict[str, List[tuple]] = {route: [] for route in EULERIAN_ROUTES}
+_EXTEND_EULERIAN = {
+    "recursion": _extend_recursion,
+    "explicit": _extend_explicit,
+    "gf-recursion": _extend_gf_recursion,
+}
 
 
 @dataclass(frozen=True)
@@ -171,31 +181,28 @@ class EulerianTable:
 
 
 def eulerian_table(max_n: int, route: str = EULERIAN_ROUTES[0]) -> EulerianTable:
-    """Build the full triangle 0..max_n by the chosen route."""
+    """The triangle 0..max_n by the chosen route.
+
+    Rows are memoized per route and process: a smaller max_n slices the
+    rows already built, a larger one continues the route from its last row.
+    """
     _check_nonneg(max_n=max_n)
-    if route == "recursion":
-        rows = _recursion_rows(max_n)
-    elif route == "explicit":
-        rows = _explicit_rows(max_n)
-    elif route == "gf-recursion":
-        rows = []
-        for n, poly in enumerate(_gf_recursion_polys(max_n)):
-            rows.append([poly.coeff(k) for k in range(n + 1)])
-    else:
+    if route not in _EULERIAN_ROWS:
         raise ValueError(f"unknown route {route!r}, expected one of {EULERIAN_ROUTES}")
-    return EulerianTable(max_n, route, tuple(tuple(r) for r in rows))
+    rows = _EULERIAN_ROWS[route]
+    if len(rows) <= max_n:
+        _EXTEND_EULERIAN[route](rows, max_n)
+    return EulerianTable(max_n, route, tuple(rows[: max_n + 1]))
 
 
 def eulerian_poly(n: int, route: str = EULERIAN_ROUTES[0]) -> XLPoly:
     """Degenerate Eulerian polynomial A_n(x) = Σ_k A(n,k)·x^k.
 
-    Routes 'explicit' and 'recursion' assemble the polynomial from the
-    corresponding number triangle; 'gf-recursion' builds it directly by
-    the generating-function recursion without touching the numbers.
+    Each route's row n is the coefficient list; 'gf-recursion' builds its
+    rows as the polynomials of the generating-function recursion, without
+    touching the numbers of the other routes.
     """
     _check_nonneg(n=n)
-    if route == "gf-recursion":
-        return _gf_recursion_polys(n)[n]
     return XLPoly(eulerian_table(n, route).row(n))
 
 
@@ -227,8 +234,12 @@ def bernoulli_polynomial(n: int) -> XLPoly:
     beta = bernoulli_taps(n)
     acc = XLPoly()
     for k in range(n + 1):
-        acc = acc + comb(n, k) * falling_factorial_degenerate(X, n - k) * beta[k]
+        acc = acc + falling_factorial_degenerate(X, n - k) * (comb(n, k) * beta[k])
     return acc
+
+
+#: {n k} per (n, k) already asked for.
+_STIRLING2: Dict[Tuple[int, int], LambdaPoly] = {}
 
 
 def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
@@ -236,14 +247,28 @@ def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
 
         {n k} = ((-1)^k/k!)·Σ_{j=0}^{k} (-1)^j·C(k,j)·(j)_{n,λ}
 
-    Total in (n,k): the sum vanishes identically for k > n.
+    Total in (n,k): the sum vanishes identically for k > n. Memoized per
+    (n, k) and process.
     """
     _check_nonneg(n=n, k=k)
-    acc = LambdaPoly()
-    for j in range(k + 1):
-        term = comb(k, j) * falling_factorial_degenerate(j, n)
-        acc = acc + (term if (k - j) % 2 == 0 else -term)
-    return acc * Fraction(1, factorial(k))
+    value = _STIRLING2.get((n, k))
+    if value is None:
+        acc = LambdaPoly()
+        for j in range(k + 1):
+            term = comb(k, j) * falling_factorial_degenerate(j, n)
+            acc = acc + (term if (k - j) % 2 == 0 else -term)
+        value = _STIRLING2[(n, k)] = acc * Fraction(1, factorial(k))
+    return value
+
+
+def _clear_memos() -> None:
+    """Forget every memoized builder value: the Eulerian rows, the Stirling
+    numbers, the Bernoulli taps past β_0 and the falling factorials."""
+    for rows in _EULERIAN_ROWS.values():
+        rows.clear()
+    _STIRLING2.clear()
+    del _BERNOULLI[1:]
+    _FALLING.clear()
 
 
 def stirling2_from_eulerian(n: int, k: int) -> LambdaPoly:

@@ -7,11 +7,17 @@ rendered as polynomial text). Every case is compared by exact equality of
 polynomials over Q[λ] (or Q[λ][x]), never by sampling λ.
 
 A check may declare the largest ranges it supports (the permutation
-enumerations stop at n = MAX_ENUMERATION_N); an override above them raises
-RangeOverrideError, and run_suite raises it before running any check.
+enumerations stop at n = MAX_ENUMERATION_N) and the smallest ones that
+still scan a case (checks whose cases start at n = 1 need n_max >= 1, the
+power-sum checks also m_max >= 1; no range goes below 0). An override
+outside them raises RangeOverrideError, and run_suite raises it before
+running any check.
 
-Checks are pure and independent of each other; running any selection in
-any order yields identical per-check results.
+Checks share the memoized builders of ``algebra``, ``egf`` and
+``sequences`` (each triangle is built once per route and process, or per
+command under the CLI, then sliced or extended), but they are still pure
+and independent of each other: a memo only ever returns what its route computes from scratch, so
+running any selection in any order yields identical per-check results.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ class Check:
     default_ranges: Dict[str, int]
     cases: Callable[[Dict[str, int]], Cases]
     max_ranges: Dict[str, int] = field(default_factory=dict)
+    min_ranges: Dict[str, int] = field(default_factory=dict)
 
 
 class UnknownCheckError(ValueError):
@@ -97,7 +104,7 @@ class UnknownCheckError(ValueError):
 
 
 class RangeOverrideError(ValueError):
-    """Raised for a range override above what a check supports."""
+    """Raised for a range override outside what a check supports."""
 
 
 def _effective_ranges(check: Check, ranges: Optional[Dict[str, int]]) -> Dict[str, int]:
@@ -108,6 +115,11 @@ def _effective_ranges(check: Check, ranges: Optional[Dict[str, int]]) -> Dict[st
             if limit is not None and value > limit:
                 raise RangeOverrideError(
                     f"{check.id} supports {key} <= {limit}, got {key}={value}"
+                )
+            lowest = check.min_ranges.get(key, 0)
+            if value < lowest:
+                raise RangeOverrideError(
+                    f"{check.id} supports {key} >= {lowest}, got {key}={value}"
                 )
             effective[key] = value
     return effective
@@ -355,24 +367,28 @@ REGISTRY: Tuple[Check, ...] = (
         "Σ_{k≤m}(k)_{n,λ} equals Σ_j A_{-λ}(n,j)·C(m+j+1,n+1)",
         {"n_max": 10, "m_max": 20},
         _cases_power_sum("direct", "eulerian"),
+        min_ranges={"n_max": 1, "m_max": 1},
     ),
     Check(
         "eq-43-power-sum-bernoulli",
         "Σ_{k≤m}(k)_{n,λ} equals (β_{n+1}(m+1) - β_{n+1})/(n+1)",
         {"n_max": 10, "m_max": 20},
         _cases_power_sum("direct", "bernoulli"),
+        min_ranges={"n_max": 1, "m_max": 1},
     ),
     Check(
         "thm-2.10-power-sum-routes",
         "the Eulerian and Bernoulli power-sum expressions agree with each other",
         {"n_max": 10, "m_max": 20},
         _cases_power_sum("eulerian", "bernoulli"),
+        min_ranges={"n_max": 1, "m_max": 1},
     ),
     Check(
         "thm-2.11-eulerian-from-stirling2",
         "A(n,k-1) = (-1)^k·Σ_j (-1)^j·C(n-j,n-k)·j!·{n j} matches the explicit sum",
         {"n_max": 15},
         _cases_eulerian_from_stirling2,
+        min_ranges={"n_max": 1},
     ),
     Check(
         "eq-19-coefficient-relation",
@@ -410,6 +426,7 @@ REGISTRY: Tuple[Check, ...] = (
         {"n_max": 7},
         _cases_descent_oracle,
         {"n_max": MAX_ENUMERATION_N},
+        min_ranges={"n_max": 1},
     ),
     Check(
         "lambda0-excedance-oracle",
@@ -417,12 +434,14 @@ REGISTRY: Tuple[Check, ...] = (
         {"n_max": 7},
         _cases_excedance_oracle,
         {"n_max": MAX_ENUMERATION_N},
+        min_ranges={"n_max": 1},
     ),
     Check(
         "lambda1-bernoulli-vanishing",
         "β_{n,λ} vanishes at λ=1 for all n ≥ 1",
         {"n_max": 12},
         _cases_lambda1_bernoulli,
+        min_ranges={"n_max": 1},
     ),
     Check(
         "eulerian-row-sum",
@@ -435,12 +454,14 @@ REGISTRY: Tuple[Check, ...] = (
         "A(n,n) = 0 for n ≥ 1",
         {"n_max": 20},
         _cases_top_entry,
+        min_ranges={"n_max": 1},
     ),
     Check(
         "eulerian-lambda-degree",
         "A(n,k) has λ-degree at most n-1 for n ≥ 1",
         {"n_max": 15},
         _cases_lambda_degree,
+        min_ranges={"n_max": 1},
     ),
 )
 

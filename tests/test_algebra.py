@@ -130,6 +130,18 @@ def test_falling_degenerate_scalar_degrees():
         assert falling_factorial_degenerate(0, n).is_zero
 
 
+def test_falling_degenerate_memo_matches_plain_product():
+    # asked for in growing and shrinking order; an integral Fraction base is
+    # multiplied out on every call, the equal int base is memoized
+    lam = XLPoly.constant(LAM)
+    for n in (9, 4, 0, 6):
+        expected = XLPoly.constant(1)
+        for i in range(n):
+            expected = expected * (X - i * lam)
+        assert falling_factorial_degenerate(X, n) == expected
+        assert falling_factorial_degenerate(5, n) == falling_factorial_degenerate(F(5), n)
+
+
 def test_falling_classical():
     assert falling_factorial_classical(2) == X * X - X
     assert falling_factorial_classical(0) == XLPoly.constant(1)

@@ -1,5 +1,6 @@
 """CLI behavior: document shapes, determinism, exit codes, serialization."""
 
+import contextlib
 import io
 import json
 import subprocess
@@ -8,7 +9,7 @@ from fractions import Fraction as F
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenpoly import cli
@@ -23,7 +24,7 @@ from degenpoly.cli import (
     render_rational,
     render_xl_poly,
 )
-from degenpoly.verify import CheckSpec, Counterexample
+from degenpoly.verify import CheckSpec, Counterexample, check_ids
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 lambda_polys = st.lists(small_fractions, max_size=6).map(LambdaPoly)
@@ -222,6 +223,22 @@ def test_verify_range_overrides(capsys):
     assert "lambda0-descent-oracle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--check", "thm-2.9-power-sum-eulerian", "--m-max", "0"), "thm-2.9-power-sum-eulerian"),
+        (("--check", "lambda0-descent-oracle", "--n-max", "0"), "lambda0-descent-oracle"),
+        (("--check", "eulerian-top-entry", "--n-max", "0"), "eulerian-top-entry"),
+        (("--suite", "all", "--n-max", "0"), "thm-2.9-power-sum-eulerian supports n_max >= 1"),
+    ],
+)
+def test_verify_range_below_first_case_exits_2(capsys, argv, named):
+    # each of these would scan zero cases and report a vacuous PASS
+    code, text = run_cli("verify", *argv)
+    assert code == 2 and text == ""
+    assert named in capsys.readouterr().err
+
+
 def test_verify_unknown_check_exits_2(capsys):
     code, _ = run_cli("verify", "--check", "no-such-id")
     assert code == 2
@@ -258,6 +275,51 @@ def test_verify_failure_exits_1(monkeypatch):
         "lhs": "1",
         "rhs": "1 - λ",
     }
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+RATIONAL_TOKENS = ("0", "3", "-1", "1/2", "-2/3", "0.5", "1/0")
+rationals = st.sampled_from(RATIONAL_TOKENS)
+ROUTES = sorted({route for routes in cli.FAMILY_ROUTES.values() for route in routes})
+small_ints = st.sampled_from(("-1", "0", "1", "2", "3", "4"))
+flags = st.one_of(
+    st.sampled_from((["--human"], ["--timestamp"], ["--suite", "all"], ["--format", "json"],
+                     ["--format", "csv"], ["--format", "text"])),
+    st.tuples(st.just("--route"), st.sampled_from(ROUTES + ["bogus"])).map(list),
+    st.tuples(st.sampled_from(("--m", "--m-max", "--k-max")), small_ints).map(list),
+    st.tuples(st.sampled_from(("--lambda", "--x")), st.sampled_from(RATIONAL_TOKENS + ("symbolic",))).map(list),
+    st.tuples(st.just("--check"), st.sampled_from(check_ids() + ["no-such-id"])).map(list),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command, its positional arguments, n <= 4 and up to three flags."""
+    command = draw(st.sampled_from(("table", "table", "eval", "eval", "verify", "verify", "bogus")))
+    argv = [command]
+    if command == "table":
+        argv.append(draw(st.sampled_from(cli.TABLE_FAMILIES + ("bogus",))))
+    if command == "eval":
+        argv.append(draw(st.sampled_from(("powersum", "eulerian-at"))))
+        argv += ["--m", draw(small_ints), "--x", draw(rationals), "--lambda", draw(rationals)]
+    argv += ["--n" if command == "eval" else "--n-max", draw(small_ints)]
+    for flag in draw(st.lists(flags, max_size=3)):
+        argv += flag
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argvs())
+def test_random_argv_exits_0_1_or_2(argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv, out=io.StringIO())
+        except SystemExit as exc:  # argparse rejects usage errors by exiting
+            code = exc.code
+    assert code in (0, 1, 2), argv
 
 
 # ---------------------------------------------------------------------------

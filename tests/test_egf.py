@@ -132,6 +132,17 @@ def test_bernoulli_golden_table():
     assert beta[3] == LambdaPoly((0, F(-1, 4), 0, F(1, 4)))
 
 
+def test_bernoulli_taps_returns_a_new_list():
+    taps = bernoulli_taps(6)
+    expected = list(taps)
+    taps[2] = LambdaPoly((99,))
+    taps.append(LambdaPoly((1,)))
+    del taps[0]
+    assert bernoulli_taps(6) == expected
+    assert bernoulli_taps(12)[:7] == expected
+    assert len(bernoulli_taps(3)) == 4
+
+
 def test_bernoulli_lambda0_is_classical():
     beta = bernoulli_taps(12)
     frozen = [F(1), F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42)]

@@ -4,11 +4,18 @@ Acceptance runs the full stated ranges; here the same properties are
 checked on smaller triangles so failures localize quickly.
 """
 
+import io
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import degenpoly
+from degenpoly import sequences
 from degenpoly.algebra import (
     LambdaPoly,
     X,
@@ -30,6 +37,8 @@ from degenpoly.sequences import (
     stirling2_from_eulerian,
     worpitzky_lhs,
 )
+from degenpoly.cli import build_parser, main
+from degenpoly.verify import run_suite
 
 ROW2 = (LambdaPoly((1, -1)), LambdaPoly((1, 1)), LambdaPoly())
 ROW3 = (
@@ -91,6 +100,62 @@ def test_table_out_of_triangle_and_bounds():
         table.entry(5, 0)
     with pytest.raises(ValueError):
         eulerian_table(3, route="nope")
+
+
+def test_memoized_table_slices_to_the_size_asked():
+    for route in EULERIAN_ROUTES:
+        large = eulerian_table(12, route)
+        small = eulerian_table(4, route)
+        assert (small.max_n, small.route) == (4, route)
+        assert small.rows == large.rows[:5]
+        with pytest.raises(ValueError):
+            small.entry(5, 0)
+
+
+def test_routes_share_no_entry_objects():
+    owner = {}
+    for route in EULERIAN_ROUTES:
+        table = eulerian_table(12, route)
+        for n in range(1, 13):
+            for k, entry in enumerate(table.row(n)):
+                assert owner.setdefault(id(entry), route) == route, (route, n, k)
+
+
+def test_warm_memo_changes_no_report():
+    # a fresh process and one whose memo the whole suite has filled print
+    # the same bytes
+    argv = ["verify", "--check", "thm-2.10-power-sum-routes", "--n-max", "4", "--m-max", "4",
+            "--format", "json"]
+    src = str(Path(degenpoly.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "degenpoly", *argv], capture_output=True,
+                           check=True, env=env).stdout
+    args = build_parser().parse_args(argv)
+    run_suite()
+    sink = io.StringIO()
+    # the command's own handler: main would empty the memo first
+    assert args.func(args, sink) == 0
+    assert sink.getvalue().encode("utf-8") == fresh
+
+
+def test_each_cli_command_starts_from_empty_memos(monkeypatch):
+    # the library reuses a triangle within a process; the CLI builds it
+    # afresh for every command, so a command's cost never depends on the
+    # commands before it
+    builds = []
+    extend = sequences._EXTEND_EULERIAN["recursion"]
+    monkeypatch.setitem(sequences._EXTEND_EULERIAN, "recursion",
+                        lambda rows, max_n: builds.append(max_n) or extend(rows, max_n))
+    argv = ["table", "eulerian-number", "--n-max", "6", "--route", "recursion"]
+    outputs = []
+    for _ in range(2):
+        sink = io.StringIO()
+        assert main(argv, sink) == 0
+        outputs.append(sink.getvalue())
+    assert builds == [6, 6] and outputs[0] == outputs[1]
+    eulerian_table(6, "recursion")
+    assert builds == [6, 6]
 
 
 def test_lambda_degree_and_row_sums():

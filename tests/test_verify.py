@@ -116,6 +116,15 @@ def test_enumeration_range_limit():
         run_suite(ranges={"n_max": MAX_ENUMERATION_N + 1})
 
 
+def test_smallest_ranges_scan_a_case():
+    for check in REGISTRY:
+        lowest = {key: check.min_ranges.get(key, 0) for key in check.default_ranges}
+        assert next(check.cases(lowest), None) is not None, check.id
+        for key, value in lowest.items():
+            with pytest.raises(RangeOverrideError, match=check.id):
+                run_suite([check.id], ranges={key: value - 1})
+
+
 def test_classical_triangle_checks_take_any_n():
     (spec,) = run_suite(["lambda0-eulerian-triangle"], ranges={"n_max": 21})
     assert spec.status == "pass"
