@@ -18,7 +18,7 @@ from .algebra import (
     falling_factorial_classical,
     falling_factorial_degenerate,
 )
-from .egf import Egf, bernoulli_taps, degenerate_exp, degenerate_exp_power, gf_residual
+from .egf import Egf, bernoulli_taps, degenerate_exp, gf_residual
 from .oracles import (
     ClassicalTriangles,
     PermStatDistribution,
@@ -55,7 +55,6 @@ __all__ = [
     "Egf",
     "bernoulli_taps",
     "degenerate_exp",
-    "degenerate_exp_power",
     "gf_residual",
     "ClassicalTriangles",
     "PermStatDistribution",

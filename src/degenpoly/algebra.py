@@ -189,7 +189,8 @@ class LambdaPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its scalar, so it must hash like it
+        return hash(self.coeff(0)) if len(self.coeffs) <= 1 else hash(self.coeffs)
 
     def __bool__(self):
         return not self.is_zero
@@ -342,7 +343,8 @@ class XLPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # an x-free polynomial equals its coefficient, so it must hash like it
+        return hash(self.coeff(0)) if len(self.coeffs) <= 1 else hash(self.coeffs)
 
     def __bool__(self):
         return not self.is_zero

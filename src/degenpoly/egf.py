@@ -16,6 +16,9 @@ cross-multiplication: the Bernoulli taps come from a triangular solve of
 B(t)·(e_λ(t)-1)/t = 1, and the Eulerian generating function is verified
 through the residual S(t)·(x - e_{-λ}((x-1)t)) - (x-1), which must vanish
 tap by tap.
+
+There is one degenerate exponential, the paper's e_λ(u·t). The residual's
+e_{-λ}((x-1)t) is its image under λ -> -λ, taken tap by tap.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .algebra import LambdaPoly, X, falling_factorial_degenerate
 __all__ = [
     "Egf",
     "degenerate_exp",
-    "degenerate_exp_power",
     "bernoulli_taps",
     "gf_residual",
 ]
@@ -101,43 +103,19 @@ class Egf:
         return f"Egf(order={self.order}, taps={list(self.taps)!r})"
 
 
-def degenerate_exp(u, order: int, sign: int = 1) -> Egf:
-    """The series e_{±λ}(u·t), tap_n = (1)_{n,±λ}·u^n.
+def degenerate_exp(u, order: int) -> Egf:
+    """The series e_λ(u·t), tap_n = (1)_{n,λ}·u^n.
 
-    ``u`` may be an XLPoly (e.g. x-1) or a rational; ``sign`` selects +λ
-    or -λ. Note the argument-scaling form does NOT satisfy the exponential
-    law: e_λ(u·t)·e_λ(v·t) differs from e_λ((u+v)·t) for λ ≠ 0. Use
-    ``degenerate_exp_power`` when the base belongs in the exponent.
+    ``u`` may be an XLPoly (e.g. x-1) or a rational. The argument-scaling
+    form does NOT satisfy the exponential law: e_λ(u·t)·e_λ(v·t) differs
+    from e_λ((u+v)·t) for λ ≠ 0.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     taps = []
     upow = u**0
     for n in range(order + 1):
-        scalar = falling_factorial_degenerate(1, n)
-        if sign < 0:
-            scalar = scalar.scale_lambda(-1)
-        taps.append(upow * scalar)
+        taps.append(upow * falling_factorial_degenerate(1, n))
         if n < order:
             upow = upow * u
-    return Egf(order, taps)
-
-
-def degenerate_exp_power(base, order: int, sign: int = 1) -> Egf:
-    """The series e_{±λ}^{base}(t), tap_n = (base)_{n,±λ}.
-
-    With base = x this is the degenerate exponential with formal exponent
-    x; integer bases give the LambdaPoly-valued specializations. The
-    exponent form does obey e^a·e^b = e^{a+b}.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    taps = []
-    for n in range(order + 1):
-        tap = falling_factorial_degenerate(base, n)
-        if sign < 0:
-            tap = tap.scale_lambda(-1)
-        taps.append(tap)
     return Egf(order, taps)
 
 
@@ -182,5 +160,6 @@ def gf_residual(n_max: int) -> Egf:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     s = Egf(n_max, tuple(eulerian_poly(n) for n in range(n_max + 1)))
-    e = degenerate_exp(X - 1, n_max, sign=-1)
+    # e_{-λ}((x-1)t): (x-1)^n carries no λ, so λ -> -λ acts on (1)_{n,λ} alone
+    e = Egf(n_max, tuple(tap.scale_lambda(-1) for tap in degenerate_exp(X - 1, n_max).taps))
     return s * (Egf.constant(X, n_max) - e) - Egf.constant(X - 1, n_max)

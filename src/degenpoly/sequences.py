@@ -133,21 +133,25 @@ def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
     generating-function recursion
 
         A_n(x) = Σ_{i=0}^{n-1} C(n,i)·A_i(x)·(1)_{n-i,-λ}·(x-1)^{n-i-1}
+
+    evaluated as a Horner scheme in (x-1) on the coefficient rows,
+
+        acc <- acc·(x-1) + C(n,i)·(1)_{n-i,-λ}·A_i(x),   i = 0 .. n-1,
+
+    where multiplying by (x-1) takes coefficient k to acc[k-1] - acc[k].
+    The sum has x-degree n-1, so row n ends in a zero A(n,n).
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
-    polys = [XLPoly(row) for row in rows]
-    # (1)_{m,-λ} and (x-1)^m, precomputed up to m = max_n.
+    zero = LambdaPoly()
     ones = [falling_factorial_degenerate(1, m).scale_lambda(-1) for m in range(max_n + 1)]
-    xm1_pow = [XLPoly.constant(1)]
-    for _ in range(max_n):
-        xm1_pow.append(xm1_pow[-1] * (X - 1))
     for n in range(len(rows), max_n + 1):
-        acc = XLPoly()
+        acc = []
         for i in range(n):
-            acc = acc + comb(n, i) * (polys[i] * xm1_pow[n - i - 1]) * ones[n - i]
-        polys.append(acc)
-        rows.append(tuple(acc.coeff(k) for k in range(n + 1)))
+            acc = [a - b for a, b in zip([zero] + acc, acc + [zero])]
+            scalar = comb(n, i) * ones[n - i]
+            acc = [a + scalar * c for a, c in zip(acc, rows[i])]
+        rows.append(tuple(acc) + (zero,))
 
 
 #: Each route's triangle rows as far as any call has asked. A route only

@@ -52,6 +52,21 @@ def test_scalar_coercion_and_comparison():
     assert LambdaPoly((1,)) != LambdaPoly((1, 1))
 
 
+def test_constants_hash_like_the_values_they_equal():
+    p = LambdaPoly((F(1, 2), 3))
+    for poly, value in [
+        (LambdaPoly((3,)), 3),
+        (LambdaPoly((F(-2, 3),)), F(-2, 3)),
+        (LambdaPoly(), 0),
+        (XLPoly((5,)), 5),
+        (XLPoly(), 0),
+        (XLPoly((p,)), p),
+        (XLPoly((LambdaPoly((3,)),)), LambdaPoly((3,))),
+    ]:
+        assert poly == value and hash(poly) == hash(value), (poly, value)
+        assert value in {poly} and poly in {value}
+
+
 @given(lambda_polys, lambda_polys)
 def test_add_then_subtract_roundtrip(p, q):
     assert (p + q) - q == p

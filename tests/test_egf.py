@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpoly.algebra import LAM, LambdaPoly, X, XLPoly, falling_factorial_degenerate
+from degenpoly.algebra import LambdaPoly, X, XLPoly, falling_factorial_degenerate
 from degenpoly.egf import (
     Egf,
     bernoulli_taps,
     degenerate_exp,
-    degenerate_exp_power,
     gf_residual,
 )
 from degenpoly.oracles import classical_triangles
@@ -79,29 +78,27 @@ def test_degenerate_exp_of_one():
     )
 
 
-def test_degenerate_exp_power_taps():
-    assert degenerate_exp_power(X, 2).taps == (
-        XLPoly.constant(1),
-        X,
-        X * X - XLPoly.constant(LAM) * X,
-    )
-
-
 def test_degenerate_exp_scaled_argument():
-    e = degenerate_exp(X - 1, 2, sign=-1)
+    e = degenerate_exp(X - 1, 2)
     assert e.taps[0] == XLPoly.constant(1)
     assert e.taps[1] == X - 1
-    assert e.taps[2] == (X - 1) * (X - 1) * LambdaPoly((1, 1))
+    assert e.taps[2] == (X - 1) * (X - 1) * LambdaPoly((1, -1))
+    # e_{-λ}((x-1)t), as the generating-function residual takes it
+    assert e.taps[2].scale_lambda(-1) == (X - 1) * (X - 1) * LambdaPoly((1, 1))
 
 
 def test_exponent_form_power_law():
-    # e^1 multiplied into itself m times matches the exponent form with m
+    # e_λ^1(t) multiplied into itself m times gives e_λ^m(t), whose taps
+    # are (m)_{n,λ}: the degenerate binomial law
+    def exponent_form(m, order):
+        return Egf(order, [falling_factorial_degenerate(m, n) for n in range(order + 1)])
+
     for order in range(9):
-        e1 = degenerate_exp_power(1, order)
+        e1 = exponent_form(1, order)
         acc = Egf.constant(LambdaPoly((1,)), order)
         for m in range(1, 5):
             acc = acc * e1
-            assert acc == degenerate_exp_power(m, order), (m, order)
+            assert acc == exponent_form(m, order), (m, order)
 
 
 def test_scaled_argument_form_has_no_power_law():
@@ -110,13 +107,6 @@ def test_scaled_argument_form_has_no_power_law():
     rhs = degenerate_exp(F(3), 4)
     assert lhs != rhs
     assert [t.eval(0) for t in lhs.taps] == [t.eval(0) for t in rhs.taps]
-
-
-def test_bad_sign_rejected():
-    with pytest.raises(ValueError):
-        degenerate_exp(1, 3, sign=2)
-    with pytest.raises(ValueError):
-        degenerate_exp_power(X, 3, sign=0)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,16 @@ def test_memoized_table_slices_to_the_size_asked():
             small.entry(5, 0)
 
 
+def test_extending_a_warm_memo_matches_a_cold_build():
+    for route in EULERIAN_ROUTES:
+        sequences._clear_memos()
+        eulerian_table(4, route)
+        warm = eulerian_table(14, route)
+        sequences._clear_memos()
+        cold = eulerian_table(14, route)
+        assert warm.rows == cold.rows, route
+
+
 def test_routes_share_no_entry_objects():
     owner = {}
     for route in EULERIAN_ROUTES:
