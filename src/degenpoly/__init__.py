@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .algebra import (
     LAM,
     LambdaPoly,
-    Rational,
     X,
     XLPoly,
     binomial_poly,
@@ -46,7 +45,6 @@ __all__ = [
     "__version__",
     "LAM",
     "LambdaPoly",
-    "Rational",
     "X",
     "XLPoly",
     "binomial_poly",

@@ -1,8 +1,8 @@
 """Exact coefficient rings for the degenerate sequence families.
 
-Everything is built over the rationals (`fractions.Fraction`, re-exported
-as ``Rational``) so every identity in this package can be tested as an
-exact polynomial equality instead of a floating-point approximation.
+Everything is built over the rationals (`fractions.Fraction`) so every
+identity in this package can be tested as an exact polynomial equality
+instead of a floating-point approximation.
 
 Two polynomial rings are provided, both with dense coefficient lists:
 
@@ -24,12 +24,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, Iterable, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "LambdaPoly",
     "XLPoly",
     "LAM",

@@ -8,6 +8,11 @@ shipped as ``degenpoly/output-schema.json``; CSV uses the fixed header
 ``family,n,k,value``. A separate --human flag renders readable math text
 instead of the machine formats.
 
+``table`` runs in three steps. Every family is built as rows of
+λ-polynomial cells: a triangle row, the x-coefficients of A_n(x), or the
+single cell β_n. A rational λ is substituted into each cell once. One
+short block per format then writes the rows.
+
 λ (and any other rational argument) is either the word "symbolic" or an
 exact rational token; float literals are rejected so results stay exact
 end to end.
@@ -23,6 +28,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from importlib import resources
@@ -162,12 +168,6 @@ def _emit_json(doc: dict, out) -> None:
     out.write("\n")
 
 
-def _lambda_or_symbolic(token: str) -> Union[str, Fraction]:
-    if token == "symbolic":
-        return token
-    return parse_rational(token)
-
-
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -185,63 +185,45 @@ def _resolve_route(family: str, requested: Optional[str]) -> str:
     return requested
 
 
-def _table_polys(family: str, n_max: int, route: str):
+def _table_rows(family: str, n_max: int, route: str) -> List[List[LambdaPoly]]:
+    """Rows of λ-polynomial cells: a triangle row, the trimmed x-coefficients
+    of A_n(x) for eulerian-poly, or [β_n] for bernoulli."""
     if family == "eulerian-number":
-        table = eulerian_table(n_max, route)
-        return [list(table.row(n)) for n in range(n_max + 1)]
+        return [list(row) for row in eulerian_table(n_max, route).rows]
     if family == "eulerian-poly":
-        table = eulerian_table(n_max, route)
-        return [XLPoly(table.row(n)) for n in range(n_max + 1)]
+        return [list(XLPoly(row).coeffs) for row in eulerian_table(n_max, route).rows]
     if family == "bernoulli":
-        return bernoulli_taps(n_max)
+        return [[b] for b in bernoulli_taps(n_max)]
     if family == "stirling1":
         return [stirling1_row(n) for n in range(n_max + 1)]
-    if family == "stirling2":
-        fn = stirling2_degenerate if route == "explicit" else stirling2_from_eulerian
-        return [[fn(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
-    raise UsageError(f"unknown family {family!r}")
+    fn = stirling2_degenerate if route == "explicit" else stirling2_from_eulerian
+    return [[fn(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
 
 
 def cmd_table(args, out) -> int:
-    family = args.family
+    family, lam = args.family, args.lam
     _check_cap("--n-max", args.n_max)
     route = _resolve_route(family, args.route)
-    lam = args.lam
+    rows = _table_rows(family, args.n_max, route)
     symbolic = lam == "symbolic"
-    polys = _table_polys(family, args.n_max, route)
-
-    triangular = family in ("eulerian-number", "stirling1", "stirling2")
-    if triangular:
-        if symbolic:
-            values = [[render_lambda_poly(e) for e in row] for row in polys]
-        else:
-            values = [[render_rational(e.eval(lam)) for e in row] for row in polys]
-    elif family == "bernoulli":
-        if symbolic:
-            values = [render_lambda_poly(b) for b in polys]
-        else:
-            values = [render_rational(b.eval(lam)) for b in polys]
-    else:  # eulerian-poly
-        if symbolic:
-            values = [render_xl_poly(p) for p in polys]
-        else:
-            values = [
-                [render_rational(c.coeff(0)) for c in p.eval_lambda(lam).coeffs]
-                for p in polys
-            ]
+    if not symbolic:
+        rows = [[c.eval(lam) for c in row] for row in rows]
+        if family == "eulerian-poly":  # a value can zero the leading coefficient
+            rows = [[c.coeff(0) for c in XLPoly(row).coeffs] for row in rows]
+    flat = family == "bernoulli"  # one cell per n, written without k
 
     if args.human:
-        for n, row in enumerate(polys):
-            if triangular:
-                for k, entry in enumerate(row):
-                    shown = entry if symbolic else entry.eval(lam)
-                    out.write(f"{family}[{n}][{k}] = {shown}\n")
-            elif family == "bernoulli":
-                out.write(f"{family}[{n}] = {row if symbolic else row.eval(lam)}\n")
+        for n, row in enumerate(rows):
+            if family == "eulerian-poly":
+                out.write(f"{family}[{n}] = {XLPoly(row)}\n")
+            elif flat:
+                out.write(f"{family}[{n}] = {row[0]}\n")
             else:
-                out.write(f"{family}[{n}] = {row if symbolic else row.eval_lambda(lam)}\n")
+                out.writelines(f"{family}[{n}][{k}] = {cell}\n" for k, cell in enumerate(row))
         return 0
 
+    render = render_lambda_poly if symbolic else render_rational
+    values = [[render(cell) for cell in row] for row in rows]
     if args.format == "json":
         doc = {
             "family": family,
@@ -250,7 +232,7 @@ def cmd_table(args, out) -> int:
                 "lambda": "symbolic" if symbolic else render_rational(lam),
                 "route": route,
             },
-            "values": values,
+            "values": [row[0] for row in values] if flat else values,
             "metadata": _metadata(route=route, timestamp=args.timestamp),
         }
         _emit_json(doc, out)
@@ -259,14 +241,8 @@ def cmd_table(args, out) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["family", "n", "k", "value"])
     for n, row in enumerate(values):
-        if triangular:
-            for k, cell in enumerate(row):
-                writer.writerow([family, n, k, cell if isinstance(cell, str) else ";".join(cell)])
-        elif family == "bernoulli":
-            writer.writerow([family, n, "", row if isinstance(row, str) else ";".join(row)])
-        else:  # eulerian-poly: one row per x-power
-            for j, cell in enumerate(row):
-                writer.writerow([family, n, j, cell if isinstance(cell, str) else ";".join(cell)])
+        for k, cell in enumerate(row):
+            writer.writerow([family, n, "" if flat else k, ";".join(cell) if symbolic else cell])
     return 0
 
 
@@ -350,22 +326,7 @@ def cmd_verify(args, out) -> int:
     failed = [spec for spec in results if spec.status == "fail"]
     if args.format == "json":
         doc = {
-            "checks": [
-                {
-                    "id": spec.id,
-                    "statement": spec.statement,
-                    "ranges": spec.ranges,
-                    "status": spec.status,
-                    "counterexample": None
-                    if spec.counterexample is None
-                    else {
-                        "parameters": spec.counterexample.parameters,
-                        "lhs": spec.counterexample.lhs,
-                        "rhs": spec.counterexample.rhs,
-                    },
-                }
-                for spec in results
-            ],
+            "checks": [asdict(spec) for spec in results],
             "summary": {
                 "total": len(results),
                 "passed": len(results) - len(failed),
@@ -397,18 +358,18 @@ def cmd_verify(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rational_arg(token: str) -> Fraction:
-    try:
-        return parse_rational(token)
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _rational_arg(*words: str):
+    """argparse type: an exact rational token, or one of ``words`` as given."""
 
+    def convert(token: str) -> Union[str, Fraction]:
+        if token in words:
+            return token
+        try:
+            return parse_rational(token)
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _lambda_arg(token: str):
-    try:
-        return _lambda_or_symbolic(token)
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 class _Parser(argparse.ArgumentParser):
@@ -434,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--lambda",
         dest="lam",
-        type=_lambda_arg,
+        type=_rational_arg("symbolic"),
         default="symbolic",
         help='"symbolic" (default) or an exact rational like 1/2',
     )
@@ -447,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("expr", choices=("powersum", "eulerian-at"))
     p_eval.add_argument("--m", type=int, default=None)
     p_eval.add_argument("--n", type=int, default=None, required=True)
-    p_eval.add_argument("--x", type=_rational_arg, default=None)
-    p_eval.add_argument("--lambda", dest="lam", type=_rational_arg, required=True)
+    p_eval.add_argument("--x", type=_rational_arg(), default=None)
+    p_eval.add_argument("--lambda", dest="lam", type=_rational_arg(), required=True)
     p_eval.add_argument("--route", default=None)
     p_eval.add_argument("--human", action="store_true")
     p_eval.add_argument("--timestamp", action="store_true")

@@ -20,12 +20,13 @@ Where a formula is stated for -λ (the Worpitzky expansion, the Stirling
 bridge, the power-sum expansion), the table entry is λ-negated via
 ``scale_lambda(-1)`` rather than kept as a second table.
 
-The Eulerian triangles (one per route) and the second-kind Stirling
-numbers are memoized per process, like the falling factorials and the
-Bernoulli taps they are built from: filled on first use, sliced for a
-smaller n, continued by the route's own recursion for a larger one, never
-rebuilt. Each route keeps its own rows, so no route answers for another.
-``_clear_memos`` empties them all; the CLI calls it before each command.
+The Eulerian triangles (one per route), the Bernoulli polynomials and
+the second-kind Stirling numbers are memoized per process, like the
+falling factorials and the Bernoulli taps they are built from: filled on
+first use, sliced for a smaller n, continued by the route's own
+recursion for a larger one, never rebuilt. Each route keeps its own
+rows, so no route answers for another. ``_clear_memos`` empties them
+all; the CLI calls it before each command.
 """
 
 from __future__ import annotations
@@ -233,15 +234,23 @@ def eulerian_at_minus_one(n: int, route: str = AT_MINUS_ONE_ROUTES[0]) -> Lambda
 
 
 def bernoulli_polynomial(n: int) -> XLPoly:
-    """Degenerate Bernoulli polynomial β_n(x) = Σ_k C(n,k)·β_k·(x)_{n-k,λ}."""
+    """Degenerate Bernoulli polynomial β_n(x) = Σ_k C(n,k)·β_k·(x)_{n-k,λ}.
+
+    Memoized per n and process.
+    """
     _check_nonneg(n=n)
-    beta = bernoulli_taps(n)
-    acc = XLPoly()
-    for k in range(n + 1):
-        acc = acc + falling_factorial_degenerate(X, n - k) * (comb(n, k) * beta[k])
+    acc = _BERNOULLI_POLY.get(n)
+    if acc is None:
+        beta = bernoulli_taps(n)
+        acc = XLPoly()
+        for k in range(n + 1):
+            acc = acc + falling_factorial_degenerate(X, n - k) * (comb(n, k) * beta[k])
+        _BERNOULLI_POLY[n] = acc
     return acc
 
 
+#: β_n(x) per n already asked for.
+_BERNOULLI_POLY: Dict[int, XLPoly] = {}
 #: {n k} per (n, k) already asked for.
 _STIRLING2: Dict[Tuple[int, int], LambdaPoly] = {}
 
@@ -266,10 +275,12 @@ def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
 
 
 def _clear_memos() -> None:
-    """Forget every memoized builder value: the Eulerian rows, the Stirling
-    numbers, the Bernoulli taps past β_0 and the falling factorials."""
+    """Forget every memoized builder value: the Eulerian rows, the Bernoulli
+    polynomials, the Stirling numbers, the Bernoulli taps past β_0 and the
+    falling factorials."""
     for rows in _EULERIAN_ROWS.values():
         rows.clear()
+    _BERNOULLI_POLY.clear()
     _STIRLING2.clear()
     del _BERNOULLI[1:]
     _FALLING.clear()

@@ -127,6 +127,62 @@ def test_table_human():
     assert text.splitlines()[2] == "eulerian-poly[2] = (1 - λ) + (1 + λ)x"
 
 
+PIN_LAMBDAS = ("0", "1", "-1", "3/7", "-2/3")
+FAMILY_ROUTE_PAIRS = [(family, route) for family in cli.TABLE_FAMILIES
+                      for route in cli.FAMILY_ROUTES[family]]
+
+
+def _evaluated(family, symbolic_values, lam):
+    """The symbolic table evaluated cell by cell, rendered like the CLI."""
+    if family == "bernoulli":
+        return [render_rational(parse_lambda_poly(b).eval(lam)) for b in symbolic_values]
+    if family == "eulerian-poly":  # a value can zero the leading x-coefficient
+        return [[render_rational(c.constant_value()) for c in parse_xl_poly(p).eval_lambda(lam).coeffs]
+                for p in symbolic_values]
+    return [[render_rational(parse_lambda_poly(e).eval(lam)) for e in row] for row in symbolic_values]
+
+
+@pytest.mark.parametrize("family,route", FAMILY_ROUTE_PAIRS)
+def test_table_rational_lambda_is_the_symbolic_table_evaluated(family, route):
+    symbolic = run_json("table", family, "--n-max", "5", "--route", route)["values"]
+    for token in PIN_LAMBDAS:
+        expected = _evaluated(family, symbolic, parse_rational(token))
+        doc = run_json("table", family, "--n-max", "5", "--route", route, "--lambda", token)
+        assert doc["values"] == expected, token
+        assert doc["parameters"]["lambda"] == token
+
+        code, text = run_cli("table", family, "--n-max", "5", "--route", route,
+                             "--lambda", token, "--format", "csv")
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "family,n,k,value"
+        if family == "bernoulli":
+            rows = [f"{family},{n},,{v}" for n, v in enumerate(expected)]
+        else:
+            rows = [f"{family},{n},{k},{v}" for n, row in enumerate(expected) for k, v in enumerate(row)]
+        assert lines[1:] == rows, token
+
+
+def test_table_eulerian_poly_trims_a_vanished_leading_coefficient():
+    # A(2,1) = 1 + λ vanishes at λ = -1, so A_2(x) = 2 there
+    doc = run_json("table", "eulerian-poly", "--n-max", "2", "--lambda", "-1")
+    assert doc["values"] == [["1"], ["1"], ["2"]]
+
+
+@pytest.mark.parametrize("family", cli.TABLE_FAMILIES)
+def test_table_human_at_rational_lambda(family):
+    values = run_json("table", family, "--n-max", "3", "--lambda", "-2/3")["values"]
+    code, text = run_cli("table", family, "--n-max", "3", "--lambda", "-2/3", "--human")
+    assert code == 0
+    if family == "bernoulli":
+        expected = [f"{family}[{n}] = {v}" for n, v in enumerate(values)]
+    elif family == "eulerian-poly":
+        expected = [f"{family}[{n}] = {XLPoly(F(v) for v in row)}" for n, row in enumerate(values)]
+    else:
+        expected = [f"{family}[{n}][{k}] = {v}" for n, row in enumerate(values) for k, v in enumerate(row)]
+    assert text.splitlines() == expected
+
+
 def test_table_route_validation():
     code, text = run_cli("table", "bernoulli", "--n-max", "2", "--route", "recursion")
     assert code == 2

@@ -240,6 +240,16 @@ def test_bernoulli_polynomial_small():
     assert b2.eval_x(0) == bernoulli_taps(2)[2] == LambdaPoly((F(1, 6), 0, F(-1, 6)))
 
 
+def test_bernoulli_polynomial_is_memoized_per_n():
+    sequences._clear_memos()
+    first = bernoulli_polynomial(6)
+    assert bernoulli_polynomial(6) is first
+    sequences._clear_memos()
+    rebuilt = bernoulli_polynomial(6)
+    assert rebuilt is not first
+    assert rebuilt == first
+
+
 def test_bernoulli_polynomial_at_zero_gives_numbers():
     beta = bernoulli_taps(8)
     for n in range(9):
