@@ -1,19 +1,30 @@
 """Exact coefficient rings for the degenerate sequence families.
 
-Everything is built over the rationals (`fractions.Fraction`) so every
-identity in this package can be tested as an exact polynomial equality
-instead of a floating-point approximation.
+Everything is built over the rationals so every identity in this package
+can be tested as an exact polynomial equality instead of a floating-point
+approximation. Scalars are ``int`` or ``fractions.Fraction``; any other
+scalar (a float above all) raises TypeError rather than entering the ring.
 
-Two polynomial rings are provided, both with dense coefficient lists:
+Two polynomial rings are provided, both dense:
 
   LambdaPoly   polynomial in the deformation variable λ, coefficients in Q.
                Index i of ``coeffs`` is the coefficient of λ^i.
   XLPoly       polynomial in x whose coefficients are LambdaPoly values,
                i.e. an element of Q[λ][x]. Index j is the coefficient of x^j.
 
-Canonical form: trailing zero coefficients are trimmed at construction, the
-zero polynomial is the empty coefficient tuple, and every rational is kept
-normalized by Fraction itself. Equality is therefore a plain tuple compare.
+Storage: a LambdaPoly is an integer polynomial over one common denominator
+(the layout of FLINT's ``fmpq_poly``): a tuple ``_num`` of int numerators
+and one positive int ``_den``, so the coefficient of λ^i is _num[i]/_den.
+The Eulerian numbers, falling factorials and Stirling numbers live in
+Z[λ], where _den stays 1 and the ring runs on plain int arithmetic.
+``coeffs`` rebuilds the Fraction coefficients on demand.
+
+Canonical form: trailing zero numerators are trimmed, and the numerators
+and the denominator share no factor, gcd(_den, *_num) == 1. The zero
+polynomial is ((), 1). Every operation normalizes its result once, with a
+single gcd over the whole content rather than one per coefficient, so
+equality compares (_num, _den). XLPoly trims trailing zero coefficients;
+its coefficients are canonical LambdaPoly values.
 
 Values are immutable after construction; all operations return new values.
 """
@@ -21,8 +32,8 @@ Values are immutable after construction; all operations return new values.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Dict, Iterable, Union
+from math import factorial, gcd, lcm
+from typing import Dict, Iterable, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -35,6 +46,13 @@ __all__ = [
     "falling_factorial_classical",
     "binomial_poly",
 ]
+
+
+def _scalar(v):
+    """``v`` itself if it is an exact rational; TypeError otherwise."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    raise TypeError(f"expected an int or Fraction, got {type(v).__name__} {v!r}")
 
 
 def _trim(coeffs: list) -> tuple:
@@ -67,13 +85,55 @@ def _format_terms(pairs) -> str:
     return "".join(out) if out else "0"
 
 
+def _canonical(num: list, den: int) -> Tuple[tuple, int]:
+    """Integer numerators over a positive denominator, trimmed and reduced."""
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return tuple(num), den
+
+
+_new = object.__new__
+
+
+def _make(num: list, den: int) -> "LambdaPoly":
+    """A LambdaPoly from integer numerators over den, bypassing __init__."""
+    p = _new(LambdaPoly)
+    p._num, p._den = _canonical(num, den)
+    return p
+
+
+def _sum(p: "LambdaPoly", q: "LambdaPoly", sign: int) -> "LambdaPoly":
+    """p + sign·q over the least common denominator of p and q."""
+    a, b = p._num, q._num
+    g = gcd(p._den, q._den)
+    fa, fb = q._den // g, p._den // g
+    den = p._den * fa
+    fb *= sign
+    if len(a) >= len(b):
+        out = [c * fa for c in a]
+        for i, c in enumerate(b):
+            out[i] += fb * c
+    else:
+        out = [c * fb for c in b]
+        for i, c in enumerate(a):
+            out[i] += fa * c
+    return _make(out, den)
+
+
 class LambdaPoly:
     """Polynomial in λ with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self.coeffs = _trim([Fraction(c) for c in coeffs])
+        cs = [_scalar(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        self._num, self._den = _canonical([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def constant(cls, c: Scalar) -> "LambdaPoly":
@@ -85,16 +145,25 @@ class LambdaPoly:
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest power of λ first."""
+        den = self._den
+        if den == 1:
+            return tuple(map(Fraction, self._num))
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def degree(self) -> int:
         """Degree in λ; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        num = self._num
+        return Fraction(num[i], self._den) if 0 <= i < len(num) else Fraction(0)
 
     def constant_value(self) -> Fraction:
         """The value of a λ-free polynomial; raises if λ actually occurs."""
@@ -103,16 +172,37 @@ class LambdaPoly:
         return self.coeff(0)
 
     def eval(self, v: Scalar) -> Fraction:
-        """Exact Horner evaluation at λ = v."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        """Exact value at λ = v = p/q: an integer Horner scheme for
+        Σ_i num_i·p^i·q^(d-i), divided by den·q^d once at the end."""
+        v = _scalar(v)
+        num = self._num
+        if not num:
+            return Fraction(0)
+        p, q = v.numerator, v.denominator
+        acc, qpow = num[-1], 1
+        for c in reversed(num[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        return Fraction(acc, self._den * qpow)
 
     def scale_lambda(self, s: Scalar) -> "LambdaPoly":
-        """Substitute λ -> s·λ (coefficient of λ^i picks up a factor s^i)."""
-        s = Fraction(s)
-        return LambdaPoly(c * s**i for i, c in enumerate(self.coeffs))
+        """Substitute λ -> s·λ (coefficient of λ^i picks up a factor s^i).
+
+        With s = p/q, numerator i becomes num_i·p^i·q^(d-i) over den·q^d.
+        """
+        s = _scalar(s)
+        p, q = s.numerator, s.denominator
+        out = list(self._num)
+        ppow = 1
+        for i in range(1, len(out)):
+            ppow *= p
+            out[i] *= ppow
+        qpow = 1
+        if q != 1:
+            for i in range(len(out) - 2, -1, -1):
+                qpow *= q
+                out[i] *= qpow
+        return _make(out, self._den * qpow)
 
     # -- ring operations ---------------------------------------------------
 
@@ -120,57 +210,54 @@ class LambdaPoly:
         if isinstance(other, LambdaPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return LambdaPoly((other,))
+            return _make([other.numerator], other.denominator)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LambdaPoly(out)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaPoly(-c for c in self.coeffs)
+        return _make([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _sum(other, self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._num, other._num
         if not a or not b:
-            return LambdaPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return _make([], 1)
+        if len(a) > len(b):  # the longer factor in the inner loop
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return LambdaPoly(out)
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return _make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = LambdaPoly((1,))
+        result = _make([1], 1)
         base = self
         while n:
             if n & 1:
@@ -183,14 +270,16 @@ class LambdaPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         # a constant equals its scalar, so it must hash like it
-        return hash(self.coeff(0)) if len(self.coeffs) <= 1 else hash(self.coeffs)
+        if len(self._num) <= 1:
+            return hash(self.coeff(0))
+        return hash((self._num, self._den))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._num)
 
     def __repr__(self):
         return f"LambdaPoly({list(self.coeffs)!r})"
@@ -246,7 +335,7 @@ class XLPoly:
 
     def eval_x(self, v: Scalar) -> LambdaPoly:
         """Exact Horner evaluation at a rational x-value."""
-        v = Fraction(v)
+        v = _scalar(v)
         acc = LambdaPoly()
         for c in reversed(self.coeffs):
             acc = acc * v + c
@@ -254,10 +343,12 @@ class XLPoly:
 
     def eval_lambda(self, v: Scalar) -> "XLPoly":
         """Substitute a rational value for λ, leaving a λ-free XLPoly."""
+        v = _scalar(v)
         return XLPoly(c.eval(v) for c in self.coeffs)
 
     def scale_lambda(self, s: Scalar) -> "XLPoly":
         """Substitute λ -> s·λ in every x-coefficient."""
+        s = _scalar(s)
         return XLPoly(c.scale_lambda(s) for c in self.coeffs)
 
     def constant_value(self) -> LambdaPoly:

@@ -1,6 +1,7 @@
 """Ring contracts: canonical form, exact arithmetic, basis constructors."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from degenpoly.algebra import (
     falling_factorial_classical,
     falling_factorial_degenerate,
 )
+from degenpoly.sequences import eulerian_at_minus_one
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 lambda_polys = st.lists(small_fractions, max_size=5).map(LambdaPoly)
@@ -102,6 +104,149 @@ def test_xl_ring_laws(p, q):
 def test_eval_x_commutes_with_ring_ops(p, q, v):
     assert (p + q).eval_x(v) == p.eval_x(v) + q.eval_x(v)
     assert (p * q).eval_x(v) == p.eval_x(v) * q.eval_x(v)
+
+
+# ---------------------------------------------------------------------------
+# the integer-first storage against a plain Fraction-list model
+# ---------------------------------------------------------------------------
+
+
+def _model(values) -> list:
+    """Reference model of a polynomial: its Fraction coefficients, trimmed."""
+    cs = [F(v) for v in values]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _model_add(a, b, sign=1):
+    out = [F(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return _model(out)
+
+
+def _model_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _model(out)
+
+
+def _model_str(cs) -> str:
+    text = ""
+    for i, c in enumerate(cs):
+        if c == 0:
+            continue
+        body = "" if i == 0 else "λ" if i == 1 else f"λ^{i}"
+        mag = abs(c)
+        if not body:
+            term = str(mag)
+        elif mag == 1:
+            term = body
+        elif mag.denominator == 1:
+            term = f"{mag}{body}"
+        else:
+            term = f"({mag}){body}"
+        if text:
+            text += (" + " if c > 0 else " - ") + term
+        else:
+            text = term if c > 0 else "-" + term
+    return text or "0"
+
+
+def _assert_is_model(p, cs):
+    """p is a canonical LambdaPoly with exactly the model's coefficients."""
+    assert type(p) is LambdaPoly
+    assert p.coeffs == tuple(cs) and all(type(c) is F for c in p.coeffs)
+    assert p.degree == len(cs) - 1 and p.is_zero == (not cs)
+    assert str(p) == _model_str(cs)
+    assert repr(p) == f"LambdaPoly({cs!r})"
+    num, den = p._num, p._den
+    assert all(type(c) is int for c in num) and type(den) is int and den > 0
+    assert gcd(den, *num) == 1 and (not num or num[-1] != 0)
+    same = LambdaPoly(cs)
+    assert p == same and hash(p) == hash(same)
+    if len(cs) <= 1:
+        value = cs[0] if cs else F(0)
+        assert p == value and hash(p) == hash(value)
+
+
+#: ints of any size and fractions with large denominators, mixed in one list
+ring_scalars = st.one_of(st.integers(), st.fractions(max_denominator=10**9), small_fractions)
+coefficient_lists = st.lists(ring_scalars, max_size=6)
+#: a ring operand with its model: a LambdaPoly, an int or a Fraction
+operands = st.one_of(
+    coefficient_lists.map(lambda cs: (LambdaPoly(cs), _model(cs))),
+    ring_scalars.map(lambda v: (v, _model([v]))),
+)
+
+
+@given(coefficient_lists, operands, st.integers(0, 4), ring_scalars)
+@settings(max_examples=200)
+def test_ring_matches_fraction_list_model(cs, operand, e, v):
+    p, a = LambdaPoly(cs), _model(cs)
+    q, b = operand
+    _assert_is_model(p, a)
+    _assert_is_model(-p, [-c for c in a])
+    _assert_is_model(p + q, _model_add(a, b))
+    _assert_is_model(q + p, _model_add(a, b))
+    _assert_is_model(p - q, _model_add(a, b, -1))
+    _assert_is_model(q - p, _model_add(b, a, -1))
+    _assert_is_model(p * q, _model_mul(a, b))
+    _assert_is_model(q * p, _model_mul(a, b))
+    power = [F(1)]
+    for _ in range(e):
+        power = _model_mul(power, a)
+    _assert_is_model(p**e, power)
+    _assert_is_model(p.scale_lambda(v), _model(c * F(v) ** i for i, c in enumerate(a)))
+    value = sum((c * F(v) ** i for i, c in enumerate(a)), F(0))
+    assert p.eval(v) == value and type(p.eval(v)) is F
+    assert (p == q) == (a == b) and (q == p) == (a == b)
+
+
+def test_one_value_by_two_routes_is_stored_identically():
+    pairs = [
+        (LambdaPoly((F(1, 3), F(2, 3))) * 3, LambdaPoly((1, 2))),
+        (LambdaPoly((F(1, 2),)) + F(1, 2), LambdaPoly((1,))),
+        (LambdaPoly((F(1, 6), F(1, 4))) * 2, LambdaPoly((F(1, 3), F(1, 2)))),
+        (LambdaPoly((1, 1)).scale_lambda(F(1, 2)), LambdaPoly((F(2, 2), F(3, 6)))),
+        (LambdaPoly((F(1, 2), 1, F(1, 4))) - LambdaPoly((F(1, 2), 0, F(1, 4))), LAM),
+        (LambdaPoly((F(1, 3), F(5, 7))) * 0, LambdaPoly()),
+        (LambdaPoly((F(7, 3), F(5, 3))) - 3 * LambdaPoly((F(7, 9), F(5, 9))), LambdaPoly()),
+    ]
+    # the closed form divides Bernoulli numbers by n + 1 and lands in Z[λ]
+    for n in range(1, 9):
+        pairs.append((eulerian_at_minus_one(n, "bernoulli"), eulerian_at_minus_one(n, "direct")))
+    for p, q in pairs:
+        assert (p._num, p._den) == (q._num, q._den) and hash(p) == hash(q), (p, q)
+    assert (LambdaPoly()._num, LambdaPoly()._den) == ((), 1)
+
+
+def test_floats_are_rejected():
+    p = LambdaPoly((1, 2))
+    calls = [
+        lambda: LambdaPoly((0.1,)),
+        lambda: LambdaPoly((1, 2.0)),
+        lambda: LAM.eval(0.5),
+        lambda: LambdaPoly().eval(0.5),
+        lambda: p.scale_lambda(0.5),
+        lambda: X.eval_x(0.5),
+        lambda: XLPoly().eval_x(1.0),
+        lambda: X.eval_lambda(0.5),
+        lambda: XLPoly().eval_lambda(0.5),
+        lambda: X.scale_lambda(2.0),
+        lambda: p * 0.5,
+        lambda: p + 0.5,
+        lambda: XLPoly((0.5,)),
+        lambda: falling_factorial_degenerate(0.5, 2),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_pow():

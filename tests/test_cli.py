@@ -27,7 +27,6 @@ from degenpoly.cli import (
 from degenpoly.verify import CheckSpec, Counterexample, check_ids
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-lambda_polys = st.lists(small_fractions, max_size=6).map(LambdaPoly)
 xl_polys = st.lists(st.lists(small_fractions, max_size=4).map(LambdaPoly), max_size=4).map(XLPoly)
 
 
@@ -62,9 +61,16 @@ def test_rational_rendering_is_canonical():
         parse_rational("1e3")
 
 
-@given(lambda_polys)
+#: ints of any size and fractions with denominators up to 10^12, mixed in
+#: one polynomial
+ring_coefficients = st.one_of(st.integers(), st.fractions(max_denominator=10**12))
+
+
+@given(st.lists(ring_coefficients, max_size=8).map(LambdaPoly))
 def test_lambda_poly_round_trip(p):
-    assert parse_lambda_poly(render_lambda_poly(p)) == p
+    back = parse_lambda_poly(render_lambda_poly(p))
+    assert back == p and hash(back) == hash(p)
+    assert (back._num, back._den) == (p._num, p._den)
 
 
 @given(xl_polys)
