@@ -24,7 +24,10 @@ and the denominator share no factor, gcd(_den, *_num) == 1. The zero
 polynomial is ((), 1). Every operation normalizes its result once, with a
 single gcd over the whole content rather than one per coefficient, so
 equality compares (_num, _den). XLPoly trims trailing zero coefficients;
-its coefficients are canonical LambdaPoly values.
+its coefficients are canonical LambdaPoly values. Ring results of both
+classes are built by private constructors that skip the public __init__
+and its per-coefficient checks; an XLPoly times a scalar (int, Fraction
+or LambdaPoly) multiplies coefficient by coefficient.
 
 Values are immutable after construction; all operations return new values.
 """
@@ -104,6 +107,18 @@ def _make(num: list, den: int) -> "LambdaPoly":
     """A LambdaPoly from integer numerators over den, bypassing __init__."""
     p = _new(LambdaPoly)
     p._num, p._den = _canonical(num, den)
+    return p
+
+
+def _constant(v: Scalar) -> "LambdaPoly":
+    """The constant LambdaPoly of an int or Fraction, bypassing __init__."""
+    return _make([v.numerator], v.denominator)
+
+
+def _xl(coeffs: list) -> "XLPoly":
+    """An XLPoly from canonical LambdaPoly coefficients, bypassing __init__."""
+    p = _new(XLPoly)
+    p.coeffs = _trim(coeffs)
     return p
 
 
@@ -210,7 +225,7 @@ class LambdaPoly:
         if isinstance(other, LambdaPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return _make([other.numerator], other.denominator)
+            return _constant(other)
         return None
 
     def __add__(self, other):
@@ -292,6 +307,9 @@ class LambdaPoly:
         )
 
 
+_ZERO = _make([], 1)
+
+
 class XLPoly:
     """Polynomial in x with LambdaPoly coefficients (the ring Q[λ][x])."""
 
@@ -349,7 +367,7 @@ class XLPoly:
     def scale_lambda(self, s: Scalar) -> "XLPoly":
         """Substitute λ -> s·λ in every x-coefficient."""
         s = _scalar(s)
-        return XLPoly(c.scale_lambda(s) for c in self.coeffs)
+        return _xl([c.scale_lambda(s) for c in self.coeffs])
 
     def constant_value(self) -> LambdaPoly:
         """The value of an x-free polynomial; raises if x actually occurs."""
@@ -362,8 +380,10 @@ class XLPoly:
     def _coerce(self, other):
         if isinstance(other, XLPoly):
             return other
-        if isinstance(other, (int, Fraction, LambdaPoly)):
-            return XLPoly((other,))
+        if isinstance(other, LambdaPoly):
+            return _xl([other])
+        if isinstance(other, (int, Fraction)):
+            return _xl([_constant(other)])
         return None
 
     def __add__(self, other):
@@ -376,12 +396,12 @@ class XLPoly:
         out = list(a)
         for j, c in enumerate(b):
             out[j] = out[j] + c
-        return XLPoly(out)
+        return _xl(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XLPoly(-c for c in self.coeffs)
+        return _xl([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -396,26 +416,31 @@ class XLPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = _constant(other)
+        if isinstance(other, LambdaPoly):  # a scalar: coefficient by coefficient
+            return _xl([c * other if c._num else c for c in self.coeffs])
+        if not isinstance(other, XLPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return XLPoly()
-        out = [LambdaPoly() for _ in range(len(a) + len(b) - 1)]
+            return _xl([])
+        # a cell holds None until its first nonzero product arrives
+        out = [None] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca.is_zero:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return XLPoly(out)
+            if ca._num:
+                for j, cb in enumerate(b, i):
+                    if cb._num:
+                        t, cur = ca * cb, out[j]
+                        out[j] = t if cur is None else cur + t
+        return _xl([_ZERO if c is None else c for c in out])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = XLPoly((LambdaPoly((1,)),))
+        result = _xl([_constant(1)])
         base = self
         while n:
             if n & 1:

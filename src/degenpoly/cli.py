@@ -31,6 +31,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -102,6 +103,8 @@ def render_rational(value) -> str:
 
 def render_lambda_poly(p: LambdaPoly) -> List[str]:
     """Coefficient array of a λ-polynomial, lowest power first."""
+    if p._den == 1:  # str(n) is str(Fraction(n)), without the reduction
+        return [str(c) for c in p._num]
     return [str(c) for c in p.coeffs]
 
 
@@ -428,10 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first command and shared by the later ones in
+    the process; parse_args leaves it unchanged and returns a new namespace."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # Each command starts from empty memos, so what it costs does not depend
     # on the commands run before it in the same process.
     _clear_memos()

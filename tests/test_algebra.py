@@ -208,6 +208,74 @@ def test_ring_matches_fraction_list_model(cs, operand, e, v):
     assert (p == q) == (a == b) and (q == p) == (a == b)
 
 
+def _xl_model(rows) -> list:
+    """Reference model of an XLPoly: a trimmed list of λ-coefficient models."""
+    out = [_model(row) for row in rows]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _xl_model_add(a, b, sign=1):
+    out = [[]] * max(len(a), len(b))
+    for j, row in enumerate(a):
+        out[j] = _model_add(out[j], row)
+    for j, row in enumerate(b):
+        out[j] = _model_add(out[j], row, sign)
+    return _xl_model(out)
+
+
+def _xl_model_mul(a, b):
+    out = [[]] * max(len(a) + len(b) - 1, 0)
+    for i, ra in enumerate(a):
+        for j, rb in enumerate(b):
+            out[i + j] = _model_add(out[i + j], _model_mul(ra, rb))
+    return _xl_model(out)
+
+
+def _assert_is_xl_model(p, rows):
+    """p is a trimmed XLPoly of canonical LambdaPoly coefficients equal to rows."""
+    assert type(p) is XLPoly and type(p.coeffs) is tuple
+    assert all(type(c) is LambdaPoly for c in p.coeffs)
+    assert [list(c.coeffs) for c in p.coeffs] == rows
+    assert not p.coeffs or not p.coeffs[-1].is_zero
+    for c in p.coeffs:
+        assert gcd(c._den, *c._num) == 1 and (not c._num or c._num[-1] != 0)
+
+
+#: x-coefficient lists with zero coefficients inside and at the end
+xl_rows = st.lists(st.one_of(st.just([]), st.just([0, 0]), st.lists(ring_scalars, max_size=3)), max_size=4)
+#: an XLPoly ring operand with its model: an XLPoly, a LambdaPoly, an int or a Fraction
+xl_operands = st.one_of(
+    xl_rows.map(lambda rows: (XLPoly(LambdaPoly(r) for r in rows), _xl_model(rows))),
+    coefficient_lists.map(lambda cs: (LambdaPoly(cs), _xl_model([cs]))),
+    ring_scalars.map(lambda v: (v, _xl_model([[v]]))),
+)
+
+
+@given(xl_rows, xl_operands, st.integers(0, 3))
+@settings(max_examples=100)
+def test_xl_ring_matches_nested_fraction_list_model(rows, operand, e):
+    p, a = XLPoly(LambdaPoly(r) for r in rows), _xl_model(rows)
+    q, b = operand
+    _assert_is_xl_model(p, a)
+    _assert_is_xl_model(-p, _xl_model_add([], a, -1))
+    _assert_is_xl_model(p + q, _xl_model_add(a, b))
+    _assert_is_xl_model(q + p, _xl_model_add(a, b))
+    _assert_is_xl_model(p - q, _xl_model_add(a, b, -1))
+    _assert_is_xl_model(q - p, _xl_model_add(b, a, -1))
+    _assert_is_xl_model(p * q, _xl_model_mul(a, b))
+    _assert_is_xl_model(q * p, _xl_model_mul(a, b))
+    power = [[F(1)]]
+    for _ in range(e):
+        power = _xl_model_mul(power, a)
+    _assert_is_xl_model(p**e, power)
+    for zero in (0, F(0), LambdaPoly(), XLPoly()):
+        _assert_is_xl_model(p * zero, [])
+        _assert_is_xl_model(zero * p, [])
+    assert (p == q) == (a == b) and (q == p) == (a == b)
+
+
 def test_one_value_by_two_routes_is_stored_identically():
     pairs = [
         (LambdaPoly((F(1, 3), F(2, 3))) * 3, LambdaPoly((1, 2))),

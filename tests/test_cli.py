@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from degenpoly import cli
 from degenpoly.algebra import LambdaPoly, XLPoly
 from degenpoly.cli import (
+    build_parser,
     main,
     output_schema,
     parse_lambda_poly,
@@ -398,6 +399,44 @@ def test_byte_identical_invocations():
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second
+
+
+#: Commands that share one parser in one process, in this order: a --check
+#: that must not reach the --suite run, and a usage error before an eval.
+ONE_PROCESS_SEQUENCE = (
+    ("verify", "--check", "thm-2.8-stirling2-from-eulerian", "--n-max", "3"),
+    ("verify", "--suite", "all", "--format", "json"),
+    ("table", "eulerian-number", "--n-max", "3", "--route", "nope"),
+    ("eval", "powersum", "--m", "5", "--n", "3", "--lambda=-2/3", "--route", "bernoulli"),
+    ("table", "eulerian-poly", "--n-max", "4", "--lambda", "1/2", "--format", "csv"),
+)
+
+
+def test_commands_in_one_process_stay_independent(monkeypatch):
+    def run_with_stderr(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run_cli(*argv)
+        return code, text, err.getvalue()
+
+    fresh = []
+    for argv in ONE_PROCESS_SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(run_with_stderr(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+    assert len(json.loads(fresh[1][1])["checks"]) == len(check_ids())
+
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    shared = [run_with_stderr(argv) for argv in ONE_PROCESS_SEQUENCE]
+    assert shared == fresh
+    assert len(builds) == 1
 
 
 def test_module_entry_point():
