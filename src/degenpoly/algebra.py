@@ -27,7 +27,17 @@ equality compares (_num, _den). XLPoly trims trailing zero coefficients;
 its coefficients are canonical LambdaPoly values. Ring results of both
 classes are built by private constructors that skip the public __init__
 and its per-coefficient checks; an XLPoly times a scalar (int, Fraction
-or LambdaPoly) multiplies coefficient by coefficient.
+or LambdaPoly) multiplies coefficient by coefficient, and a LambdaPoly
+times an int, a Fraction or a constant scales its numerators.
+
+Integer kernels: the builders whose values lie in Z[λ], or in Z[λ] over
+one known denominator, do their arithmetic on lists of int numerators and
+build one canonical LambdaPoly per value with ``_make``. Their one shared
+step is ``_add_linear``, acc += num·(a + bλ). Here it extends the
+memoized falling factorials of an integer base and of x, and multiplies
+out the λ-free products behind ``binomial_poly`` and
+``falling_factorial_classical``; ``sequences`` and ``egf`` use it for the
+Eulerian recursion, the explicit sums and the Bernoulli solve.
 
 Values are immutable after construction; all operations return new values.
 """
@@ -120,6 +130,25 @@ def _xl(coeffs: list) -> "XLPoly":
     p = _new(XLPoly)
     p.coeffs = _trim(coeffs)
     return p
+
+
+def _add_linear(acc: list, num, a: int, b: int = 0) -> list:
+    """acc += num·(a + bλ) on int numerator lists, in place; returns acc.
+
+    The one step of the integer kernels: a row of the Eulerian recursion,
+    a falling-factorial factor, a Horner step, or (b = 0) a term of a
+    linear combination. acc grows as far as the product reaches.
+    """
+    need = len(num) + 1 if b else len(num)
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    if a:
+        for i, c in enumerate(num):
+            acc[i] += a * c
+    if b:
+        for i, c in enumerate(num, 1):
+            acc[i] += b * c
+    return acc
 
 
 def _sum(p: "LambdaPoly", q: "LambdaPoly", sign: int) -> "LambdaPoly":
@@ -252,14 +281,19 @@ class LambdaPoly:
         return _sum(other, self, -1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, int):
+            return _make([c * other for c in self._num], self._den)
+        if isinstance(other, Fraction):
+            s, den = other.numerator, self._den * other.denominator
+            return _make([c * s for c in self._num], den)
+        if not isinstance(other, LambdaPoly):
             return NotImplemented
         a, b = self._num, other._num
-        if not a or not b:
-            return _make([], 1)
         if len(a) > len(b):  # the longer factor in the inner loop
             a, b = b, a
+        if len(a) <= 1:  # a constant factor (or zero) scales the other one
+            s = a[0] if a else 0
+            return _make([c * s for c in b], self._den * other._den)
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -416,9 +450,7 @@ class XLPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _constant(other)
-        if isinstance(other, LambdaPoly):  # a scalar: coefficient by coefficient
+        if isinstance(other, (int, Fraction, LambdaPoly)):  # a scalar: coefficient by coefficient
             return _xl([c * other if c._num else c for c in self.coeffs])
         if not isinstance(other, XLPoly):
             return NotImplemented
@@ -495,8 +527,9 @@ def falling_factorial_degenerate(base, n: int):
 
     An XLPoly base gives an XLPoly (generalized falling factorial of x);
     a rational base gives a LambdaPoly. n = 0 is the empty product 1.
-    Products for integer bases and for X are memoized per process; other
-    bases are multiplied out on every call.
+    Products for integer bases and for X are memoized per process and
+    extended on int numerator lists; other bases are multiplied out in the
+    ring on every call.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -508,32 +541,36 @@ def falling_factorial_degenerate(base, n: int):
         raise TypeError(f"base must be XLPoly or rational, got {type(base).__name__}")
     products = _FALLING.setdefault(base, [one]) if memoized else [one]
     for i in range(len(products) - 1, n):
-        products.append(products[-1] * _falling_factor(base, i))
+        last = products[-1]
+        if not memoized:
+            products.append(last * (base - i * LAM))
+        elif isinstance(base, int):  # the numerators times (base - iλ)
+            products.append(_make(_add_linear([], last._num, base, -i), 1))
+        else:  # x-coefficient m of last·(x - iλ) is c_{m-1} - iλ·c_m
+            cs = last.coeffs
+            products.append(_xl([_make(_add_linear(list(prev._num), c._num, 0, -i), 1)
+                                 for prev, c in zip((_ZERO,) + cs, cs + (_ZERO,))]))
     return products[n]
 
 
-def _falling_factor(base, i: int):
-    """The factor base - i·λ."""
-    if isinstance(base, XLPoly):
-        return base - i * XLPoly.constant(LAM)
-    return LambdaPoly((base, -i))
+def _x_product(offset: int, n: int, den: int) -> XLPoly:
+    """(x+offset)(x+offset-1)···(x+offset-n+1)/den, λ-free: multiplied out
+    on int coefficients, then each coefficient lifted once."""
+    cs = [1]
+    for i in range(n):
+        cs = _add_linear([], cs, offset - i, 1)
+    return _xl([_make([c], den) for c in cs])
 
 
 def falling_factorial_classical(n: int) -> XLPoly:
     """Classical falling factorial x(x-1)···(x-n+1) as a λ-free XLPoly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    result = XLPoly.constant(1)
-    for i in range(n):
-        result = result * (X - i)
-    return result
+    return _x_product(0, n, 1)
 
 
 def binomial_poly(offset: int, n: int) -> XLPoly:
     """Binomial polynomial C(x+offset, n) = (x+offset)···(x+offset-n+1)/n!."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    result = XLPoly.constant(1)
-    for i in range(n):
-        result = result * (X + (offset - i))
-    return result * Fraction(1, factorial(n))
+    return _x_product(offset, n, factorial(n))

@@ -19,15 +19,18 @@ tap by tap.
 
 There is one degenerate exponential, the paper's e_λ(u·t). The residual's
 e_{-λ}((x-1)t) is its image under λ -> -λ, taken tap by tap.
+
+The Bernoulli solve runs on int numerator lists over one common
+denominator (``algebra._add_linear``) and builds one LambdaPoly per tap;
+the Egf product and the residual use the ring operators.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import List, Sequence
 
-from .algebra import LambdaPoly, X, falling_factorial_degenerate
+from .algebra import LambdaPoly, X, _add_linear, _make, falling_factorial_degenerate
 
 __all__ = [
     "Egf",
@@ -127,9 +130,16 @@ def bernoulli_taps(order: int) -> List[LambdaPoly]:
     """Degenerate Bernoulli numbers β_{0,λ} .. β_{N,λ} by triangular solve.
 
     B(t)·(e_λ(t)-1)/t = 1, where (e_λ(t)-1)/t has tap_n = (1)_{n+1,λ}/(n+1),
-    so β_0 = 1 and for n ≥ 1:
+    so β_0 = 1 and for n ≥ 1, with C(n,k)/(n-k+1) = C(n+1,k)/(n+1):
 
-        β_n = -Σ_{k=0}^{n-1} C(n,k) · β_k · (1)_{n-k+1,λ}/(n-k+1)
+        β_n = -1/(n+1) · Σ_{k=0}^{n-1} C(n+1,k) · β_k · (1)_{n-k+1,λ}
+
+    Since (1)_{j+1,λ} = (1)_{j,λ}·(1 - jλ), the sum is a Horner scheme,
+
+        acc <- acc·(1 - (n-k+1)λ) + C(n+1,k)·β_k,   k = 0 .. n-1,
+
+    times (1)_{2,λ} = 1 - λ at the end. It runs on int numerators over the
+    lcm of the known taps' denominators, one canonical tap per n.
 
     The solved taps are kept per process: a larger order continues the
     solve from the last kept tap. Each call returns a new list.
@@ -137,14 +147,15 @@ def bernoulli_taps(order: int) -> List[LambdaPoly]:
     if order < 0:
         raise ValueError("order must be >= 0")
     beta = _BERNOULLI
-    if len(beta) <= order:
-        # g[j] = (1)_{j+1,λ}/(j+1)
-        g = [falling_factorial_degenerate(1, j + 1) * Fraction(1, j + 1) for j in range(order + 1)]
-        for n in range(len(beta), order + 1):
-            acc = LambdaPoly()
-            for k in range(n):
-                acc = acc + comb(n, k) * (beta[k] * g[n - k])
-            beta.append(-acc)
+    for n in range(len(beta), order + 1):
+        den = lcm(*[b._den for b in beta])
+        acc = []
+        for k, b in enumerate(beta):
+            if k:
+                acc = _add_linear([], acc, 1, k - n - 1)
+            _add_linear(acc, b._num, comb(n + 1, k) * (den // b._den))
+        acc = _add_linear([], acc, 1, -1)
+        beta.append(_make([-c for c in acc], den * (n + 1)))
     return beta[: order + 1]
 
 

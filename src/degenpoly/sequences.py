@@ -27,6 +27,12 @@ first use, sliced for a smaller n, continued by the route's own
 recursion for a larger one, never rebuilt. Each route keeps its own
 rows, so no route answers for another. ``_clear_memos`` empties them
 all; the CLI calls it before each command.
+
+The builders whose values lie in Z[λ] run on int numerator lists through
+``algebra._add_linear`` and build one LambdaPoly per value: the
+``recursion`` route's cells, the explicit sums ``eulerian_explicit`` and
+``stirling2_degenerate`` (over k!), and ``power_sum(..., "direct")``.
+The other routes use the ring operators.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from typing import Dict, List, Tuple
 
 from .algebra import (
     _FALLING,
+    _add_linear,
+    _make,
     LambdaPoly,
     X,
     XLPoly,
@@ -93,11 +101,11 @@ def eulerian_explicit(n: int, k: int) -> LambdaPoly:
     which is asserted by the verification suite rather than special-cased.
     """
     _check_nonneg(n=n, k=k)
-    acc = LambdaPoly()
+    acc = []
     for i in range(k + 1):
-        term = comb(n + 1, i) * falling_factorial_degenerate(k - i + 1, n)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+        c = comb(n + 1, i)
+        _add_linear(acc, falling_factorial_degenerate(k - i + 1, n)._num, -c if i % 2 else c)
+    return _make(acc, 1)
 
 
 def _extend_recursion(rows: List[tuple], max_n: int) -> None:
@@ -105,7 +113,8 @@ def _extend_recursion(rows: List[tuple], max_n: int) -> None:
 
         A(n,k) = ((n-k)+(n-1)λ)·A(n-1,k-1) + (k+1-(n-1)λ)·A(n-1,k)
 
-    with A(0,0) = 1 and zero outside the triangle.
+    with A(0,0) = 1 and zero outside the triangle. Every entry lies in
+    Z[λ], so each cell is summed on the int numerators of its two parents.
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
@@ -113,14 +122,12 @@ def _extend_recursion(rows: List[tuple], max_n: int) -> None:
         prev = rows[-1]
         row = []
         for k in range(n + 1):
-            left = LambdaPoly((n - k, n - 1))  # (n-k) + (n-1)λ
-            right = LambdaPoly((k + 1, -(n - 1)))  # (k+1) - (n-1)λ
-            acc = LambdaPoly()
-            if 1 <= k <= n:  # A(n-1,k-1) in range
-                acc = acc + left * prev[k - 1]
-            if k <= n - 1:  # A(n-1,k) in range
-                acc = acc + right * prev[k]
-            row.append(acc)
+            acc = []
+            if k >= 1:  # A(n-1,k-1)
+                _add_linear(acc, prev[k - 1]._num, n - k, n - 1)
+            if k <= n - 1:  # A(n-1,k)
+                _add_linear(acc, prev[k]._num, k + 1, 1 - n)
+            row.append(_make(acc, 1))
         rows.append(tuple(row))
 
 
@@ -266,11 +273,11 @@ def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
     _check_nonneg(n=n, k=k)
     value = _STIRLING2.get((n, k))
     if value is None:
-        acc = LambdaPoly()
+        acc = []
         for j in range(k + 1):
-            term = comb(k, j) * falling_factorial_degenerate(j, n)
-            acc = acc + (term if (k - j) % 2 == 0 else -term)
-        value = _STIRLING2[(n, k)] = acc * Fraction(1, factorial(k))
+            c = comb(k, j)
+            _add_linear(acc, falling_factorial_degenerate(j, n)._num, -c if (k - j) % 2 else c)
+        value = _STIRLING2[(n, k)] = _make(acc, factorial(k))
     return value
 
 
@@ -348,10 +355,10 @@ def power_sum(m: int, n: int, route: str = POWER_SUM_ROUTES[0]) -> LambdaPoly:
     if m < 1 or n < 1:
         raise ValueError("requires m >= 1 and n >= 1")
     if route == "direct":
-        acc = LambdaPoly()
+        acc = []
         for k in range(1, m + 1):
-            acc = acc + falling_factorial_degenerate(k, n)
-        return acc
+            _add_linear(acc, falling_factorial_degenerate(k, n)._num, 1)
+        return _make(acc, 1)
     if route == "eulerian":
         row = eulerian_table(n).row(n)
         acc = LambdaPoly()

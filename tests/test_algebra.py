@@ -1,7 +1,7 @@
 """Ring contracts: canonical form, exact arithmetic, basis constructors."""
 
 from fractions import Fraction as F
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,7 @@ from degenpoly.algebra import (
     falling_factorial_classical,
     falling_factorial_degenerate,
 )
-from degenpoly.sequences import eulerian_at_minus_one
+from degenpoly.sequences import _clear_memos, eulerian_at_minus_one
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 lambda_polys = st.lists(small_fractions, max_size=5).map(LambdaPoly)
@@ -403,6 +403,80 @@ def test_binomial_poly_against_pascal_triangle():
             for m in range(13):
                 expected = pascal[m + k][n] if n <= m + k else 0
                 assert p.eval_x(m).constant_value() == expected
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the plain ring
+# ---------------------------------------------------------------------------
+
+
+def _stored(p):
+    """What a value stores: (_num, _den), per x-coefficient for an XLPoly."""
+    if isinstance(p, XLPoly):
+        return tuple((c._num, c._den) for c in p.coeffs)
+    return p._num, p._den
+
+
+def _ring_falling(base, n: int) -> list:
+    """(base)_{0,λ} .. (base)_{n,λ} by ring products, one factor at a time."""
+    if isinstance(base, XLPoly):
+        out, lam = [XLPoly.constant(1)], XLPoly.constant(LAM)
+        for i in range(n):
+            out.append(out[-1] * (base - i * lam))
+    else:
+        out = [LambdaPoly((1,))]
+        for i in range(n):
+            out.append(out[-1] * LambdaPoly((base, -i)))
+    return out
+
+
+def _ring_x_product(offset: int, n: int) -> XLPoly:
+    """(x+offset)(x+offset-1)···(x+offset-n+1) by XLPoly products."""
+    result = XLPoly.constant(1)
+    for i in range(n):
+        result = result * (X + (offset - i))
+    return result
+
+
+def test_falling_kernels_match_the_ring():
+    _clear_memos()
+    for base in range(-3, 7):
+        ring = _ring_falling(base, 20)
+        assert [_stored(falling_factorial_degenerate(base, n)) for n in range(21)] == [
+            _stored(p) for p in ring
+        ], base
+    ring = _ring_falling(X, 20)
+    assert [_stored(falling_factorial_degenerate(X, n)) for n in range(21)] == [
+        _stored(p) for p in ring
+    ]
+
+
+def test_falling_off_the_memo_stays_in_the_ring():
+    # a Fraction base and an XLPoly base other than x are multiplied out per call
+    for base in (F(5, 3), F(-2), X + 1, X * X):
+        ring = _ring_falling(base, 8)
+        assert [_stored(falling_factorial_degenerate(base, n)) for n in range(9)] == [
+            _stored(p) for p in ring
+        ], base
+
+
+def test_binomial_and_classical_kernels_match_the_ring():
+    for n in range(13):
+        assert _stored(falling_factorial_classical(n)) == _stored(_ring_x_product(0, n))
+        for offset in range(-3, 4):
+            ring = _ring_x_product(offset, n) * F(1, factorial(n))
+            assert _stored(binomial_poly(offset, n)) == _stored(ring), (offset, n)
+
+
+@pytest.mark.parametrize("factor", [0, 1, -1, 6, F(3, 4), F(-5, 2), LambdaPoly((F(2, 3),)), LambdaPoly()])
+def test_constant_factor_matches_the_convolution_model(factor):
+    # a constant factor scales the numerators instead of convolving
+    value = factor.coeff(0) if isinstance(factor, LambdaPoly) else F(factor)
+    for cs in ((), (1,), (F(1, 2), -3, 7), (0, 0, F(5, 6)), (10**30, F(1, 10**9))):
+        p = LambdaPoly(cs)
+        expected = _model_mul(_model(cs), _model([value]))
+        _assert_is_model(p * factor, expected)
+        _assert_is_model(factor * p, expected)
 
 
 def test_negative_n_rejected():

@@ -1,6 +1,7 @@
 """Truncated EGF arithmetic, degenerate exponentials, Bernoulli solve."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from degenpoly.egf import (
     gf_residual,
 )
 from degenpoly.oracles import classical_triangles
+from degenpoly.sequences import _clear_memos
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 lambda_polys = st.lists(small_fractions, max_size=3).map(LambdaPoly)
@@ -120,6 +122,29 @@ def test_bernoulli_golden_table():
     assert beta[1] == LambdaPoly((F(-1, 2), F(1, 2)))
     assert beta[2] == LambdaPoly((F(1, 6), 0, F(-1, 6)))
     assert beta[3] == LambdaPoly((0, F(-1, 4), 0, F(1, 4)))
+
+
+def _ring_bernoulli(order: int) -> list:
+    """β_0 .. β_order by the ring solve
+    β_n = -Σ_{k<n} C(n,k)·β_k·(1)_{n-k+1,λ}/(n-k+1), with the falling
+    factorials multiplied out in the ring."""
+    falling = [LambdaPoly((1,))]
+    for i in range(order + 1):
+        falling.append(falling[-1] * LambdaPoly((1, -i)))
+    g = [falling[j + 1] * F(1, j + 1) for j in range(order + 1)]
+    beta = [LambdaPoly((1,))]
+    for n in range(1, order + 1):
+        acc = LambdaPoly()
+        for k in range(n):
+            acc = acc + comb(n, k) * (beta[k] * g[n - k])
+        beta.append(-acc)
+    return beta
+
+
+def test_bernoulli_kernel_matches_the_ring():
+    _clear_memos()
+    ring = _ring_bernoulli(24)
+    assert [(b._num, b._den) for b in bernoulli_taps(24)] == [(b._num, b._den) for b in ring]
 
 
 def test_bernoulli_taps_returns_a_new_list():

@@ -4,6 +4,7 @@ Acceptance runs the full stated ranges; here the same properties are
 checked on smaller triangles so failures localize quickly.
 """
 
+import functools
 import io
 import os
 import subprocess
@@ -343,6 +344,64 @@ def test_power_sum_validation():
         power_sum(2, 0)
     with pytest.raises(ValueError):
         power_sum(2, 2, "microwave")
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the plain ring
+# ---------------------------------------------------------------------------
+
+
+def _stored(p):
+    return p._num, p._den
+
+
+@functools.cache
+def _ring_falling(base: int, n: int) -> LambdaPoly:
+    """(base)_{n,λ} by ring products of the factors base - iλ."""
+    return LambdaPoly((1,)) if n == 0 else _ring_falling(base, n - 1) * LambdaPoly((base, 1 - n))
+
+
+def test_recursion_kernel_matches_the_ring():
+    rows = [(LambdaPoly((1,)),)]
+    for n in range(1, 21):
+        prev, row = rows[-1], []
+        for k in range(n + 1):
+            acc = LambdaPoly()
+            if k >= 1:
+                acc = acc + LambdaPoly((n - k, n - 1)) * prev[k - 1]
+            if k <= n - 1:
+                acc = acc + LambdaPoly((k + 1, -(n - 1))) * prev[k]
+            row.append(acc)
+        rows.append(tuple(row))
+    sequences._clear_memos()
+    table = eulerian_table(20, "recursion")
+    for n in range(21):
+        assert [_stored(p) for p in table.row(n)] == [_stored(p) for p in rows[n]], n
+
+
+def test_explicit_sum_kernels_match_the_ring():
+    sequences._clear_memos()
+    for n in range(11):
+        for k in range(n + 3):
+            acc = LambdaPoly()
+            for i in range(k + 1):
+                term = comb(n + 1, i) * _ring_falling(k - i + 1, n)
+                acc = acc + (term if i % 2 == 0 else -term)
+            assert _stored(eulerian_explicit(n, k)) == _stored(acc), (n, k)
+            acc = LambdaPoly()
+            for j in range(k + 1):
+                term = comb(k, j) * _ring_falling(j, n)
+                acc = acc + (term if (k - j) % 2 == 0 else -term)
+            assert _stored(stirling2_degenerate(n, k)) == _stored(acc * F(1, factorial(k))), (n, k)
+
+
+def test_direct_power_sum_kernel_matches_the_ring():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            acc = LambdaPoly()
+            for k in range(1, m + 1):
+                acc = acc + _ring_falling(k, n)
+            assert _stored(power_sum(m, n, "direct")) == _stored(acc), (m, n)
 
 
 # ---------------------------------------------------------------------------
