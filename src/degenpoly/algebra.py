@@ -32,12 +32,18 @@ times an int, a Fraction or a constant scales its numerators.
 
 Integer kernels: the builders whose values lie in Z[λ], or in Z[λ] over
 one known denominator, do their arithmetic on lists of int numerators and
-build one canonical LambdaPoly per value with ``_make``. Their one shared
-step is ``_add_linear``, acc += num·(a + bλ). Here it extends the
+build one canonical LambdaPoly per value with ``_make`` (one XLPoly of
+them with ``_xl``). Their one shared step is ``_add_linear``,
+acc += num·(a + bλ); ``_negate_lambda`` takes p(λ) to p(-λ) by flipping
+the sign of the odd numerators. Here ``_add_linear`` extends the
 memoized falling factorials of an integer base and of x, and multiplies
-out the λ-free products behind ``binomial_poly`` and
-``falling_factorial_classical``; ``sequences`` and ``egf`` use it for the
-Eulerian recursion, the explicit sums and the Bernoulli solve.
+out the int coefficients of (x+offset)_n (``_x_falling``) behind
+``binomial_poly`` and ``falling_factorial_classical``. ``sequences`` and
+``egf`` use the two steps for the Eulerian recursion, the explicit sums,
+the Bernoulli solve, the sums over the λ-negated Eulerian numbers (the
+Stirling bridges, the Eulerian and Bernoulli power sums, the Worpitzky
+sum) and ``eulerian_from_stirling2``; ``verify`` uses them for the sums
+its eq-19, eq-38, row-sum and alternating-sum checks compare.
 
 Values are immutable after construction; all operations return new values.
 """
@@ -149,6 +155,26 @@ def _add_linear(acc: list, num, a: int, b: int = 0) -> list:
         for i, c in enumerate(num, 1):
             acc[i] += b * c
     return acc
+
+
+def _negate_lambda(num) -> list:
+    """The numerators of p(-λ) from those of p(λ): odd powers flip sign.
+
+    The denominator and the canonical form are unchanged, so
+    ``_make(_negate_lambda(p._num), p._den)`` is ``p.scale_lambda(-1)``.
+    """
+    out = list(num)
+    out[1::2] = [-c for c in out[1::2]]
+    return out
+
+
+def _x_falling(offset: int, n: int) -> list:
+    """Int coefficients of (x+offset)(x+offset-1)···(x+offset-n+1), lowest
+    power of x first."""
+    cs = [1]
+    for i in range(n):
+        cs = _add_linear([], cs, offset - i, 1)
+    return cs
 
 
 def _sum(p: "LambdaPoly", q: "LambdaPoly", sign: int) -> "LambdaPoly":
@@ -534,12 +560,17 @@ def falling_factorial_degenerate(base, n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
     if isinstance(base, XLPoly):
-        one, memoized = XLPoly.constant(1), base == X
+        memoized = base == X
     elif isinstance(base, (int, Fraction)):
-        one, memoized = LambdaPoly((1,)), isinstance(base, int)
+        memoized = isinstance(base, int)
     else:
         raise TypeError(f"base must be XLPoly or rational, got {type(base).__name__}")
-    products = _FALLING.setdefault(base, [one]) if memoized else [one]
+    products = _FALLING.get(base) if memoized else None
+    if products is None:  # a memo miss, or a base that is not memoized
+        one = _make([1], 1)
+        products = [_xl([one]) if isinstance(base, XLPoly) else one]
+        if memoized:
+            _FALLING[base] = products
     for i in range(len(products) - 1, n):
         last = products[-1]
         if not memoized:
@@ -556,10 +587,7 @@ def falling_factorial_degenerate(base, n: int):
 def _x_product(offset: int, n: int, den: int) -> XLPoly:
     """(x+offset)(x+offset-1)···(x+offset-n+1)/den, λ-free: multiplied out
     on int coefficients, then each coefficient lifted once."""
-    cs = [1]
-    for i in range(n):
-        cs = _add_linear([], cs, offset - i, 1)
-    return _xl([_make([c], den) for c in cs])
+    return _xl([_make([c], den) for c in _x_falling(offset, n)])
 
 
 def falling_factorial_classical(n: int) -> XLPoly:

@@ -17,8 +17,9 @@ bug (here or in the identity itself). Routes never share code beyond the
 base rings.
 
 Where a formula is stated for -λ (the Worpitzky expansion, the Stirling
-bridge, the power-sum expansion), the table entry is λ-negated via
-``scale_lambda(-1)`` rather than kept as a second table.
+bridge, the power-sum expansion), the entries are summed first and the
+sum is λ-negated once, by flipping the sign of its odd numerators
+(``algebra._negate_lambda``), rather than kept as a second table.
 
 The Eulerian triangles (one per route), the Bernoulli polynomials and
 the second-kind Stirling numbers are memoized per process, like the
@@ -28,28 +29,38 @@ recursion for a larger one, never rebuilt. Each route keeps its own
 rows, so no route answers for another. ``_clear_memos`` empties them
 all; the CLI calls it before each command.
 
-The builders whose values lie in Z[λ] run on int numerator lists through
-``algebra._add_linear`` and build one LambdaPoly per value: the
+The builders whose values lie in Z[λ], or in Z[λ] over one known
+denominator, run on int numerator lists through ``algebra._add_linear``
+and build one LambdaPoly (or one XLPoly of them) per value: the
 ``recursion`` route's cells, the explicit sums ``eulerian_explicit`` and
-``stirling2_degenerate`` (over k!), and ``power_sum(..., "direct")``.
-The other routes use the ring operators.
+``stirling2_degenerate`` (over k!), ``stirling2_from_eulerian`` (over
+k!), ``eulerian_from_stirling2`` (over the lcm of the {n j}
+denominators), ``power_sum`` by the ``direct`` and ``eulerian`` routes,
+``power_sum(..., "bernoulli")`` (an integer Horner scheme in x over the
+common denominator of β_{n+1}(x)) and ``worpitzky_lhs`` (x-coefficient j
+summed from the int coefficients of (x+k)_n, over n!). The
+``gf-recursion`` route, whose terms are products of two λ-polynomials,
+``stirling1_row``, ``bernoulli_polynomial`` and ``eulerian_at_minus_one``
+use the ring operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Dict, List, Tuple
 
 from .algebra import (
     _FALLING,
     _add_linear,
     _make,
+    _negate_lambda,
+    _x_falling,
+    _xl,
     LambdaPoly,
     X,
     XLPoly,
-    binomial_poly,
     falling_factorial_classical,
     falling_factorial_degenerate,
 )
@@ -302,12 +313,10 @@ def stirling2_from_eulerian(n: int, k: int) -> LambdaPoly:
     if k > n:
         raise ValueError("route requires 0 <= k <= n")
     row = eulerian_table(n).row(n)
-    acc = LambdaPoly()
-    for j in range(n + 1):
-        c = comb(j, n - k)
-        if c:
-            acc = acc + c * row[j].scale_lambda(-1)
-    return acc * Fraction(1, factorial(k))
+    acc = []
+    for j in range(n - k, n + 1):  # C(j, n-k) vanishes below j = n-k
+        _add_linear(acc, row[j]._num, comb(j, n - k))
+    return _make(_negate_lambda(acc), factorial(k))
 
 
 def stirling1_row(n: int) -> List[LambdaPoly]:
@@ -336,13 +345,13 @@ def eulerian_from_stirling2(n: int, k: int) -> LambdaPoly:
     """
     if n < 1 or not 1 <= k <= n:
         raise ValueError("requires n >= 1 and 1 <= k <= n")
-    acc = LambdaPoly()
-    for j in range(k + 1):
-        c = comb(n - j, n - k) * factorial(j)
-        if c:
-            term = c * stirling2_degenerate(n, j)
-            acc = acc + (term if (k - j) % 2 == 0 else -term)
-    return acc
+    values = [stirling2_degenerate(n, j) for j in range(k + 1)]
+    den = lcm(*[v._den for v in values])
+    acc = []
+    for j, v in enumerate(values):
+        c = comb(n - j, n - k) * factorial(j) * (den // v._den)
+        _add_linear(acc, v._num, c if (k - j) % 2 == 0 else -c)
+    return _make(acc, den)
 
 
 def power_sum(m: int, n: int, route: str = POWER_SUM_ROUTES[0]) -> LambdaPoly:
@@ -361,13 +370,20 @@ def power_sum(m: int, n: int, route: str = POWER_SUM_ROUTES[0]) -> LambdaPoly:
         return _make(acc, 1)
     if route == "eulerian":
         row = eulerian_table(n).row(n)
-        acc = LambdaPoly()
+        acc = []
         for j in range(n + 1):
-            acc = acc + comb(m + j + 1, n + 1) * row[j].scale_lambda(-1)
-        return acc
+            _add_linear(acc, row[j]._num, comb(m + j + 1, n + 1))
+        return _make(_negate_lambda(acc), 1)
     if route == "bernoulli":
-        poly = bernoulli_polynomial(n + 1)
-        return (poly.eval_x(m + 1) - poly.eval_x(0)) * Fraction(1, n + 1)
+        # β_{n+1}(m+1) - β_{n+1}(0) = Σ_{j≥1} c_j·(m+1)^j: an integer Horner
+        # scheme over the common denominator that skips c_0
+        cs = bernoulli_polynomial(n + 1).coeffs
+        den = lcm(*[c._den for c in cs])
+        acc = []
+        for c in reversed(cs[1:]):
+            _add_linear(acc, c._num, den // c._den)
+            acc = [a * (m + 1) for a in acc]
+        return _make(acc, den * (n + 1))
     raise ValueError(f"unknown route {route!r}, expected one of {POWER_SUM_ROUTES}")
 
 
@@ -380,9 +396,17 @@ def worpitzky_lhs(n: int) -> XLPoly:
     """
     _check_nonneg(n=n)
     row = eulerian_table(n).row(n)
-    acc = XLPoly()
-    for k in range(n + 1):
-        entry = row[k]
-        if not entry.is_zero:
-            acc = acc + binomial_poly(k, n) * entry.scale_lambda(-1)
-    return acc
+    # x-coefficient j sums A(n,k) times the int coefficient of x^j in (x+k)_n
+    accs = [[] for _ in range(n + 1)]
+    cs = _x_falling(0, n)
+    for k, entry in enumerate(row):
+        if k:  # (x+k)_n = (x+k-1)_n·(x+k)/(x+k-n): exact synthetic division
+            q, carry = [0] * n, 0
+            for j in range(n, 0, -1):
+                carry = q[j - 1] = cs[j] - (k - n) * carry
+            cs = _add_linear([], q, k, 1)
+        if entry._num:
+            for acc, c in zip(accs, cs):
+                _add_linear(acc, entry._num, c)
+    den = factorial(n)
+    return _xl([_make(_negate_lambda(acc), den) for acc in accs])

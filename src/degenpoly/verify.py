@@ -27,7 +27,16 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .algebra import LambdaPoly, X, XLPoly, binomial_poly, falling_factorial_degenerate
+from .algebra import (
+    LambdaPoly,
+    X,
+    XLPoly,
+    _add_linear,
+    _make,
+    _x_falling,
+    _xl,
+    falling_factorial_degenerate,
+)
 from .egf import bernoulli_taps, gf_residual
 from .oracles import (
     MAX_ENUMERATION_N,
@@ -186,10 +195,10 @@ def _cases_at_minus_one(r) -> Cases:
 def _cases_alternating_sum(r) -> Cases:
     table = eulerian_table(r["n_max"])
     for n in range(r["n_max"] + 1):
-        acc = LambdaPoly()
+        acc = []
         for k, entry in enumerate(table.row(n)):
-            acc = acc + (entry if k % 2 == 0 else -entry)
-        yield {"n": n}, acc, eulerian_at_minus_one(n, "bernoulli")
+            _add_linear(acc, entry._num, -1 if k % 2 else 1)
+        yield {"n": n}, _make(acc, 1), eulerian_at_minus_one(n, "bernoulli")
 
 
 def _cases_worpitzky(r) -> Cases:
@@ -223,19 +232,23 @@ def _cases_coefficient_relation(r) -> Cases:
     table = eulerian_table(r["n_max"])
     for n in range(r["n_max"] + 1):
         for k in range(r["k_max"] + 1):
-            acc = LambdaPoly()
+            acc = []
             for i in range(min(k, n) + 1):
-                acc = acc + comb(n + k - i, n) * table.entry(n, i)
-            yield {"n": n, "k": k}, acc, falling_factorial_degenerate(k + 1, n)
+                _add_linear(acc, table.entry(n, i)._num, comb(n + k - i, n))
+            yield {"n": n, "k": k}, _make(acc, 1), falling_factorial_degenerate(k + 1, n)
 
 
 def _cases_stirling2_binomial_expansion(r) -> Cases:
-    # (x)_{n,λ} = Σ_k k!·{n k}·C(x,k)
+    # (x)_{n,λ} = Σ_k k!·{n k}·C(x,k) = Σ_k {n k}·(x)_k, summed over n!
     for n in range(r["n_max"] + 1):
-        acc = XLPoly()
+        den = factorial(n)
+        accs = [[] for _ in range(n + 1)]
         for k in range(n + 1):
-            acc = acc + binomial_poly(0, k) * (factorial(k) * stirling2_degenerate(n, k))
-        yield {"n": n}, acc, falling_factorial_degenerate(X, n)
+            value = stirling2_degenerate(n, k)
+            scale = den // value._den
+            for acc, c in zip(accs, _x_falling(0, k)):
+                _add_linear(acc, value._num, scale * c)
+        yield {"n": n}, _xl([_make(acc, den) for acc in accs]), falling_factorial_degenerate(X, n)
 
 
 def _cases_lambda0_eulerian(r) -> Cases:
@@ -290,10 +303,10 @@ def _cases_lambda1_bernoulli(r) -> Cases:
 def _cases_row_sum(r) -> Cases:
     table = eulerian_table(r["n_max"])
     for n in range(r["n_max"] + 1):
-        acc = LambdaPoly()
+        acc = []
         for entry in table.row(n):
-            acc = acc + entry
-        yield {"n": n}, acc, LambdaPoly((factorial(n),))
+            _add_linear(acc, entry._num, 1)
+        yield {"n": n}, _make(acc, 1), LambdaPoly((factorial(n),))
 
 
 def _cases_top_entry(r) -> Cases:
@@ -309,7 +322,8 @@ def _cases_lambda_degree(r) -> Cases:
     for n in range(1, r["n_max"] + 1):
         for k in range(n + 1):
             # coefficients of λ^n and above must all vanish
-            tail = LambdaPoly(table.entry(n, k).coeffs[n:])
+            entry = table.entry(n, k)
+            tail = _make(list(entry._num[n:]), entry._den)
             yield {"n": n, "k": k}, tail, zero
 
 

@@ -451,6 +451,26 @@ def test_falling_kernels_match_the_ring():
     ]
 
 
+def test_falling_memo_hit_builds_no_polynomial(monkeypatch):
+    _clear_memos()
+    falling_factorial_degenerate(3, 6)
+    falling_factorial_degenerate(X, 6)
+    calls = []
+    init = LambdaPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LambdaPoly, "__init__", counted)
+    for n in range(7):
+        falling_factorial_degenerate(3, n)
+        falling_factorial_degenerate(X, n)
+    assert calls == []
+    with pytest.raises(TypeError):
+        falling_factorial_degenerate(0.5, 2)
+
+
 def test_falling_off_the_memo_stays_in_the_ring():
     # a Fraction base and an XLPoly base other than x are multiplied out per call
     for base in (F(5, 3), F(-2), X + 1, X * X):

@@ -14,13 +14,17 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import degenpoly
-from degenpoly import sequences
+from degenpoly import sequences, verify
 from degenpoly.algebra import (
     LambdaPoly,
     X,
     XLPoly,
+    _negate_lambda,
+    binomial_poly,
     falling_factorial_degenerate,
 )
 from degenpoly.egf import bernoulli_taps
@@ -355,6 +359,10 @@ def _stored(p):
     return p._num, p._den
 
 
+def _xl_stored(p):
+    return tuple(_stored(c) for c in p.coeffs)
+
+
 @functools.cache
 def _ring_falling(base: int, n: int) -> LambdaPoly:
     """(base)_{n,λ} by ring products of the factors base - iλ."""
@@ -404,6 +412,97 @@ def test_direct_power_sum_kernel_matches_the_ring():
             assert _stored(power_sum(m, n, "direct")) == _stored(acc), (m, n)
 
 
+def test_lambda_negated_sums_match_the_ring():
+    # each sum over A_{-λ}(n,j) against the ring code with scale_lambda(-1)
+    sequences._clear_memos()
+    for n in range(13):
+        row = eulerian_table(n).row(n)
+        for k in range(n + 1):
+            acc = LambdaPoly()
+            for j in range(n + 1):
+                c = comb(j, n - k)
+                if c:
+                    acc = acc + c * row[j].scale_lambda(-1)
+            ring = acc * F(1, factorial(k))
+            assert _stored(stirling2_from_eulerian(n, k)) == _stored(ring), (n, k)
+        acc = XLPoly()
+        for k in range(n + 1):
+            if not row[k].is_zero:
+                acc = acc + binomial_poly(k, n) * row[k].scale_lambda(-1)
+        assert _xl_stored(worpitzky_lhs(n)) == _xl_stored(acc), n
+
+
+def test_eulerian_from_stirling2_kernel_matches_the_ring():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            acc = LambdaPoly()
+            for j in range(k + 1):
+                term = comb(n - j, n - k) * factorial(j) * stirling2_degenerate(n, j)
+                acc = acc + (term if (k - j) % 2 == 0 else -term)
+            assert _stored(eulerian_from_stirling2(n, k)) == _stored(acc), (n, k)
+
+
+def test_power_sum_kernels_match_the_ring():
+    sequences._clear_memos()
+    for n in range(1, 13):
+        row = eulerian_table(n).row(n)
+        poly = bernoulli_polynomial(n + 1)
+        for m in range(1, 21):
+            acc = LambdaPoly()
+            for j in range(n + 1):
+                acc = acc + comb(m + j + 1, n + 1) * row[j].scale_lambda(-1)
+            assert _stored(power_sum(m, n, "eulerian")) == _stored(acc), (m, n)
+            ring = (poly.eval_x(m + 1) - poly.eval_x(0)) * F(1, n + 1)
+            assert _stored(power_sum(m, n, "bernoulli")) == _stored(ring), (m, n)
+
+
+def test_verify_sum_kernels_match_the_ring():
+    # the left sides the eq-19, eq-38, row-sum and alternating-sum checks yield
+    table = eulerian_table(12)
+    for (params, lhs, _), (n, k) in zip(
+        verify._cases_coefficient_relation({"n_max": 12, "k_max": 15}),
+        ((n, k) for n in range(13) for k in range(16)),
+        strict=True,
+    ):
+        acc = LambdaPoly()
+        for i in range(min(k, n) + 1):
+            acc = acc + comb(n + k - i, n) * table.entry(n, i)
+        assert params == {"n": n, "k": k} and _stored(lhs) == _stored(acc), (n, k)
+    cases = list(verify._cases_stirling2_binomial_expansion({"n_max": 12}))
+    assert len(cases) == 13
+    for n, (params, lhs, _) in enumerate(cases):
+        acc = XLPoly()
+        for k in range(n + 1):
+            acc = acc + binomial_poly(0, k) * (factorial(k) * stirling2_degenerate(n, k))
+        assert params == {"n": n} and _xl_stored(lhs) == _xl_stored(acc), n
+    rows = verify._cases_row_sum({"n_max": 12})
+    alternating = verify._cases_alternating_sum({"n_max": 12})
+    for n, ((_, row_sum, _), (_, alt_sum, _)) in enumerate(zip(rows, alternating, strict=True)):
+        total, signed = LambdaPoly(), LambdaPoly()
+        for k, entry in enumerate(table.row(n)):
+            total = total + entry
+            signed = signed + (entry if k % 2 == 0 else -entry)
+        assert _stored(row_sum) == _stored(total), n
+        assert _stored(alt_sum) == _stored(signed), n
+
+
+def test_lambda_degree_tail_matches_the_ring():
+    table = eulerian_table(12)
+    cases = verify._cases_lambda_degree({"n_max": 12})
+    expected = ((n, k) for n in range(1, 13) for k in range(n + 1))
+    for (params, tail, _), (n, k) in zip(cases, expected, strict=True):
+        ring = LambdaPoly(table.entry(n, k).coeffs[n:])
+        assert params == {"n": n, "k": k} and _stored(tail) == _stored(ring), (n, k)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=8), st.integers(2, 720))
+def test_negate_lambda_is_scale_lambda_minus_one(nums, den):
+    p = LambdaPoly([F(c, den) for c in nums])
+    assume(p._den != 1)
+    negated = p.scale_lambda(-1)
+    assert _negate_lambda(p._num) == list(negated._num) and negated._den == p._den
+
+
 # ---------------------------------------------------------------------------
 # Worpitzky expansion and coefficient identities
 # ---------------------------------------------------------------------------
@@ -433,8 +532,6 @@ def test_geometric_coefficient_relation():
 
 def test_stirling2_binomial_expansion():
     # (x)_{n,λ} = Σ_k k!·{n k}·C(x,k)
-    from degenpoly.algebra import binomial_poly
-
     for n in range(9):
         acc = XLPoly()
         for k in range(n + 1):
