@@ -40,10 +40,13 @@ memoized falling factorials of an integer base and of x, and multiplies
 out the int coefficients of (x+offset)_n (``_x_falling``) behind
 ``binomial_poly`` and ``falling_factorial_classical``. ``sequences`` and
 ``egf`` use the two steps for the Eulerian recursion, the explicit sums,
-the Bernoulli solve, the sums over the λ-negated Eulerian numbers (the
+the Bernoulli solve, the Bernoulli polynomials (a Horner scheme in the
+falling basis of x), the sums over the λ-negated Eulerian numbers (the
 Stirling bridges, the Eulerian and Bernoulli power sums, the Worpitzky
 sum) and ``eulerian_from_stirling2``; ``verify`` uses them for the sums
 its eq-19, eq-38, row-sum and alternating-sum checks compare.
+``XLPoly.eval_x`` is an integer Horner scheme over the common
+denominator of the x-coefficients, like ``LambdaPoly.eval`` in λ.
 
 Values are immutable after construction; all operations return new values.
 """
@@ -412,12 +415,24 @@ class XLPoly:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else LambdaPoly()
 
     def eval_x(self, v: Scalar) -> LambdaPoly:
-        """Exact Horner evaluation at a rational x-value."""
+        """Exact value at x = v = p/q: an integer Horner scheme over
+        D = lcm of the coefficient denominators,
+
+            acc <- acc·p + num_j·q^(d-j)·(D/den_j),   j = d-1 .. 0,
+
+        divided by D·q^d once at the end."""
         v = _scalar(v)
-        acc = LambdaPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        cs = self.coeffs
+        if not cs:
+            return _ZERO
+        p, q = v.numerator, v.denominator
+        den = lcm(*[c._den for c in cs])
+        top = cs[-1]
+        acc, qpow = [c * (den // top._den) for c in top._num], 1
+        for c in reversed(cs[:-1]):
+            qpow *= q
+            acc = _add_linear([a * p for a in acc], c._num, qpow * (den // c._den))
+        return _make(acc, den * qpow)
 
     def eval_lambda(self, v: Scalar) -> "XLPoly":
         """Substitute a rational value for λ, leaving a λ-free XLPoly."""

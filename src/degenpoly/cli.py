@@ -33,6 +33,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Union
 
 from . import __version__
@@ -166,8 +167,17 @@ def _metadata(route: Optional[str] = None, mode: Optional[str] = None, timestamp
     return meta
 
 
+#: Every JSON document's layout: sorted keys, two-space indent, UTF-8 text.
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+
+
 def _emit_json(doc: dict, out) -> None:
-    json.dump(doc, out, sort_keys=True, indent=2, ensure_ascii=False)
+    # Written in batches of encoder chunks: json.dump writes every chunk
+    # (hundreds for one eval document) through ``out``, while one json.dumps
+    # string would hold a second copy of a table document (up to ~0.7 MB).
+    chunks = _JSON.iterencode(doc)
+    while batch := "".join(islice(chunks, 512)):
+        out.write(batch)
     out.write("\n")
 
 

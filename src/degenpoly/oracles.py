@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "MAX_ENUMERATION_N",
@@ -47,20 +47,31 @@ def _distribution(n: int, statistic) -> PermStatDistribution:
     return PermStatDistribution(n, tuple(counts))
 
 
+#: descent_distribution(n) per n already enumerated.
+_DESCENTS: Dict[int, PermStatDistribution] = {}
+
+
 def descent_distribution(n: int) -> PermStatDistribution:
-    """Counts of d(σ) = |{i in 1..n-1 : σ(i) > σ(i+1)}| over all of S_n."""
+    """Counts of d(σ) = |{i in 1..n-1 : σ(i) > σ(i+1)}| over all of S_n.
 
-    def descents(sigma):
-        return sum(1 for i in range(n - 1) if sigma[i] > sigma[i + 1])
+    Memoized per n and process.
+    """
+    value = _DESCENTS.get(n)
+    if value is None:
 
-    return _distribution(n, descents)
+        def descents(sigma):
+            return sum(1 for i in range(n - 1) if sigma[i] > sigma[i + 1])
+
+        value = _DESCENTS[n] = _distribution(n, descents)
+    return value
 
 
 def excedance_distribution(n: int) -> PermStatDistribution:
     """Counts of e(σ) = |{i in 1..n-1 : σ(i) > i}| over all of S_n.
 
     Equidistributed with descents; the identity suite asserts this rather
-    than assuming it.
+    than assuming it. Not memoized, and enumerated on its own, so the
+    descent and excedance oracles stay independent.
     """
 
     def excedances(sigma):

@@ -27,7 +27,8 @@ falling factorials and the Bernoulli taps they are built from: filled on
 first use, sliced for a smaller n, continued by the route's own
 recursion for a larger one, never rebuilt. Each route keeps its own
 rows, so no route answers for another. ``_clear_memos`` empties them
-all; the CLI calls it before each command.
+all, and the memoized descent distributions of ``oracles`` with them;
+the CLI calls it before each command.
 
 The builders whose values lie in Z[λ], or in Z[λ] over one known
 denominator, run on int numerator lists through ``algebra._add_linear``
@@ -37,11 +38,15 @@ and build one LambdaPoly (or one XLPoly of them) per value: the
 k!), ``eulerian_from_stirling2`` (over the lcm of the {n j}
 denominators), ``power_sum`` by the ``direct`` and ``eulerian`` routes,
 ``power_sum(..., "bernoulli")`` (an integer Horner scheme in x over the
-common denominator of β_{n+1}(x)) and ``worpitzky_lhs`` (x-coefficient j
-summed from the int coefficients of (x+k)_n, over n!). The
-``gf-recursion`` route, whose terms are products of two λ-polynomials,
-``stirling1_row``, ``bernoulli_polynomial`` and ``eulerian_at_minus_one``
-use the ring operators.
+common denominator of β_{n+1}(x)), ``bernoulli_polynomial`` (a Horner
+scheme in the falling basis (x)_{j,λ}, one int list per x-coefficient,
+over the lcm of the β_k denominators) and ``worpitzky_lhs``
+(x-coefficient j summed from the int coefficients of (x+k)_n, over n!).
+The ``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
+``XLPoly.eval_x``, itself an integer Horner scheme. The ``gf-recursion``
+route, whose terms are products of two λ-polynomials, ``stirling1_row``
+and the ``bernoulli`` route of ``eulerian_at_minus_one`` use the ring
+operators.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from .algebra import (
     falling_factorial_degenerate,
 )
 from .egf import _BERNOULLI, bernoulli_taps
+from .oracles import _DESCENTS
 
 __all__ = [
     "EULERIAN_ROUTES",
@@ -252,19 +258,28 @@ def eulerian_at_minus_one(n: int, route: str = AT_MINUS_ONE_ROUTES[0]) -> Lambda
 
 
 def bernoulli_polynomial(n: int) -> XLPoly:
-    """Degenerate Bernoulli polynomial β_n(x) = Σ_k C(n,k)·β_k·(x)_{n-k,λ}.
+    """Degenerate Bernoulli polynomial β_n(x) = Σ_j C(n,j)·β_{n-j}·(x)_{j,λ}.
 
-    Memoized per n and process.
+    A Horner scheme in the falling basis, since (x)_{j+1,λ} = (x)_{j,λ}·(x-jλ):
+
+        acc <- acc·(x - jλ) + C(n,j)·β_{n-j},   j = n-1 .. 0,
+
+    from acc = β_0 = 1, on int numerator lists (one per x-coefficient) over
+    the lcm D of the denominators of β_0..β_n. Multiplying by (x - jλ)
+    takes x-coefficient m to c_{m-1} - jλ·c_m. Memoized per n and process.
     """
     _check_nonneg(n=n)
-    acc = _BERNOULLI_POLY.get(n)
-    if acc is None:
+    poly = _BERNOULLI_POLY.get(n)
+    if poly is None:
         beta = bernoulli_taps(n)
-        acc = XLPoly()
-        for k in range(n + 1):
-            acc = acc + falling_factorial_degenerate(X, n - k) * (comb(n, k) * beta[k])
-        _BERNOULLI_POLY[n] = acc
-    return acc
+        den = lcm(*[b._den for b in beta])
+        acc = [[den]]  # β_0 = 1
+        for j in range(n - 1, -1, -1):
+            acc = [_add_linear(list(prev), c, 0, -j) for prev, c in zip([[]] + acc, acc + [[]])]
+            b = beta[n - j]
+            _add_linear(acc[0], b._num, comb(n, j) * (den // b._den))
+        poly = _BERNOULLI_POLY[n] = _xl([_make(c, den) for c in acc])
+    return poly
 
 
 #: β_n(x) per n already asked for.
@@ -294,14 +309,15 @@ def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
 
 def _clear_memos() -> None:
     """Forget every memoized builder value: the Eulerian rows, the Bernoulli
-    polynomials, the Stirling numbers, the Bernoulli taps past β_0 and the
-    falling factorials."""
+    polynomials, the Stirling numbers, the Bernoulli taps past β_0, the
+    falling factorials and the descent distributions."""
     for rows in _EULERIAN_ROWS.values():
         rows.clear()
     _BERNOULLI_POLY.clear()
     _STIRLING2.clear()
     del _BERNOULLI[1:]
     _FALLING.clear()
+    _DESCENTS.clear()
 
 
 def stirling2_from_eulerian(n: int, k: int) -> LambdaPoly:

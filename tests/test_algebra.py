@@ -16,7 +16,12 @@ from degenpoly.algebra import (
     falling_factorial_classical,
     falling_factorial_degenerate,
 )
-from degenpoly.sequences import _clear_memos, eulerian_at_minus_one
+from degenpoly.sequences import (
+    _clear_memos,
+    bernoulli_polynomial,
+    eulerian_at_minus_one,
+    eulerian_poly,
+)
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 lambda_polys = st.lists(small_fractions, max_size=5).map(LambdaPoly)
@@ -486,6 +491,34 @@ def test_binomial_and_classical_kernels_match_the_ring():
         for offset in range(-3, 4):
             ring = _ring_x_product(offset, n) * F(1, factorial(n))
             assert _stored(binomial_poly(offset, n)) == _stored(ring), (offset, n)
+
+
+def _ring_eval_x(p: XLPoly, v) -> LambdaPoly:
+    """p at x = v by a Horner scheme on the LambdaPoly ring operators."""
+    acc = LambdaPoly()
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
+EVAL_POINTS = (0, 1, -1, F(-2, 3), F(7, 5))
+
+
+def test_eval_x_kernel_matches_the_ring():
+    _clear_memos()
+    beta = bernoulli_polynomial(7)
+    assert len({c._den for c in beta.coeffs}) > 2  # coefficients over different denominators
+    polys = (XLPoly(), XLPoly.constant(F(-3, 4)), eulerian_poly(6), beta)
+    for p in polys:
+        for v in EVAL_POINTS:
+            assert _stored(p.eval_x(v)) == _stored(_ring_eval_x(p, v)), (p, v)
+
+
+@given(xl_rows, st.one_of(ring_scalars, st.sampled_from(EVAL_POINTS)))
+@settings(max_examples=100)
+def test_eval_x_matches_the_ring_on_random_polys(rows, v):
+    p = XLPoly(LambdaPoly(r) for r in rows)
+    assert _stored(p.eval_x(v)) == _stored(_ring_eval_x(p, v))
 
 
 @pytest.mark.parametrize("factor", [0, 1, -1, 6, F(3, 4), F(-5, 2), LambdaPoly((F(2, 3),)), LambdaPoly()])

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from degenpoly import sequences
 from degenpoly.oracles import (
     MAX_ENUMERATION_N,
     classical_triangles,
@@ -18,6 +19,16 @@ def test_descent_small_cases():
     assert descent_distribution(2).counts == (1, 1)
     assert descent_distribution(3).counts == (1, 4, 1)
     assert descent_distribution(4).counts == (1, 11, 11, 1)
+
+
+def test_descent_distribution_is_memoized_per_n():
+    sequences._clear_memos()
+    first = descent_distribution(5)
+    assert descent_distribution(5) is first
+    sequences._clear_memos()
+    rebuilt = descent_distribution(5)
+    assert rebuilt is not first
+    assert rebuilt == first
 
 
 def test_excedance_small_cases():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import degenpoly
 from degenpoly import sequences, verify
 from degenpoly.algebra import (
+    LAM,
     LambdaPoly,
     X,
     XLPoly,
@@ -442,6 +443,14 @@ def test_eulerian_from_stirling2_kernel_matches_the_ring():
             assert _stored(eulerian_from_stirling2(n, k)) == _stored(acc), (n, k)
 
 
+def _ring_eval_x(p: XLPoly, v) -> LambdaPoly:
+    """p at x = v by a Horner scheme on the LambdaPoly ring operators."""
+    acc = LambdaPoly()
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
 def test_power_sum_kernels_match_the_ring():
     sequences._clear_memos()
     for n in range(1, 13):
@@ -452,8 +461,23 @@ def test_power_sum_kernels_match_the_ring():
             for j in range(n + 1):
                 acc = acc + comb(m + j + 1, n + 1) * row[j].scale_lambda(-1)
             assert _stored(power_sum(m, n, "eulerian")) == _stored(acc), (m, n)
-            ring = (poly.eval_x(m + 1) - poly.eval_x(0)) * F(1, n + 1)
+            ring = (_ring_eval_x(poly, m + 1) - _ring_eval_x(poly, 0)) * F(1, n + 1)
             assert _stored(power_sum(m, n, "bernoulli")) == _stored(ring), (m, n)
+
+
+def test_bernoulli_polynomial_kernel_matches_the_ring():
+    # Σ_k C(n,k)·β_k·(x)_{n-k,λ} as an XLPoly ring sum, the falling
+    # factorials of x multiplied out factor by factor
+    falling = [XLPoly.constant(1)]
+    for i in range(24):
+        falling.append(falling[-1] * (X - i * LAM))
+    sequences._clear_memos()
+    beta = bernoulli_taps(24)
+    for n in range(25):
+        ring = XLPoly()
+        for k in range(n + 1):
+            ring = ring + falling[n - k] * (comb(n, k) * beta[k])
+        assert _xl_stored(bernoulli_polynomial(n)) == _xl_stored(ring), n
 
 
 def test_verify_sum_kernels_match_the_ring():
