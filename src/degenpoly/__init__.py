@@ -17,7 +17,7 @@ from .algebra import (
     falling_factorial_classical,
     falling_factorial_degenerate,
 )
-from .egf import Egf, bernoulli_taps, degenerate_exp, gf_residual
+from .egf import bernoulli_taps, gf_residual
 from .oracles import (
     ClassicalTriangles,
     PermStatDistribution,
@@ -50,9 +50,7 @@ __all__ = [
     "binomial_poly",
     "falling_factorial_classical",
     "falling_factorial_degenerate",
-    "Egf",
     "bernoulli_taps",
-    "degenerate_exp",
     "gf_residual",
     "ClassicalTriangles",
     "PermStatDistribution",

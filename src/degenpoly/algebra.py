@@ -35,16 +35,21 @@ one known denominator, do their arithmetic on lists of int numerators and
 build one canonical LambdaPoly per value with ``_make`` (one XLPoly of
 them with ``_xl``). Their one shared step is ``_add_linear``,
 acc += num·(a + bλ); ``_negate_lambda`` takes p(λ) to p(-λ) by flipping
-the sign of the odd numerators. Here ``_add_linear`` extends the
+the sign of the odd numerators, and ``_times_x_minus_one`` multiplies an
+element of Z[λ][x], one int list per x-coefficient, by (1 + sλ)(x - 1),
+the step of the Horner schemes in (x - 1) that ``sequences`` (the
+``gf-recursion`` route) and ``egf`` (the generating-function residual)
+run on their own. Here ``_add_linear`` extends the
 memoized falling factorials of an integer base and of x, and multiplies
 out the int coefficients of (x+offset)_n (``_x_falling``) behind
 ``binomial_poly`` and ``falling_factorial_classical``. ``sequences`` and
-``egf`` use the two steps for the Eulerian recursion, the explicit sums,
-the Bernoulli solve, the Bernoulli polynomials (a Horner scheme in the
-falling basis of x), the sums over the λ-negated Eulerian numbers (the
-Stirling bridges, the Eulerian and Bernoulli power sums, the Worpitzky
-sum) and ``eulerian_from_stirling2``; ``verify`` uses them for the sums
-its eq-19, eq-38, row-sum and alternating-sum checks compare.
+``egf`` use ``_add_linear`` and ``_negate_lambda`` for the Eulerian
+recursion, the explicit sums, the Bernoulli solve, the Bernoulli
+polynomials (a Horner scheme in the falling basis of x), the sums over
+the λ-negated Eulerian numbers (the Stirling bridges, the Eulerian and
+Bernoulli power sums, the Worpitzky sum) and ``eulerian_from_stirling2``;
+``verify`` uses them for the sums its eq-19, eq-38, row-sum and
+alternating-sum checks compare.
 ``XLPoly.eval_x`` is an integer Horner scheme over the common
 denominator of the x-coefficients, like ``LambdaPoly.eval`` in λ.
 
@@ -158,6 +163,22 @@ def _add_linear(acc: list, num, a: int, b: int = 0) -> list:
         for i, c in enumerate(num, 1):
             acc[i] += b * c
     return acc
+
+
+def _times_x_minus_one(acc: list, s: int) -> list:
+    """(1 + sλ)(x - 1)·acc for acc in Z[λ][x] as int numerator lists, one
+    per x-coefficient, lowest power of x first; returns a new list.
+
+    x-coefficient m of the product is (1 + sλ)·(c_{m-1} - c_m): the step of
+    the Horner schemes in (x - 1) that sum the generating-function
+    recursion and its residual.
+    """
+    out, prev = [], []
+    for c in acc + [[]]:
+        d = _add_linear(list(prev), c, -1)
+        out.append(_add_linear(list(d), d, 0, s) if s else d)
+        prev = c
+    return out
 
 
 def _negate_lambda(num) -> list:
@@ -332,18 +353,6 @@ class LambdaPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _make([1], 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -509,18 +518,6 @@ class XLPoly:
         return _xl([_ZERO if c is None else c for c in out])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _xl([_constant(1)])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -1,125 +1,30 @@
-"""Truncated exponential generating functions over the exact rings.
+"""The two computations the package takes from exponential generating
+functions, each kept inside the polynomial rings by cross-multiplication
+rather than by series inversion.
 
-An Egf of order N stores the taps a_0 .. a_N of f(t) = Σ a_n t^n / n!
-(taps, not ordinary coefficients: every series here is naturally written
-in EGF form and the product then becomes a binomial convolution, which
-keeps all arithmetic inside the coefficient ring).
+The Bernoulli taps come from a triangular solve of B(t)·(e_λ(t)-1)/t = 1,
+on int numerator lists over one common denominator
+(``algebra._add_linear``), one LambdaPoly per tap.
 
-The taps may live in any ring that supports +, -, * and scalar
-multiplication by int (LambdaPoly and XLPoly both do). The truncation
-order is fixed per value; combining series of different orders is a
-contract violation, not a silent re-truncation.
-
-No series inversion is ever performed. The Bernoulli solve and the
-generating-function check both stay inside the polynomial rings by
-cross-multiplication: the Bernoulli taps come from a triangular solve of
-B(t)·(e_λ(t)-1)/t = 1, and the Eulerian generating function is verified
-through the residual S(t)·(x - e_{-λ}((x-1)t)) - (x-1), which must vanish
-tap by tap.
-
-There is one degenerate exponential, the paper's e_λ(u·t). The residual's
-e_{-λ}((x-1)t) is its image under λ -> -λ, taken tap by tap.
-
-The Bernoulli solve runs on int numerator lists over one common
-denominator (``algebra._add_linear``) and builds one LambdaPoly per tap;
-the Egf product and the residual use the ring operators.
+The Eulerian generating function (Prop. 2.1) is verified through the
+residual S(t)·(x - e_{-λ}((x-1)t)) - (x-1), where the taps of S are the
+degenerate Eulerian polynomials and e_{-λ}((x-1)t) has taps
+(1)_{n,-λ}·(x-1)^n. Each tap of the residual is computed directly, as a
+nested Horner scheme in (x-1) on int numerator lists
+(``algebra._times_x_minus_one``), and must vanish.
 """
 
 from __future__ import annotations
 
 from math import comb, lcm
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
-from .algebra import LambdaPoly, X, _add_linear, _make, falling_factorial_degenerate
+from .algebra import LambdaPoly, XLPoly, _add_linear, _make, _times_x_minus_one, _xl
 
 __all__ = [
-    "Egf",
-    "degenerate_exp",
     "bernoulli_taps",
     "gf_residual",
 ]
-
-
-class Egf:
-    """Truncated EGF: order N plus the taps a_0 .. a_N."""
-
-    __slots__ = ("order", "taps")
-
-    def __init__(self, order: int, taps: Sequence):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        taps = tuple(taps)
-        if len(taps) != order + 1:
-            raise ValueError(f"expected {order + 1} taps, got {len(taps)}")
-        self.order = order
-        self.taps = taps
-
-    @classmethod
-    def constant(cls, c, order: int) -> "Egf":
-        """The series c + 0·t + ... truncated at the given order."""
-        zero = c * 0
-        return cls(order, (c,) + (zero,) * order)
-
-    def is_zero(self) -> bool:
-        return not any(self.taps)
-
-    def _check_order(self, other: "Egf"):
-        if self.order != other.order:
-            raise ValueError(
-                f"truncation order mismatch: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, Egf):
-            return NotImplemented
-        self._check_order(other)
-        return Egf(self.order, tuple(a + b for a, b in zip(self.taps, other.taps)))
-
-    def __sub__(self, other):
-        if not isinstance(other, Egf):
-            return NotImplemented
-        self._check_order(other)
-        return Egf(self.order, tuple(a - b for a, b in zip(self.taps, other.taps)))
-
-    def __mul__(self, other):
-        """Product of two truncated EGFs: tap_n = Σ_k C(n,k)·a_k·b_{n-k}."""
-        if not isinstance(other, Egf):
-            return NotImplemented
-        self._check_order(other)
-        taps = []
-        for n in range(self.order + 1):
-            acc = self.taps[0] * other.taps[n]
-            for k in range(1, n + 1):
-                acc = acc + comb(n, k) * (self.taps[k] * other.taps[n - k])
-            taps.append(acc)
-        return Egf(self.order, taps)
-
-    def __eq__(self, other):
-        if not isinstance(other, Egf):
-            return NotImplemented
-        return self.order == other.order and self.taps == other.taps
-
-    def __hash__(self):
-        return hash((self.order, self.taps))
-
-    def __repr__(self):
-        return f"Egf(order={self.order}, taps={list(self.taps)!r})"
-
-
-def degenerate_exp(u, order: int) -> Egf:
-    """The series e_λ(u·t), tap_n = (1)_{n,λ}·u^n.
-
-    ``u`` may be an XLPoly (e.g. x-1) or a rational. The argument-scaling
-    form does NOT satisfy the exponential law: e_λ(u·t)·e_λ(v·t) differs
-    from e_λ((u+v)·t) for λ ≠ 0.
-    """
-    taps = []
-    upow = u**0
-    for n in range(order + 1):
-        taps.append(upow * falling_factorial_degenerate(1, n))
-        if n < order:
-            upow = upow * u
-    return Egf(order, taps)
 
 
 #: β_{0,λ}, β_{1,λ}, ... as far as any call has asked, extended in place.
@@ -159,18 +64,50 @@ def bernoulli_taps(order: int) -> List[LambdaPoly]:
     return beta[: order + 1]
 
 
-def gf_residual(n_max: int) -> Egf:
-    """Residual of the Eulerian generating function, truncated at n_max.
+def _residual_taps(rows: Sequence[Sequence[LambdaPoly]]) -> Tuple[XLPoly, ...]:
+    """The residual taps of the Eulerian polynomials whose coefficient rows
+    are rows[0..N]:
 
-    Computes S(t)·(x - e_{-λ}((x-1)t)) - (x-1) over Q[λ][x], where the
-    taps of S are the degenerate Eulerian polynomials. The generating
-    function identity holds iff every tap of the result is zero.
+        tap_n = x·A_n(x) - Σ_{k≤n} C(n,k)·(1)_{n-k,-λ}·A_k(x)·(x-1)^{n-k} - [n=0]·(x-1)
+
+    From term k+1 to term k the factor (1)_{n-k,-λ}·(x-1)^{n-k} gains one
+    factor (1 + (n-k-1)λ)(x-1), so the sum is a nested Horner scheme,
+
+        acc <- acc·(1 + (n-k)λ)·(x-1) + C(n,k)·A_k(x),   k = 1 .. n,
+
+    from acc = A_0, on int numerator lists over the lcm D of the row
+    denominators, one canonical XLPoly per tap.
     """
-    from .sequences import eulerian_poly  # deferred: sequences imports egf
+    den = lcm(*[c._den for row in rows for c in row])
+    taps = []
+    for n, row in enumerate(rows):
+        acc = [[]]
+        for k in range(n + 1):
+            if k:
+                acc = _times_x_minus_one(acc, n - k)
+            c = comb(n, k)
+            for a, entry in zip(acc, rows[k]):
+                _add_linear(a, entry._num, c * (den // entry._den))
+        out = [[-v for v in a] for a in acc] + [[]]
+        for a, entry in zip(out[1:], row):  # x·A_n
+            _add_linear(a, entry._num, den // entry._den)
+        if not n:  # -(x - 1)
+            _add_linear(out[0], (1,), den)
+            _add_linear(out[1], (1,), -den)
+        taps.append(_xl([_make(a, den) for a in out]))
+    return tuple(taps)
+
+
+def gf_residual(n_max: int) -> Tuple[XLPoly, ...]:
+    """Taps 0..n_max of the Eulerian generating-function residual
+
+        S(t)·(x - e_{-λ}((x-1)t)) - (x-1)
+
+    over Q[λ][x], on the rows of the ``recursion`` route. The generating
+    function identity holds iff every tap is zero.
+    """
+    from .sequences import eulerian_table  # deferred: sequences imports egf
 
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    s = Egf(n_max, tuple(eulerian_poly(n) for n in range(n_max + 1)))
-    # e_{-λ}((x-1)t): (x-1)^n carries no λ, so λ -> -λ acts on (1)_{n,λ} alone
-    e = Egf(n_max, tuple(tap.scale_lambda(-1) for tap in degenerate_exp(X - 1, n_max).taps))
-    return s * (Egf.constant(X, n_max) - e) - Egf.constant(X - 1, n_max)
+    return _residual_taps(eulerian_table(n_max).rows)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb
+from operator import gt
 from typing import Dict, List, Tuple
 
 __all__ = [
@@ -58,11 +59,7 @@ def descent_distribution(n: int) -> PermStatDistribution:
     """
     value = _DESCENTS.get(n)
     if value is None:
-
-        def descents(sigma):
-            return sum(1 for i in range(n - 1) if sigma[i] > sigma[i + 1])
-
-        value = _DESCENTS[n] = _distribution(n, descents)
+        value = _DESCENTS[n] = _distribution(n, lambda sigma: sum(map(gt, sigma, sigma[1:])))
     return value
 
 
@@ -73,11 +70,7 @@ def excedance_distribution(n: int) -> PermStatDistribution:
     than assuming it. Not memoized, and enumerated on its own, so the
     descent and excedance oracles stay independent.
     """
-
-    def excedances(sigma):
-        return sum(1 for i in range(n - 1) if sigma[i] > i + 1)
-
-    return _distribution(n, excedances)
+    return _distribution(n, lambda sigma: sum(map(gt, sigma[:-1], range(1, n))))
 
 
 @dataclass(frozen=True)

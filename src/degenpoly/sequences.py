@@ -44,9 +44,11 @@ over the lcm of the β_k denominators) and ``worpitzky_lhs``
 (x-coefficient j summed from the int coefficients of (x+k)_n, over n!).
 The ``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
 ``XLPoly.eval_x``, itself an integer Horner scheme. The ``gf-recursion``
-route, whose terms are products of two λ-polynomials, ``stirling1_row``
-and the ``bernoulli`` route of ``eulerian_at_minus_one`` use the ring
-operators.
+route sums its recursion as a nested Horner scheme in (x-1): each step
+multiplies the int numerator lists of the partial sum by (1 + sλ)(x-1)
+(``algebra._times_x_minus_one``) and adds C(n,i)·A_i(x), so it forms no
+λ-polynomial product. ``stirling1_row`` and the ``bernoulli`` route of
+``eulerian_at_minus_one`` use the ring operators.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .algebra import (
     _add_linear,
     _make,
     _negate_lambda,
+    _times_x_minus_one,
     _x_falling,
     _xl,
     LambdaPoly,
@@ -159,24 +162,26 @@ def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
 
         A_n(x) = Σ_{i=0}^{n-1} C(n,i)·A_i(x)·(1)_{n-i,-λ}·(x-1)^{n-i-1}
 
-    evaluated as a Horner scheme in (x-1) on the coefficient rows,
+    From term i+1 to term i the factor (1)_{n-i,-λ}·(x-1)^{n-i-1} gains one
+    factor (1 + (n-i-1)λ)(x-1), so the sum is a nested Horner scheme,
 
-        acc <- acc·(x-1) + C(n,i)·(1)_{n-i,-λ}·A_i(x),   i = 0 .. n-1,
+        acc <- acc·(1 + (n-i)λ)·(x-1) + C(n,i)·A_i(x),   i = 1 .. n-1,
 
-    where multiplying by (x-1) takes coefficient k to acc[k-1] - acc[k].
-    The sum has x-degree n-1, so row n ends in a zero A(n,n).
+    from acc = A_0 = 1, on int numerator lists (one per x-coefficient;
+    every entry lies in Z[λ]) with no λ-polynomial product. The sum has
+    x-degree n-1, so row n ends in a zero A(n,n).
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
-    zero = LambdaPoly()
-    ones = [falling_factorial_degenerate(1, m).scale_lambda(-1) for m in range(max_n + 1)]
+    zero = _make([], 1)
     for n in range(len(rows), max_n + 1):
-        acc = []
-        for i in range(n):
-            acc = [a - b for a, b in zip([zero] + acc, acc + [zero])]
-            scalar = comb(n, i) * ones[n - i]
-            acc = [a + scalar * c for a, c in zip(acc, rows[i])]
-        rows.append(tuple(acc) + (zero,))
+        acc = [[1]]
+        for i in range(1, n):
+            acc = _times_x_minus_one(acc, n - i)
+            c = comb(n, i)
+            for a, entry in zip(acc, rows[i]):
+                _add_linear(a, entry._num, c)
+        rows.append(tuple(_make(a, 1) for a in acc) + (zero,))
 
 
 #: Each route's triangle rows as far as any call has asked. A route only

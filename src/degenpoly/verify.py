@@ -160,7 +160,7 @@ def _cases_gf_residual(r) -> Cases:
     residual = gf_residual(r["n_max"])
     zero = XLPoly()
     for n in range(r["n_max"] + 1):
-        yield {"n": n}, residual.taps[n], zero
+        yield {"n": n}, residual[n], zero
 
 
 def _cases_vanishing(r) -> Cases:

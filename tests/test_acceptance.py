@@ -108,7 +108,7 @@ def test_criterion_04_vanishing_branch():
 def test_criterion_05_gf_residual():
     with criterion(5, "generating-function residual at order 12"):
         residual, took = elapsed(lambda: gf_residual(12))
-        assert residual.is_zero()
+        assert len(residual) == 13 and all(tap.is_zero for tap in residual)
         assert took < 10, f"residual took {took:.1f}s"
 
 

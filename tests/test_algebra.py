@@ -12,6 +12,9 @@ from degenpoly.algebra import (
     LambdaPoly,
     X,
     XLPoly,
+    _make,
+    _times_x_minus_one,
+    _xl,
     binomial_poly,
     falling_factorial_classical,
     falling_factorial_degenerate,
@@ -43,7 +46,7 @@ def test_additive_identity():
 
 
 def test_xl_expansion():
-    assert (X - 1) ** 2 == XLPoly((1, -2, 1))
+    assert (X - 1) * (X - 1) == XLPoly((1, -2, 1))
 
 
 def test_canonical_trailing_zeros():
@@ -190,9 +193,9 @@ operands = st.one_of(
 )
 
 
-@given(coefficient_lists, operands, st.integers(0, 4), ring_scalars)
+@given(coefficient_lists, operands, ring_scalars)
 @settings(max_examples=200)
-def test_ring_matches_fraction_list_model(cs, operand, e, v):
+def test_ring_matches_fraction_list_model(cs, operand, v):
     p, a = LambdaPoly(cs), _model(cs)
     q, b = operand
     _assert_is_model(p, a)
@@ -203,10 +206,6 @@ def test_ring_matches_fraction_list_model(cs, operand, e, v):
     _assert_is_model(q - p, _model_add(b, a, -1))
     _assert_is_model(p * q, _model_mul(a, b))
     _assert_is_model(q * p, _model_mul(a, b))
-    power = [F(1)]
-    for _ in range(e):
-        power = _model_mul(power, a)
-    _assert_is_model(p**e, power)
     _assert_is_model(p.scale_lambda(v), _model(c * F(v) ** i for i, c in enumerate(a)))
     value = sum((c * F(v) ** i for i, c in enumerate(a)), F(0))
     assert p.eval(v) == value and type(p.eval(v)) is F
@@ -258,9 +257,9 @@ xl_operands = st.one_of(
 )
 
 
-@given(xl_rows, xl_operands, st.integers(0, 3))
+@given(xl_rows, xl_operands)
 @settings(max_examples=100)
-def test_xl_ring_matches_nested_fraction_list_model(rows, operand, e):
+def test_xl_ring_matches_nested_fraction_list_model(rows, operand):
     p, a = XLPoly(LambdaPoly(r) for r in rows), _xl_model(rows)
     q, b = operand
     _assert_is_xl_model(p, a)
@@ -271,10 +270,6 @@ def test_xl_ring_matches_nested_fraction_list_model(rows, operand, e):
     _assert_is_xl_model(q - p, _xl_model_add(b, a, -1))
     _assert_is_xl_model(p * q, _xl_model_mul(a, b))
     _assert_is_xl_model(q * p, _xl_model_mul(a, b))
-    power = [[F(1)]]
-    for _ in range(e):
-        power = _xl_model_mul(power, a)
-    _assert_is_xl_model(p**e, power)
     for zero in (0, F(0), LambdaPoly(), XLPoly()):
         _assert_is_xl_model(p * zero, [])
         _assert_is_xl_model(zero * p, [])
@@ -320,13 +315,6 @@ def test_floats_are_rejected():
     for call in calls:
         with pytest.raises(TypeError):
             call()
-
-
-def test_pow():
-    assert LambdaPoly((1, 1)) ** 3 == LambdaPoly((1, 3, 3, 1))
-    assert LambdaPoly((2,)) ** 0 == 1
-    with pytest.raises(ValueError):
-        LambdaPoly((1, 1)) ** -1
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +371,11 @@ def test_falling_classical():
 
 
 def test_falling_degenerate_specializations():
+    power = XLPoly.constant(1)
     for n in range(7):
         p = falling_factorial_degenerate(X, n)
-        assert p.eval_lambda(0) == X**n
+        assert p.eval_lambda(0) == power
+        power = power * X
         assert p.eval_lambda(1) == falling_factorial_classical(n)
 
 
@@ -454,6 +444,16 @@ def test_falling_kernels_match_the_ring():
     assert [_stored(falling_factorial_degenerate(X, n)) for n in range(21)] == [
         _stored(p) for p in ring
     ]
+
+
+@given(st.lists(st.lists(st.integers(-10**12, 10**12), max_size=5), max_size=6), st.integers(-70, 70))
+@settings(max_examples=200)
+def test_times_x_minus_one_is_the_ring_product(acc, s):
+    before = [list(c) for c in acc]
+    out = _times_x_minus_one(acc, s)
+    assert acc == before and len(out) == len(acc) + 1
+    p = _xl([_make(list(c), 1) for c in acc])
+    assert _stored(_xl([_make(c, 1) for c in out])) == _stored(p * (X - 1) * LambdaPoly((1, s)))
 
 
 def test_falling_memo_hit_builds_no_polynomial(monkeypatch):
@@ -590,4 +590,4 @@ def test_human_rendering():
     assert str(LambdaPoly()) == "0"
     two = XLPoly((LambdaPoly((1, -1)), LambdaPoly((1, 1))))
     assert str(two) == "(1 - λ) + (1 + λ)x"
-    assert str(X**2 - X) == "-x + x^2"
+    assert str(X * X - X) == "-x + x^2"

@@ -37,6 +37,21 @@ def test_excedance_small_cases():
     assert excedance_distribution(3).counts == (1, 4, 1)
 
 
+# rows 5..7 of the classical Eulerian triangle
+EULERIAN_ROWS = {
+    5: (1, 26, 66, 26, 1),
+    6: (1, 57, 302, 302, 57, 1),
+    7: (1, 120, 1191, 2416, 1191, 120, 1),
+}
+
+
+@pytest.mark.parametrize("n", sorted(EULERIAN_ROWS))
+def test_golden_rows_from_the_classical_triangle(n):
+    sequences._clear_memos()
+    assert descent_distribution(n).counts == EULERIAN_ROWS[n]
+    assert excedance_distribution(n).counts == EULERIAN_ROWS[n]
+
+
 def test_equidistribution():
     for n in range(1, 7):
         assert descent_distribution(n).counts == excedance_distribution(n).counts, n

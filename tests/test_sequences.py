@@ -388,6 +388,24 @@ def test_recursion_kernel_matches_the_ring():
         assert [_stored(p) for p in table.row(n)] == [_stored(p) for p in rows[n]], n
 
 
+def test_gf_recursion_kernel_matches_the_ring():
+    # the ring Horner scheme in (x-1): acc <- acc·(x-1) + C(n,i)·(1)_{n-i,-λ}·A_i(x)
+    zero = LambdaPoly()
+    ones = [_ring_falling(1, m).scale_lambda(-1) for m in range(25)]
+    rows = [(LambdaPoly((1,)),)]
+    for n in range(1, 25):
+        acc = []
+        for i in range(n):
+            acc = [a - b for a, b in zip([zero] + acc, acc + [zero])]
+            scalar = comb(n, i) * ones[n - i]
+            acc = [a + scalar * c for a, c in zip(acc, rows[i])]
+        rows.append(tuple(acc) + (zero,))
+    sequences._clear_memos()
+    table = eulerian_table(24, "gf-recursion")
+    for n in range(25):
+        assert [_stored(p) for p in table.row(n)] == [_stored(p) for p in rows[n]], n
+
+
 def test_explicit_sum_kernels_match_the_ring():
     sequences._clear_memos()
     for n in range(11):
