@@ -28,11 +28,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -124,6 +121,8 @@ def parse_xl_poly(values: Sequence[Sequence[str]]) -> XLPoly:
 
 def output_schema() -> dict:
     """The JSON schema all CLI JSON documents validate against."""
+    from importlib import resources  # on demand: no command reads the schema
+
     with resources.files(__package__).joinpath("output-schema.json").open("rb") as fh:
         return json.load(fh)
 
@@ -163,6 +162,8 @@ def _metadata(route: Optional[str] = None, mode: Optional[str] = None, timestamp
     if mode is not None:
         meta["mode"] = mode
     if timestamp:
+        from datetime import datetime, timezone  # on demand: only --timestamp needs it
+
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
 
@@ -339,7 +340,10 @@ def cmd_verify(args, out) -> int:
     failed = [spec for spec in results if spec.status == "fail"]
     if args.format == "json":
         doc = {
-            "checks": [asdict(spec) for spec in results],
+            "checks": [
+                {**spec._asdict(), "counterexample": spec.counterexample and spec.counterexample._asdict()}
+                for spec in results
+            ],
             "summary": {
                 "total": len(results),
                 "passed": len(results) - len(failed),

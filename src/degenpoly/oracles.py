@@ -9,12 +9,11 @@ them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb
 from operator import gt
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 __all__ = [
     "MAX_ENUMERATION_N",
@@ -29,8 +28,7 @@ __all__ = [
 MAX_ENUMERATION_N = 9
 
 
-@dataclass(frozen=True)
-class PermStatDistribution:
+class PermStatDistribution(NamedTuple):
     """counts[k] = number of permutations of {1..n} with statistic value k."""
 
     n: int
@@ -73,8 +71,7 @@ def excedance_distribution(n: int) -> PermStatDistribution:
     return _distribution(n, lambda sigma: sum(map(gt, sigma[:-1], range(1, n))))
 
 
-@dataclass(frozen=True)
-class ClassicalTriangles:
+class ClassicalTriangles(NamedTuple):
     """Classical integer/rational reference tables, rows 0..max_n.
 
     eulerian[n][k] for 0 <= k <= n (top entry 0 for n >= 1), the signed

@@ -22,7 +22,7 @@ sum is λ-negated once, by flipping the sign of its odd numerators
 (``algebra._negate_lambda``), rather than kept as a second table.
 
 The Eulerian triangles (one per route), the Bernoulli polynomials and
-the second-kind Stirling numbers are memoized per process, like the
+the Stirling numbers of both kinds are memoized per process, like the
 falling factorials and the Bernoulli taps they are built from: filled on
 first use, sliced for a smaller n, continued by the route's own
 recursion for a larger one, never rebuilt. Each route keeps its own
@@ -53,10 +53,9 @@ multiplies the int numerator lists of the partial sum by (1 + sλ)(x-1)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .algebra import (
     _FALLING,
@@ -194,8 +193,7 @@ _EXTEND_EULERIAN = {
 }
 
 
-@dataclass(frozen=True)
-class EulerianTable:
+class EulerianTable(NamedTuple):
     """Triangular table of degenerate Eulerian numbers, tagged by route."""
 
     max_n: int
@@ -291,6 +289,8 @@ def bernoulli_polynomial(n: int) -> XLPoly:
 _BERNOULLI_POLY: Dict[int, XLPoly] = {}
 #: {n k} per (n, k) already asked for.
 _STIRLING2: Dict[Tuple[int, int], LambdaPoly] = {}
+#: S1(n,0)..S1(n,n) per n already asked for.
+_STIRLING1: Dict[int, Tuple[LambdaPoly, ...]] = {}
 
 
 def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
@@ -314,12 +314,13 @@ def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
 
 def _clear_memos() -> None:
     """Forget every memoized builder value: the Eulerian rows, the Bernoulli
-    polynomials, the Stirling numbers, the Bernoulli taps past β_0, the
-    falling factorials and the descent distributions."""
+    polynomials, the Stirling numbers of both kinds, the Bernoulli taps past
+    β_0, the falling factorials and the descent distributions."""
     for rows in _EULERIAN_ROWS.values():
         rows.clear()
     _BERNOULLI_POLY.clear()
     _STIRLING2.clear()
+    _STIRLING1.clear()
     del _BERNOULLI[1:]
     _FALLING.clear()
     _DESCENTS.clear()
@@ -345,18 +346,22 @@ def stirling1_row(n: int) -> List[LambdaPoly]:
 
     Triangular elimination: (x)_{k,λ} is monic of x-degree k, so peeling
     the leading x-coefficient off the remainder is exact and terminates.
+    Memoized per n and process; each call returns a new list.
     """
     _check_nonneg(n=n)
-    rem = falling_factorial_classical(n)
-    out = [LambdaPoly() for _ in range(n + 1)]
-    for k in range(n, -1, -1):
-        c = rem.coeff(k)
-        if not c.is_zero:
-            out[k] = c
-            rem = rem - falling_factorial_degenerate(X, k) * c
-    if not rem.is_zero:
-        raise AssertionError("basis conversion left a nonzero remainder")
-    return out
+    row = _STIRLING1.get(n)
+    if row is None:
+        rem = falling_factorial_classical(n)
+        out = [LambdaPoly() for _ in range(n + 1)]
+        for k in range(n, -1, -1):
+            c = rem.coeff(k)
+            if not c.is_zero:
+                out[k] = c
+                rem = rem - falling_factorial_degenerate(X, k) * c
+        if not rem.is_zero:
+            raise AssertionError("basis conversion left a nonzero remainder")
+        row = _STIRLING1[n] = tuple(out)
+    return list(row)
 
 
 def eulerian_from_stirling2(n: int, k: int) -> LambdaPoly:

@@ -22,10 +22,10 @@ running any selection in any order yields identical per-check results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .algebra import (
     LambdaPoly,
@@ -68,16 +68,16 @@ __all__ = [
     "run_suite",
 ]
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     parameters: Dict[str, int]
     lhs: str
     rhs: str
 
 
-@dataclass
-class CheckSpec:
-    """One named identity check with its outcome."""
+class CheckSpec(NamedTuple):
+    """One named identity check with its outcome, built once when the check
+    has run: status "pass", or "fail" with the smallest counterexample.
+    ``status`` defaults to "pending" for a spec built by hand."""
 
     id: str
     statement: str
@@ -90,14 +90,13 @@ class CheckSpec:
 Cases = Iterator[Tuple[Dict[str, int], object, object]]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     id: str
     statement: str
     default_ranges: Dict[str, int]
     cases: Callable[[Dict[str, int]], Cases]
-    max_ranges: Dict[str, int] = field(default_factory=dict)
-    min_ranges: Dict[str, int] = field(default_factory=dict)
+    max_ranges: Mapping[str, int] = MappingProxyType({})
+    min_ranges: Mapping[str, int] = MappingProxyType({})
 
 
 class UnknownCheckError(ValueError):
@@ -139,16 +138,15 @@ def _agree(lhs, rhs) -> bool:
 
 
 def run_check(check: Check, ranges: Optional[Dict[str, int]] = None) -> CheckSpec:
-    """Run one check over its (possibly overridden) ranges."""
+    """Run one check over its (possibly overridden) ranges and return its
+    finished spec: "fail" with the first (smallest) disagreeing case as the
+    counterexample, else "pass"."""
     effective = _effective_ranges(check, ranges)
-    spec = CheckSpec(id=check.id, statement=check.statement, ranges=effective)
     for params, lhs, rhs in check.cases(effective):
         if not _agree(lhs, rhs):
-            spec.status = "fail"
-            spec.counterexample = Counterexample(dict(params), str(lhs), str(rhs))
-            return spec
-    spec.status = "pass"
-    return spec
+            counterexample = Counterexample(dict(params), str(lhs), str(rhs))
+            return CheckSpec(check.id, check.statement, effective, "fail", counterexample)
+    return CheckSpec(check.id, check.statement, effective, "pass")
 
 
 # ---------------------------------------------------------------------------

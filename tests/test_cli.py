@@ -3,9 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from fractions import Fraction as F
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -453,3 +456,37 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 2
+
+
+#: One command of each kind, none with --timestamp.
+PLAIN_COMMANDS = (
+    ("table", "bernoulli", "--n-max", "3"),
+    ("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "0"),
+    ("verify", "--check", "eulerian-top-entry", "--format", "json"),
+)
+#: Modules no command loads unless it needs them: dataclasses (and inspect
+#: through it) never, datetime only for --timestamp, importlib.resources
+#: only for output_schema().
+ON_DEMAND_MODULES = ("dataclasses", "inspect", "datetime", "importlib.resources")
+
+
+def test_commands_load_no_on_demand_module():
+    code = (
+        "import io, json, sys\n"
+        "from degenpoly.cli import main\n"
+        f"for argv in {PLAIN_COMMANDS!r}:\n"
+        "    assert main(list(argv), io.StringIO()) == 0, argv\n"
+        f"print(json.dumps([m for m in {ON_DEMAND_MODULES!r} if m in sys.modules]))\n"
+    )
+    # -S: the site hooks of an interpreter may import importlib.resources
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("argv", PLAIN_COMMANDS, ids=lambda argv: argv[0])
+def test_timestamp_is_utc_iso_and_only_on_request(argv):
+    assert "timestamp" not in run_json(*argv)["metadata"]
+    stamp = datetime.fromisoformat(run_json(*argv, "--timestamp")["metadata"]["timestamp"])
+    assert stamp.utcoffset() == timedelta(0)

@@ -307,6 +307,34 @@ def test_stirling1_reconstructs_classical_falling_factorial():
         assert acc == falling_factorial_classical(n), n
 
 
+def test_stirling1_row_is_memoized_per_n(monkeypatch):
+    # one basis elimination per n and process; each CLI command starts over
+    calls = []
+    falling = sequences.falling_factorial_degenerate
+    monkeypatch.setattr(sequences, "falling_factorial_degenerate",
+                        lambda *args: calls.append(args) or falling(*args))
+    sequences._clear_memos()
+    first = stirling1_row(6)
+    assert calls
+    calls.clear()
+    second = stirling1_row(6)
+    assert calls == []
+    assert second == first and second is not first
+    second.append(LambdaPoly())  # a caller's list is its own
+    assert stirling1_row(6) == first
+
+    argv = ["table", "stirling1", "--n-max", "6"]
+    counts, outputs = [], []
+    for _ in range(2):
+        calls.clear()
+        sink = io.StringIO()
+        assert main(argv, sink) == 0
+        counts.append(len(calls))
+        outputs.append(sink.getvalue())
+    assert counts[0] > 0 and counts[0] == counts[1]
+    assert outputs[0] == outputs[1]
+
+
 def test_eulerian_from_stirling2_small():
     assert eulerian_from_stirling2(1, 1) == 1
     assert eulerian_from_stirling2(2, 1) == LambdaPoly((1, -1))

@@ -78,6 +78,13 @@ def _perturbed_check(mutations):
     return Check("self-test-perturbed", "harness self-test", {"n_max": 5}, cases)
 
 
+def test_range_limits_default_to_an_immutable_empty_mapping():
+    check = _perturbed_check({})
+    assert check.max_ranges == {} and check.min_ranges == {}
+    with pytest.raises(TypeError):  # the default is shared by every Check
+        check.max_ranges["n_max"] = 3
+
+
 def test_perturbed_check_reports_smallest_counterexample():
     lam = LambdaPoly((0, 1))
     check = _perturbed_check({(3, 1): lam, (2, 0): lam})
