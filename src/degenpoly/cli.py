@@ -50,7 +50,6 @@ from .sequences import (
     stirling1_row,
     stirling2_degenerate,
     stirling2_from_eulerian,
-    _clear_memos,
 )
 from .verify import RangeOverrideError, UnknownCheckError, run_suite
 
@@ -455,9 +454,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _parser().parse_args(argv)
-    # Each command starts from empty memos, so what it costs does not depend
-    # on the commands run before it in the same process.
-    _clear_memos()
+    # The builder memos live as long as the process, so a command reuses the
+    # rows, taps and products that earlier commands built.
     try:
         return args.func(args, out)
     except UsageError as exc:

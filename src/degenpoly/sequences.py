@@ -26,9 +26,12 @@ the Stirling numbers of both kinds are memoized per process, like the
 falling factorials and the Bernoulli taps they are built from: filled on
 first use, sliced for a smaller n, continued by the route's own
 recursion for a larger one, never rebuilt. Each route keeps its own
-rows, so no route answers for another. ``_clear_memos`` empties them
-all, and the memoized descent distributions of ``oracles`` with them;
-the CLI calls it before each command.
+rows, so no route answers for another. The memos outlive a command of
+the CLI as well, so later commands in the same process reuse them; a
+builder only ever stores complete rows and taps, so a command that fails
+midway leaves nothing partial behind. ``_clear_memos`` empties them all,
+and the memoized descent distributions of ``oracles`` with them; the
+tests call it to start from nothing.
 
 The builders whose values lie in Z[λ], or in Z[λ] over one known
 denominator, run on int numerator lists through ``algebra._add_linear``
@@ -269,12 +272,14 @@ def bernoulli_polynomial(n: int) -> XLPoly:
 
     from acc = β_0 = 1, on int numerator lists (one per x-coefficient) over
     the lcm D of the denominators of β_0..β_n. Multiplying by (x - jλ)
-    takes x-coefficient m to c_{m-1} - jλ·c_m. Memoized per n and process.
+    takes x-coefficient m to c_{m-1} - jλ·c_m. Memoized per n and process;
+    the taps are read on every call, memo hit or not, so each call reaches
+    the egf solve it is built from.
     """
     _check_nonneg(n=n)
+    beta = bernoulli_taps(n)
     poly = _BERNOULLI_POLY.get(n)
     if poly is None:
-        beta = bernoulli_taps(n)
         den = lcm(*[b._den for b in beta])
         acc = [[den]]  # β_0 = 1
         for j in range(n - 1, -1, -1):

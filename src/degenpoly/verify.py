@@ -14,8 +14,8 @@ outside them raises RangeOverrideError, and run_suite raises it before
 running any check.
 
 Checks share the memoized builders of ``algebra``, ``egf`` and
-``sequences`` (each triangle is built once per route and process, or per
-command under the CLI, then sliced or extended), but they are still pure
+``sequences`` (each triangle is built once per route and process, then
+sliced or extended), but they are still pure
 and independent of each other: a memo only ever returns what its route computes from scratch, so
 running any selection in any order yields identical per-check results.
 """

@@ -5,14 +5,35 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+from degenpoly import algebra, egf, sequences
 from degenpoly.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SELFTEST = BENCH / "selftest.py"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _recorded_digests():
+    return json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
+
+
+def _run(argv):
+    """main's exit status and stdout bytes, written as the harness writes them."""
+    sink = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+    status = main(argv, sink)
+    sink.flush()
+    return status, sink.buffer.getvalue()
 
 
 def test_bench_selftest_passes():
@@ -23,15 +44,48 @@ def test_bench_selftest_passes():
 
 def test_tables_match_the_recorded_digests():
     # the `tables` commands in-process, hashed as the harness hashes stdout
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    recorded = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
-    argvs = workloads.operations("tables", 0)
+    recorded = _recorded_digests()
+    argvs = _workloads().operations("tables", 0)
     assert len(argvs) == len(recorded) == 11
     for argv in argvs:
-        sink = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
-        assert main(argv, sink) == 0, argv
-        sink.flush()
-        digest = hashlib.sha256(sink.buffer.getvalue()).hexdigest()
-        assert digest == recorded[" ".join(argv)], argv
+        status, data = _run(argv)
+        assert status == 0, argv
+        assert hashlib.sha256(data).hexdigest() == recorded[" ".join(argv)], argv
+
+
+def _memo_sizes():
+    return (
+        {route: len(rows) for route, rows in sequences._EULERIAN_ROWS.items()},
+        {base: len(products) for base, products in algebra._FALLING.items()},
+        len(sequences._STIRLING1),
+        len(sequences._STIRLING2),
+        len(egf._BERNOULLI),
+        len(sequences._BERNOULLI_POLY),
+    )
+
+
+def test_warm_memos_print_what_empty_memos_print():
+    # one seed's `tables` and `eval-stream` commands, run in one process in
+    # two shuffled orders, print what each prints from empty memos, and the
+    # second pass grows no memo
+    workloads = _workloads()
+    recorded = _recorded_digests()
+    tables = workloads.operations("tables", 1)
+    argvs = tables + workloads.operations("eval-stream", 1)
+    cold = {}
+    for argv in argvs:
+        sequences._clear_memos()
+        cold[" ".join(argv)] = _run(argv)
+    for argv in tables:
+        status, data = cold[" ".join(argv)]
+        assert status == 0 and hashlib.sha256(data).hexdigest() == recorded[" ".join(argv)], argv
+
+    sequences._clear_memos()
+    sizes = []
+    for order in range(2):
+        shuffled = list(argvs)
+        random.Random(order).shuffle(shuffled)
+        for argv in shuffled:
+            assert _run(argv) == cold[" ".join(argv)], argv
+        sizes.append(_memo_sizes())
+    assert sizes[1] == sizes[0]

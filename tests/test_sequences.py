@@ -18,7 +18,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import degenpoly
-from degenpoly import sequences, verify
+from degenpoly import algebra, egf, sequences, verify
 from degenpoly.algebra import (
     LAM,
     LambdaPoly,
@@ -150,15 +150,14 @@ def test_warm_memo_changes_no_report():
     args = build_parser().parse_args(argv)
     run_suite()
     sink = io.StringIO()
-    # the command's own handler: main would empty the memo first
+    # the command's own handler, on the memos the suite filled
     assert args.func(args, sink) == 0
     assert sink.getvalue().encode("utf-8") == fresh
 
 
-def test_each_cli_command_starts_from_empty_memos(monkeypatch):
-    # the library reuses a triangle within a process; the CLI builds it
-    # afresh for every command, so a command's cost never depends on the
-    # commands before it
+def test_later_cli_commands_reuse_the_memos(monkeypatch):
+    # the memos outlive a CLI command, as they do for library callers: a
+    # second identical command extends no triangle and prints the same bytes
     builds = []
     extend = sequences._EXTEND_EULERIAN["recursion"]
     monkeypatch.setitem(sequences._EXTEND_EULERIAN, "recursion",
@@ -169,9 +168,50 @@ def test_each_cli_command_starts_from_empty_memos(monkeypatch):
         sink = io.StringIO()
         assert main(argv, sink) == 0
         outputs.append(sink.getvalue())
-    assert builds == [6, 6] and outputs[0] == outputs[1]
+    assert builds == [6] and outputs[0] == outputs[1]
     eulerian_table(6, "recursion")
-    assert builds == [6, 6]
+    assert builds == [6]
+
+
+# Each case makes one step of a memoized builder raise halfway through the
+# command: the step module, the step's name, and the command.
+CRASH_CASES = {
+    "extend-recursion": (sequences, "_add_linear",
+                         ["table", "eulerian-number", "--n-max", "10", "--route", "recursion"]),
+    "bernoulli-taps": (egf, "_add_linear", ["table", "bernoulli", "--n-max", "10"]),
+    "falling-factorial-int": (algebra, "_add_linear",
+                              ["eval", "powersum", "--m", "8", "--n", "10", "--lambda", "1/2",
+                               "--route", "direct"]),
+    "stirling1-row": (sequences, "falling_factorial_degenerate",
+                      ["table", "stirling1", "--n-max", "8"]),
+}
+
+
+@pytest.mark.parametrize("case", CRASH_CASES)
+def test_a_failed_command_leaves_only_complete_memos(monkeypatch, case):
+    # the memos outlive a failed command, so they must hold only complete
+    # rows and taps: the next command prints what it prints from empty memos
+    module, name, argv = CRASH_CASES[case]
+    step, calls, fail_at = getattr(module, name), [], []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) in fail_at:
+            raise RuntimeError(f"{name} interrupted")
+        return step(*args)
+
+    monkeypatch.setattr(module, name, flaky)
+    cold = io.StringIO()
+    assert main(argv, cold) == 0
+    fail_at.append(len(calls) // 2)
+    calls.clear()
+    sequences._clear_memos()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(argv, io.StringIO())
+    monkeypatch.undo()
+    warm = io.StringIO()
+    assert main(argv, warm) == 0
+    assert warm.getvalue() == cold.getvalue()
 
 
 def test_lambda_degree_and_row_sums():
@@ -308,7 +348,7 @@ def test_stirling1_reconstructs_classical_falling_factorial():
 
 
 def test_stirling1_row_is_memoized_per_n(monkeypatch):
-    # one basis elimination per n and process; each CLI command starts over
+    # one basis elimination per n and process, across CLI commands too
     calls = []
     falling = sequences.falling_factorial_degenerate
     monkeypatch.setattr(sequences, "falling_factorial_degenerate",
@@ -331,7 +371,7 @@ def test_stirling1_row_is_memoized_per_n(monkeypatch):
         assert main(argv, sink) == 0
         counts.append(len(calls))
         outputs.append(sink.getvalue())
-    assert counts[0] > 0 and counts[0] == counts[1]
+    assert counts[0] > 0 and counts[1] == 0
     assert outputs[0] == outputs[1]
 
 
