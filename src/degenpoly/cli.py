@@ -265,7 +265,7 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_eval(args, out) -> int:
-    lam = args.lam
+    lam = render_rational(args.lam)
     if args.expr == "powersum":
         if args.m is None or args.n is None:
             raise UsageError("powersum requires --m and --n")
@@ -273,14 +273,8 @@ def cmd_eval(args, out) -> int:
             raise UsageError("powersum requires m >= 1 and n >= 1")
         _check_cap("--n", args.n)
         route = _resolve_route(args.expr, args.route)
-        value = power_sum(args.m, args.n, route).eval(lam)
-        parameters = {
-            "m": args.m,
-            "n": args.n,
-            "lambda": render_rational(lam),
-            "route": route,
-        }
-        human = f"powersum(m={args.m}, n={args.n}, λ={render_rational(lam)}) = {render_rational(value)}"
+        value = power_sum(args.m, args.n, route).eval(args.lam)
+        parameters = {"m": args.m, "n": args.n, "lambda": lam, "route": route}
     else:  # eulerian-at
         if args.x is None or args.n is None:
             raise UsageError("eulerian-at requires --x and --n")
@@ -289,27 +283,22 @@ def cmd_eval(args, out) -> int:
         if route == "bernoulli":
             if args.x != Fraction(-1):
                 raise UsageError("the bernoulli route only applies at x = -1")
-            value = eulerian_at_minus_one(args.n, "bernoulli").eval(lam)
+            value = eulerian_at_minus_one(args.n, "bernoulli").eval(args.lam)
         else:
-            value = eulerian_poly(args.n).eval_x(args.x).eval(lam)
-        parameters = {
-            "x": render_rational(args.x),
-            "n": args.n,
-            "lambda": render_rational(lam),
-            "route": route,
-        }
-        human = (
-            f"eulerian-poly(n={args.n})(x={render_rational(args.x)}, "
-            f"λ={render_rational(lam)}) = {render_rational(value)}"
-        )
+            value = eulerian_poly(args.n).eval_x(args.x).eval(args.lam)
+        parameters = {"x": render_rational(args.x), "n": args.n, "lambda": lam, "route": route}
+    value = render_rational(value)
 
     if args.human:
-        out.write(human + "\n")
+        if args.expr == "powersum":
+            out.write(f"powersum(m={args.m}, n={args.n}, λ={lam}) = {value}\n")
+        else:
+            out.write(f"eulerian-poly(n={args.n})(x={parameters['x']}, λ={lam}) = {value}\n")
         return 0
     doc = {
         "family": args.expr,
         "parameters": parameters,
-        "value": render_rational(value),
+        "value": value,
         "metadata": _metadata(route=route, timestamp=args.timestamp),
     }
     _emit_json(doc, out)
@@ -451,9 +440,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """The namespace the full parser makes of ``argv``, in one argparse pass
+    when ``argv`` names a command.
+
+    The full parser runs a pass of its own over the arguments, then hands
+    everything after the command name to that command's subparser. A known
+    command goes straight to its subparser instead. Anything else (no
+    command, -h, an unknown command, or arguments the subparser leaves
+    over) goes through the full parser, so every usage message and exit
+    status stays the full parser's own.
+    """
+    parser = _parser()
+    (commands,) = parser._subparsers._group_actions
+    command = commands.choices.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # The builder memos live as long as the process, so a command reuses the
     # rows, taps and products that earlier commands built.
     try:

@@ -9,9 +9,10 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
-from degenpoly import algebra, egf, sequences
-from degenpoly.cli import main
+from degenpoly import algebra, cli, egf, sequences
+from degenpoly.cli import build_parser, main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SELFTEST = BENCH / "selftest.py"
@@ -89,3 +90,16 @@ def test_warm_memos_print_what_empty_memos_print():
             assert _run(argv) == cold[" ".join(argv)], argv
         sizes.append(_memo_sizes())
     assert sizes[1] == sizes[0]
+
+
+def test_direct_parse_gives_the_full_parsers_namespace():
+    # every command the harness runs parses in one pass, straight through
+    # its subparser, into the namespace the full parser makes of it
+    workloads = _workloads()
+    full = build_parser()
+    argvs = [argv for workload in ("eval-stream", "tables", "suite")
+             for argv in workloads.operations(workload, 1)]
+    expected = [full.parse_args(argv) for argv in argvs]
+    with mock.patch.object(cli._parser(), "parse_args", side_effect=AssertionError("full parser")):
+        assert [cli._parse_args(argv) for argv in argvs] == expected
+    assert {args.command for args in expected} == {"eval", "table", "verify"}

@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import datetime, timedelta
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -388,6 +390,76 @@ def test_random_argv_exits_0_1_or_2(argv):
     assert code in (0, 1, 2), argv
 
 
+_TIMESTAMP_RE = re.compile(r'"timestamp": "[^"]*"')
+
+
+def _outcome(argv):
+    """main's exit status (or SystemExit code), stdout and stderr for argv,
+    with a --timestamp value masked: it differs from one run to the next."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects usage errors by exiting
+            code = exc.code
+    return code, _TIMESTAMP_RE.sub('"timestamp": "?"', out.getvalue()), err.getvalue()
+
+
+def _full_parser_outcome(argv):
+    """_outcome with every argv parsed by the full parser."""
+    with mock.patch.object(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv)):
+        return _outcome(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argvs())
+def test_direct_parse_matches_the_full_parser(argv):
+    assert _outcome(argv) == _full_parser_outcome(argv)
+
+
+#: argvs the direct path hands to the full parser (no command, top-level
+#: help, an unknown command, an argument a subparser leaves over), and a
+#: subparser's own usage error and help.
+FALLBACK_ARGVS = (
+    [],
+    ["-h"],
+    ["bogus"],
+    ["eval"],
+    ["eval", "-h"],
+    ["table", "bernoulli", "--n-max", "3", "--bogus"],
+)
+
+
+@pytest.mark.parametrize("argv", FALLBACK_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_usage_paths_match_the_full_parser(argv):
+    code, out, err = _outcome(argv)
+    assert code in (0, 2) and (out or err)
+    assert (code, out, err) == _full_parser_outcome(argv)
+
+
+def test_leftover_arguments_get_the_top_level_usage():
+    argv = ["eval", "powersum", "--m", "2", "--n", "3", "--lambda", "1", "--suite", "all"]
+    code, out, err = _outcome(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: degenpoly [-h] {table,eval,verify} ...\n")
+    assert err.endswith("\ndegenpoly: error: unrecognized arguments: --suite all\n")
+    assert (code, out, err) == _full_parser_outcome(argv)
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch):
+    query = ["eval", "powersum", "--m", "2", "--n", "2", "--lambda", "1"]
+    monkeypatch.setattr(sys, "argv", ["degenpoly", *query])
+    code, out, err = _outcome(None)
+    assert (code, json.loads(out)["value"], err) == (0, "2", "")
+    assert (code, out, err) == _full_parser_outcome(None) == _outcome(query)
+
+    monkeypatch.setattr(sys, "argv", ["degenpoly", *query, "--bogus"])
+    code, out, err = _outcome(None)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: degenpoly [-h] {table,eval,verify} ...\n")
+    assert (code, out, err) == _full_parser_outcome(None)
+
+
 # ---------------------------------------------------------------------------
 # determinism and process-level behavior
 # ---------------------------------------------------------------------------
@@ -405,28 +477,26 @@ def test_byte_identical_invocations():
 
 
 #: Commands that share one parser in one process, in this order: a --check
-#: that must not reach the --suite run, and a usage error before an eval.
+#: that must not reach the --suite run, and two usage errors before an eval,
+#: one from the command and one from argparse (a leftover argument, which
+#: the full parser reports).
 ONE_PROCESS_SEQUENCE = (
     ("verify", "--check", "thm-2.8-stirling2-from-eulerian", "--n-max", "3"),
     ("verify", "--suite", "all", "--format", "json"),
     ("table", "eulerian-number", "--n-max", "3", "--route", "nope"),
+    ("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "1", "--bogus"),
     ("eval", "powersum", "--m", "5", "--n", "3", "--lambda=-2/3", "--route", "bernoulli"),
     ("table", "eulerian-poly", "--n-max", "4", "--lambda", "1/2", "--format", "csv"),
 )
 
 
 def test_commands_in_one_process_stay_independent(monkeypatch):
-    def run_with_stderr(argv):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code, text = run_cli(*argv)
-        return code, text, err.getvalue()
-
     fresh = []
     for argv in ONE_PROCESS_SEQUENCE:
         cli._parser.cache_clear()
-        fresh.append(run_with_stderr(argv))
-    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+        fresh.append(_outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0]
+    assert fresh[3][2].startswith("usage: degenpoly [-h] {table,eval,verify} ...\n")
     assert len(json.loads(fresh[1][1])["checks"]) == len(check_ids())
 
     builds = []
@@ -437,7 +507,7 @@ def test_commands_in_one_process_stay_independent(monkeypatch):
 
     cli._parser.cache_clear()
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    shared = [run_with_stderr(argv) for argv in ONE_PROCESS_SEQUENCE]
+    shared = [_outcome(argv) for argv in ONE_PROCESS_SEQUENCE]
     assert shared == fresh
     assert len(builds) == 1
 
