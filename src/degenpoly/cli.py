@@ -29,7 +29,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -68,7 +68,7 @@ FAMILY_ROUTES = {
     "eulerian-at": AT_MINUS_ONE_ROUTES,
 }
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 #: Tokens argparse reads as values rather than options: its own negative
 #: numbers ("-3", "-0.5") plus negative rationals ("-2/3").
@@ -86,12 +86,14 @@ class UsageError(Exception):
 
 def parse_rational(token: str) -> Fraction:
     """Parse an exact rational token; floats are rejected, not rounded."""
-    if not _RATIONAL_RE.match(token):
+    match = _RATIONAL_RE.match(token)
+    if not match:
         raise UsageError(
             f"invalid rational {token!r}: expected an exact value like -3 or 1/2 "
             "(float literals are not accepted)"
         )
-    return Fraction(token)
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def render_rational(value) -> str:
@@ -378,11 +380,82 @@ def _rational_arg(*words: str):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that takes "--lambda -2/3" as a value, like "--n -3"."""
+    """ArgumentParser that takes "--lambda -2/3" as a value, like "--n -3",
+    and reads the plain forms of a command's arguments in one pass."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_VALUE_RE
+
+    @cached_property
+    def _plain_forms(self):
+        """What parse_plain reads, taken from this parser's own actions:
+        option string -> (action, kind, type) for the single-value ``store``
+        and ``append`` options and the ``store_true`` flags, the one
+        positional, the defaults (a string default through ``type``, as
+        argparse converts it) and the required actions."""
+        kinds = {self._registry_get("action", kind): kind for kind in ("store", "store_true", "append")}
+        options, positional, defaults = {}, None, {}
+        for action in self._actions:
+            kind = kinds.get(type(action))
+            convert = self._registry_get("type", action.type, action.type)
+            if kind is not None and (kind == "store_true" or action.nargs is None):
+                if action.option_strings:
+                    options.update(dict.fromkeys(action.option_strings, (action, kind, convert)))
+                elif kind == "store":
+                    positional = (action, kind, convert)
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                default = action.default
+                defaults.setdefault(action.dest, convert(default) if isinstance(default, str) else default)
+        for dest, default in self._defaults.items():
+            defaults.setdefault(dest, default)
+        required = frozenset(action for action in self._actions if action.required)
+        return options, positional, defaults, required
+
+    def parse_plain(self, args: Sequence[str], command: str) -> Optional[argparse.Namespace]:
+        """The namespace ``parse_args`` makes of ``args`` under ``command``,
+        read in one pass; None where ``args`` hold anything but exact option
+        strings with their values, ``--opt=value``, flags and the one
+        positional, or where a value fails its type or choices or a required
+        argument is missing. A value that starts with "-" must look like a
+        negative number. ``append`` builds a new list, so no command shares
+        the default."""
+        options, positional, defaults, required = self._plain_forms
+        values = {"command": command, **defaults}
+        seen = set()
+        tokens = iter(args)
+        for token in tokens:
+            if token[:1] != "-" or _NEGATIVE_VALUE_RE.match(token):
+                if positional is None or positional[0] in seen:
+                    return None
+                (action, kind, convert), value = positional, token
+            else:
+                option, explicit, value = token.partition("=")
+                entry = options.get(option)
+                if entry is None:
+                    return None
+                action, kind, convert = entry
+                if kind == "store_true":
+                    if explicit:
+                        return None
+                    values[action.dest] = action.const
+                    seen.add(action)
+                    continue
+                if not explicit:
+                    value = next(tokens, None)
+                    if value is None:
+                        return None
+                if value[:1] == "-" and not _NEGATIVE_VALUE_RE.match(value):
+                    return None
+            try:
+                value = convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = [*(values[action.dest] or ()), value] if kind == "append" else value
+            seen.add(action)
+        return argparse.Namespace(**values) if required <= seen else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,22 +514,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
-    """The namespace the full parser makes of ``argv``, in one argparse pass
-    when ``argv`` names a command.
+    """The namespace the full parser makes of ``argv``, read in one pass
+    over the tokens when ``argv`` is a known command in plain forms.
 
-    The full parser runs a pass of its own over the arguments, then hands
-    everything after the command name to that command's subparser. A known
-    command goes straight to its subparser instead. Anything else (no
-    command, -h, an unknown command, or arguments the subparser leaves
-    over) goes through the full parser, so every usage message and exit
-    status stays the full parser's own.
+    The arguments after a known command name are read against that
+    command's subparser's own actions (``_Parser.parse_plain``): exact
+    option strings with their values, ``--opt=value``, flags and the
+    positional. Anything else (no command, an unknown command, -h, --, an
+    abbreviated or unknown option, a flag given a value, a missing value
+    or required option, a value that fails its type or choices) goes
+    through the full parser, so every usage message, help text and exit
+    status stays argparse's own.
     """
     parser = _parser()
     (commands,) = parser._subparsers._group_actions
     command = commands.choices.get(argv[0]) if argv else None
     if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
+        args = command.parse_plain(argv[1:], argv[0])
+        if args is not None:
             return args
     return parser.parse_args(argv)
 

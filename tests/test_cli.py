@@ -59,6 +59,8 @@ def test_rational_rendering_is_canonical():
     assert render_rational(F(2, -4)) == "-1/2"
     assert render_rational(F(3)) == "3"
     assert parse_rational("-1/2") == F(-1, 2)
+    for token, canonical in (("+4/8", "1/2"), ("00", "0"), ("-0", "0"), ("7/6", "7/6")):
+        assert render_rational(parse_rational(token)) == canonical
     with pytest.raises(cli.UsageError):
         parse_rational("0.5")
     with pytest.raises(cli.UsageError):
@@ -353,30 +355,41 @@ RATIONAL_TOKENS = ("0", "3", "-1", "1/2", "-2/3", "0.5", "1/0")
 rationals = st.sampled_from(RATIONAL_TOKENS)
 ROUTES = sorted({route for routes in cli.FAMILY_ROUTES.values() for route in routes})
 small_ints = st.sampled_from(("-1", "0", "1", "2", "3", "4"))
+options_with_values = st.one_of(
+    st.tuples(st.just("--route"), st.sampled_from(ROUTES + ["bogus"])),
+    st.tuples(st.sampled_from(("--m", "--m-max", "--k-max")), small_ints),
+    st.tuples(st.sampled_from(("--lambda", "--x")), st.sampled_from(RATIONAL_TOKENS + ("symbolic",))),
+    st.tuples(st.just("--check"), st.sampled_from(check_ids() + ["no-such-id"])),
+    # abbreviations, which only the full parser reads
+    st.tuples(st.sampled_from(("--lam", "--rou", "--n-m", "--h")), st.sampled_from(("-2/3", "1/2", "direct", "3"))),
+)
 flags = st.one_of(
     st.sampled_from((["--human"], ["--timestamp"], ["--suite", "all"], ["--format", "json"],
-                     ["--format", "csv"], ["--format", "text"])),
-    st.tuples(st.just("--route"), st.sampled_from(ROUTES + ["bogus"])).map(list),
-    st.tuples(st.sampled_from(("--m", "--m-max", "--k-max")), small_ints).map(list),
-    st.tuples(st.sampled_from(("--lambda", "--x")), st.sampled_from(RATIONAL_TOKENS + ("symbolic",))).map(list),
-    st.tuples(st.just("--check"), st.sampled_from(check_ids() + ["no-such-id"])).map(list),
+                     ["--format", "csv"], ["--format", "text"], ["-h"], ["--"], ["--human=1"],
+                     ["--route", "--human"], ["--route=--"])),
+    options_with_values.map(list),
+    options_with_values.map(lambda option: ["=".join(option)]),  # --opt=value, --lambda=-2/3
 )
 
 
 @st.composite
 def cli_argvs(draw):
-    """A command, its positional arguments, n <= 4 and up to three flags."""
+    """A command, its positional arguments, n <= 4 and up to three flags, the
+    first of them maybe repeated; the positional maybe after the options, and
+    maybe an option without its value at the end."""
     command = draw(st.sampled_from(("table", "table", "eval", "eval", "verify", "verify", "bogus")))
-    argv = [command]
+    positional, options = [], []
     if command == "table":
-        argv.append(draw(st.sampled_from(cli.TABLE_FAMILIES + ("bogus",))))
+        positional.append(draw(st.sampled_from(cli.TABLE_FAMILIES + ("bogus",))))
     if command == "eval":
-        argv.append(draw(st.sampled_from(("powersum", "eulerian-at"))))
-        argv += ["--m", draw(small_ints), "--x", draw(rationals), "--lambda", draw(rationals)]
-    argv += ["--n" if command == "eval" else "--n-max", draw(small_ints)]
-    for flag in draw(st.lists(flags, max_size=3)):
-        argv += flag
-    return argv
+        positional.append(draw(st.sampled_from(("powersum", "eulerian-at"))))
+        options += ["--m", draw(small_ints), "--x", draw(rationals), "--lambda", draw(rationals)]
+    options += ["--n" if command == "eval" else "--n-max", draw(small_ints)]
+    chosen = draw(st.lists(flags, max_size=3))
+    for flag in chosen + chosen[:draw(st.integers(0, 1))]:
+        options += flag
+    options += draw(st.sampled_from(([], [], [], ["--route"], ["--lambda"], ["--check"])))
+    return [command] + (options + positional if draw(st.booleans()) else positional + options)
 
 
 @settings(max_examples=200, deadline=None)
@@ -418,8 +431,8 @@ def test_direct_parse_matches_the_full_parser(argv):
 
 
 #: argvs the direct path hands to the full parser (no command, top-level
-#: help, an unknown command, an argument a subparser leaves over), and a
-#: subparser's own usage error and help.
+#: help, an unknown command, an argument a subparser leaves over, forms the
+#: one-pass reader does not read), and a subparser's own usage error and help.
 FALLBACK_ARGVS = (
     [],
     ["-h"],
@@ -427,6 +440,21 @@ FALLBACK_ARGVS = (
     ["eval"],
     ["eval", "-h"],
     ["table", "bernoulli", "--n-max", "3", "--bogus"],
+    ["eval", "powersum", "--m", "2", "--n", "2", "--lam", "1"],
+    ["eval", "powersum", "--m", "2", "--n", "2", "--lam=-2/3"],
+    ["table", "bernoulli", "--rou", "egf-triangular", "--n-m", "2"],
+    ["table", "bernoulli", "--n-max", "3", "--", "--human"],
+    ["table", "bernoulli", "--n-max", "3", "--human=1"],
+    ["eval", "powersum", "--m", "2", "--n", "2", "--lambda"],
+    ["eval", "powersum", "--m", "2", "--n", "2", "--lambda", "1", "--route", "--human"],
+    ["table", "bernoulli", "--n-max", "3", "--route=--"],
+    ["table", "bernoulli", "--n-max", "3", "--h"],
+    ["eval", "powersum", "--m", "2", "--n", "2", "--lambda", "1", "--m", "x"],
+    ["eval", "powersum", "--m", "2", "--lambda", "1"],
+    ["table", "--n-max", "3", "bogus"],
+    ["table", "bernoulli", "bernoulli", "--n-max", "3"],
+    ["verify", "--check", "eulerian-top-entry", "-h"],
+    ["verify", "--format=xml"],
 )
 
 
@@ -479,7 +507,9 @@ def test_byte_identical_invocations():
 #: Commands that share one parser in one process, in this order: a --check
 #: that must not reach the --suite run, and two usage errors before an eval,
 #: one from the command and one from argparse (a leftover argument, which
-#: the full parser reports).
+#: the full parser reports); two --check runs, the second of which must not
+#: see the first's check in the append default, and a table whose "symbolic"
+#: --lambda default goes through the option's type.
 ONE_PROCESS_SEQUENCE = (
     ("verify", "--check", "thm-2.8-stirling2-from-eulerian", "--n-max", "3"),
     ("verify", "--suite", "all", "--format", "json"),
@@ -487,6 +517,9 @@ ONE_PROCESS_SEQUENCE = (
     ("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "1", "--bogus"),
     ("eval", "powersum", "--m", "5", "--n", "3", "--lambda=-2/3", "--route", "bernoulli"),
     ("table", "eulerian-poly", "--n-max", "4", "--lambda", "1/2", "--format", "csv"),
+    ("verify", "--check", "eulerian-top-entry"),
+    ("verify", "--check", "eulerian-row-sum"),
+    ("table", "bernoulli", "--n-max", "2"),
 )
 
 
@@ -495,9 +528,12 @@ def test_commands_in_one_process_stay_independent(monkeypatch):
     for argv in ONE_PROCESS_SEQUENCE:
         cli._parser.cache_clear()
         fresh.append(_outcome(argv))
-    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0]
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0, 0, 0, 0]
     assert fresh[3][2].startswith("usage: degenpoly [-h] {table,eval,verify} ...\n")
     assert len(json.loads(fresh[1][1])["checks"]) == len(check_ids())
+    assert fresh[7][1].splitlines()[0].startswith("PASS eulerian-row-sum ")
+    assert fresh[7][1].endswith("\n1 checks: 1 passed, 0 failed (mode: exact)\n")
+    assert json.loads(fresh[8][1])["parameters"]["lambda"] == "symbolic"
 
     builds = []
 
