@@ -563,31 +563,23 @@ _FALLING: Dict[object, list] = {}
 def falling_factorial_degenerate(base, n: int):
     """Degenerate falling factorial base·(base-λ)·(base-2λ)···(base-(n-1)λ).
 
-    An XLPoly base gives an XLPoly (generalized falling factorial of x);
-    a rational base gives a LambdaPoly. n = 0 is the empty product 1.
-    Products for integer bases and for X are memoized per process and
-    extended on int numerator lists; other bases are multiplied out in the
-    ring on every call.
+    An int base gives a LambdaPoly; the base X gives an XLPoly (the
+    generalized falling factorial of x). Any other base raises TypeError.
+    n = 0 is the empty product 1. The products are memoized per base and
+    process, and extended on int numerator lists.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if isinstance(base, XLPoly):
-        memoized = base == X
-    elif isinstance(base, (int, Fraction)):
-        memoized = isinstance(base, int)
-    else:
-        raise TypeError(f"base must be XLPoly or rational, got {type(base).__name__}")
-    products = _FALLING.get(base) if memoized else None
-    if products is None:  # a memo miss, or a base that is not memoized
+    scalar = isinstance(base, int)
+    if not scalar and not (isinstance(base, XLPoly) and base == X):
+        raise TypeError(f"base must be an int or X, got {type(base).__name__} {base!r}")
+    products = _FALLING.get(base)
+    if products is None:
         one = _make([1], 1)
-        products = [_xl([one]) if isinstance(base, XLPoly) else one]
-        if memoized:
-            _FALLING[base] = products
+        products = _FALLING[base] = [one if scalar else _xl([one])]
     for i in range(len(products) - 1, n):
         last = products[-1]
-        if not memoized:
-            products.append(last * (base - i * LAM))
-        elif isinstance(base, int):  # the numerators times (base - iλ)
+        if scalar:  # the numerators times (base - iλ)
             products.append(_make(_add_linear([], last._num, base, -i), 1))
         else:  # x-coefficient m of last·(x - iλ) is c_{m-1} - iλ·c_m
             cs = last.coeffs

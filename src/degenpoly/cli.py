@@ -8,10 +8,11 @@ shipped as ``degenpoly/output-schema.json``; CSV uses the fixed header
 ``family,n,k,value``. A separate --human flag renders readable math text
 instead of the machine formats.
 
-``table`` runs in three steps. Every family is built as rows of
-λ-polynomial cells: a triangle row, the x-coefficients of A_n(x), or the
-single cell β_n. A rational λ is substituted into each cell once. One
-short block per format then writes the rows.
+``table`` runs in three steps. Every family is read from the memo of its
+route (``sequences.route_rows``) as rows of λ-polynomial cells: a
+triangle row, or the single cell β_n. A rational λ is substituted into
+each cell once, and eulerian-poly keeps the trimmed x-coefficients of
+A_n(x). One short block per format then writes the rows.
 
 λ (and any other rational argument) is either the word "symbolic" or an
 exact rational token; float literals are rejected so results stay exact
@@ -35,38 +36,15 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from . import __version__
 from .algebra import LambdaPoly, XLPoly
-from .egf import bernoulli_taps
-from .sequences import (
-    AT_MINUS_ONE_ROUTES,
-    BERNOULLI_ROUTES,
-    EULERIAN_ROUTES,
-    POWER_SUM_ROUTES,
-    STIRLING1_ROUTES,
-    STIRLING2_ROUTES,
-    eulerian_at_minus_one,
-    eulerian_poly,
-    eulerian_table,
-    power_sum,
-    stirling1_row,
-    stirling2_degenerate,
-    stirling2_from_eulerian,
-)
+from .sequences import ROUTES, eulerian_at_minus_one, eulerian_poly, power_sum, route_rows
 from .verify import RangeOverrideError, UnknownCheckError, run_suite
 
 DEFAULT_N_CAP = 64
 N_CAP_ENV = "DEGENPOLY_MAX_N"
 
 TABLE_FAMILIES = ("eulerian-number", "eulerian-poly", "bernoulli", "stirling1", "stirling2")
-#: Routes per family, default first (the library's own route tuples).
-FAMILY_ROUTES = {
-    "eulerian-number": EULERIAN_ROUTES,
-    "eulerian-poly": EULERIAN_ROUTES,
-    "bernoulli": BERNOULLI_ROUTES,
-    "stirling1": STIRLING1_ROUTES,
-    "stirling2": STIRLING2_ROUTES,
-    "powersum": POWER_SUM_ROUTES,
-    "eulerian-at": AT_MINUS_ONE_ROUTES,
-}
+#: The library family of each CLI family name that is not one itself.
+_FAMILY = {"eulerian-number": "eulerian", "eulerian-poly": "eulerian"}
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
@@ -189,7 +167,7 @@ def _emit_json(doc: dict, out) -> None:
 
 
 def _resolve_route(family: str, requested: Optional[str]) -> str:
-    routes = FAMILY_ROUTES[family]
+    routes = tuple(ROUTES[_FAMILY.get(family, family)])
     if requested is None:
         return routes[0]
     if requested not in routes:
@@ -200,31 +178,17 @@ def _resolve_route(family: str, requested: Optional[str]) -> str:
     return requested
 
 
-def _table_rows(family: str, n_max: int, route: str) -> List[List[LambdaPoly]]:
-    """Rows of λ-polynomial cells: a triangle row, the trimmed x-coefficients
-    of A_n(x) for eulerian-poly, or [β_n] for bernoulli."""
-    if family == "eulerian-number":
-        return [list(row) for row in eulerian_table(n_max, route).rows]
-    if family == "eulerian-poly":
-        return [list(XLPoly(row).coeffs) for row in eulerian_table(n_max, route).rows]
-    if family == "bernoulli":
-        return [[b] for b in bernoulli_taps(n_max)]
-    if family == "stirling1":
-        return [stirling1_row(n) for n in range(n_max + 1)]
-    fn = stirling2_degenerate if route == "explicit" else stirling2_from_eulerian
-    return [[fn(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
-
-
 def cmd_table(args, out) -> int:
     family, lam = args.family, args.lam
     _check_cap("--n-max", args.n_max)
     route = _resolve_route(family, args.route)
-    rows = _table_rows(family, args.n_max, route)
+    # rows of λ-polynomial cells: a triangle row, or the single cell β_n
+    rows = route_rows(_FAMILY.get(family, family), args.n_max, route)
     symbolic = lam == "symbolic"
     if not symbolic:
         rows = [[c.eval(lam) for c in row] for row in rows]
-        if family == "eulerian-poly":  # a value can zero the leading coefficient
-            rows = [[c.coeff(0) for c in XLPoly(row).coeffs] for row in rows]
+    if family == "eulerian-poly":  # A_n(x)'s x-coefficients, trimmed after λ: a value can zero the top one
+        rows = [[c if symbolic else c.coeff(0) for c in XLPoly(row).coeffs] for row in rows]
     flat = family == "bernoulli"  # one cell per n, written without k
 
     if args.human:
@@ -282,10 +246,10 @@ def cmd_eval(args, out) -> int:
             raise UsageError("eulerian-at requires --x and --n")
         _check_cap("--n", args.n)
         route = _resolve_route(args.expr, args.route)
-        if route == "bernoulli":
-            if args.x != Fraction(-1):
-                raise UsageError("the bernoulli route only applies at x = -1")
-            value = eulerian_at_minus_one(args.n, "bernoulli").eval(args.lam)
+        if args.x == -1:
+            value = eulerian_at_minus_one(args.n, route).eval(args.lam)
+        elif route == "bernoulli":
+            raise UsageError("the bernoulli route only applies at x = -1")
         else:
             value = eulerian_poly(args.n).eval_x(args.x).eval(args.lam)
         parameters = {"x": render_rational(args.x), "n": args.n, "lambda": lam, "route": route}

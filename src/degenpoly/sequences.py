@@ -21,24 +21,27 @@ bridge, the power-sum expansion), the entries are summed first and the
 sum is λ-negated once, by flipping the sign of its odd numerators
 (``algebra._negate_lambda``), rather than kept as a second table.
 
-The Eulerian triangles (one per route), the Bernoulli polynomials and
-the Stirling numbers of both kinds are memoized per process, like the
-falling factorials and the Bernoulli taps they are built from: filled on
-first use, sliced for a smaller n, continued by the route's own
-recursion for a larger one, never rebuilt. Each route keeps its own
-rows, so no route answers for another. The memos outlive a command of
-the CLI as well, so later commands in the same process reuse them; a
-builder only ever stores complete rows and taps, so a command that fails
-midway leaves nothing partial behind. ``_clear_memos`` empties them all,
-and the memoized descent distributions of ``oracles`` with them; the
-tests call it to start from nothing.
+``ROUTES`` maps each family to its routes, default first, and each route
+to its private builder; one check refuses an unknown route. The rows of
+every table route are memoized per process in ``_ROWS``, per (family,
+route): a builder appends complete rows by its route's own formula from
+the first row not yet built, so a smaller n is sliced, a larger one
+continues the route and nothing is rebuilt. A route reads another
+route's rows only where its formula is stated over them (``stirling2``
+by ``eulerian`` sums the ``recursion`` triangle). The Bernoulli
+polynomials are memoized per n, as are the falling factorials and the
+Bernoulli taps in ``algebra`` and ``egf``. The memos outlive a CLI
+command, so later commands in the process reuse them; as only complete
+rows and taps are stored, a command that fails midway leaves nothing
+partial behind. ``_clear_memos`` empties them all, and the memoized
+descent distributions of ``oracles`` with them.
 
 The builders whose values lie in Z[λ], or in Z[λ] over one known
 denominator, run on int numerator lists through ``algebra._add_linear``
 and build one LambdaPoly (or one XLPoly of them) per value: the
 ``recursion`` route's cells, the explicit sums ``eulerian_explicit`` and
-``stirling2_degenerate`` (over k!), ``stirling2_from_eulerian`` (over
-k!), ``eulerian_from_stirling2`` (over the lcm of the {n j}
+the ``explicit`` route of ``stirling2`` (over k!), its ``eulerian`` route
+(over k!), ``eulerian_from_stirling2`` (over the lcm of the {n j}
 denominators), ``power_sum`` by the ``direct`` and ``eulerian`` routes,
 ``power_sum(..., "bernoulli")`` (an integer Horner scheme in x over the
 common denominator of β_{n+1}(x)), ``bernoulli_polynomial`` (a Horner
@@ -50,8 +53,9 @@ The ``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
 route sums its recursion as a nested Horner scheme in (x-1): each step
 multiplies the int numerator lists of the partial sum by (1 + sλ)(x-1)
 (``algebra._times_x_minus_one``) and adds C(n,i)·A_i(x), so it forms no
-λ-polynomial product. ``stirling1_row`` and the ``bernoulli`` route of
-``eulerian_at_minus_one`` use the ring operators.
+λ-polynomial product. The ``basis-conversion`` route of ``stirling1``
+and the ``bernoulli`` route of ``eulerian_at_minus_one`` use the ring
+operators.
 """
 
 from __future__ import annotations
@@ -78,13 +82,9 @@ from .egf import _BERNOULLI, bernoulli_taps
 from .oracles import _DESCENTS
 
 __all__ = [
-    "EULERIAN_ROUTES",
-    "AT_MINUS_ONE_ROUTES",
-    "BERNOULLI_ROUTES",
-    "STIRLING2_ROUTES",
-    "STIRLING1_ROUTES",
-    "POWER_SUM_ROUTES",
+    "ROUTES",
     "EulerianTable",
+    "route_rows",
     "eulerian_explicit",
     "eulerian_table",
     "eulerian_poly",
@@ -97,14 +97,6 @@ __all__ = [
     "power_sum",
     "worpitzky_lhs",
 ]
-
-# Route names per family; the first one is the default.
-EULERIAN_ROUTES = ("recursion", "explicit", "gf-recursion")
-AT_MINUS_ONE_ROUTES = ("direct", "bernoulli")
-BERNOULLI_ROUTES = ("egf-triangular",)
-STIRLING2_ROUTES = ("explicit", "eulerian")
-STIRLING1_ROUTES = ("basis-conversion",)
-POWER_SUM_ROUTES = ("direct", "eulerian", "bernoulli")
 
 
 def _check_nonneg(**kwargs):
@@ -131,7 +123,7 @@ def eulerian_explicit(n: int, k: int) -> LambdaPoly:
 
 
 def _extend_recursion(rows: List[tuple], max_n: int) -> None:
-    """Append triangle rows up to max_n by the two-term recursion
+    """Eulerian rows by the two-term recursion
 
         A(n,k) = ((n-k)+(n-1)λ)·A(n-1,k-1) + (k+1-(n-1)λ)·A(n-1,k)
 
@@ -159,7 +151,7 @@ def _extend_explicit(rows: List[tuple], max_n: int) -> None:
 
 
 def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
-    """Append rows up to max_n as the coefficients of A_n(x), built by the
+    """Eulerian rows as the coefficients of A_n(x), built by the
     generating-function recursion
 
         A_n(x) = Σ_{i=0}^{n-1} C(n,i)·A_i(x)·(1)_{n-i,-λ}·(x-1)^{n-i-1}
@@ -186,14 +178,166 @@ def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
         rows.append(tuple(_make(a, 1) for a in acc) + (zero,))
 
 
-#: Each route's triangle rows as far as any call has asked. A route only
-#: ever extends its own rows, so no route answers for another.
-_EULERIAN_ROWS: Dict[str, List[tuple]] = {route: [] for route in EULERIAN_ROUTES}
-_EXTEND_EULERIAN = {
-    "recursion": _extend_recursion,
-    "explicit": _extend_explicit,
-    "gf-recursion": _extend_gf_recursion,
+def _extend_bernoulli(rows: List[tuple], max_n: int) -> None:
+    """Rows (β_n,) of one cell each, the taps of the egf triangular solve."""
+    rows.extend((b,) for b in bernoulli_taps(max_n)[len(rows):])
+
+
+def _extend_stirling1(rows: List[tuple], max_n: int) -> None:
+    """Rows S1(n,0)..S1(n,n), the coefficients of (x)_n in the basis (x)_{k,λ}.
+
+    Triangular elimination: (x)_{k,λ} is monic of x-degree k, so peeling
+    the leading x-coefficient off the remainder is exact and terminates.
+    """
+    for n in range(len(rows), max_n + 1):
+        rem = falling_factorial_classical(n)
+        out = [LambdaPoly() for _ in range(n + 1)]
+        for k in range(n, -1, -1):
+            c = rem.coeff(k)
+            if not c.is_zero:
+                out[k] = c
+                rem = rem - falling_factorial_degenerate(X, k) * c
+        if not rem.is_zero:
+            raise AssertionError("basis conversion left a nonzero remainder")
+        rows.append(tuple(out))
+
+
+def _extend_stirling2(rows: List[tuple], max_n: int) -> None:
+    """Rows {n 0}..{n n} by the explicit sum
+
+        {n k} = ((-1)^k/k!)·Σ_{j=0}^{k} (-1)^j·C(k,j)·(j)_{n,λ}
+    """
+    for n in range(len(rows), max_n + 1):
+        row = []
+        for k in range(n + 1):
+            acc = []
+            for j in range(k + 1):
+                c = comb(k, j)
+                _add_linear(acc, falling_factorial_degenerate(j, n)._num, -c if (k - j) % 2 else c)
+            row.append(_make(acc, factorial(k)))
+        rows.append(tuple(row))
+
+
+def _extend_stirling2_eulerian(rows: List[tuple], max_n: int) -> None:
+    """Rows {n 0}..{n n} out of the λ-negated rows of the ``recursion``
+    Eulerian triangle:
+
+        {n k} = (1/k!)·Σ_{j=0}^{n} A_{-λ}(n,j)·C(j, n-k)
+    """
+    eulerian = _rows("eulerian", "recursion", max_n)
+    for n in range(len(rows), max_n + 1):
+        row = []
+        for k in range(n + 1):
+            acc = []
+            for j in range(n - k, n + 1):  # C(j, n-k) vanishes below j = n-k
+                _add_linear(acc, eulerian[n][j]._num, comb(j, n - k))
+            row.append(_make(_negate_lambda(acc), factorial(k)))
+        rows.append(tuple(row))
+
+
+def _power_sum_direct(m: int, n: int) -> LambdaPoly:
+    acc = []
+    for k in range(1, m + 1):
+        _add_linear(acc, falling_factorial_degenerate(k, n)._num, 1)
+    return _make(acc, 1)
+
+
+def _power_sum_eulerian(m: int, n: int) -> LambdaPoly:
+    row = eulerian_table(n).row(n)
+    acc = []
+    for j in range(n + 1):
+        _add_linear(acc, row[j]._num, comb(m + j + 1, n + 1))
+    return _make(_negate_lambda(acc), 1)
+
+
+def _power_sum_bernoulli(m: int, n: int) -> LambdaPoly:
+    # β_{n+1}(m+1) - β_{n+1}(0) = Σ_{j≥1} c_j·(m+1)^j: an integer Horner
+    # scheme over the common denominator that skips c_0
+    cs = bernoulli_polynomial(n + 1).coeffs
+    den = lcm(*[c._den for c in cs])
+    acc = []
+    for c in reversed(cs[1:]):
+        _add_linear(acc, c._num, den // c._den)
+        acc = [a * (m + 1) for a in acc]
+    return _make(acc, den * (n + 1))
+
+
+def _at_minus_one_direct(n: int) -> LambdaPoly:
+    return eulerian_poly(n).eval_x(-1)
+
+
+def _at_minus_one_bernoulli(n: int) -> LambdaPoly:
+    if n == 0:
+        return LambdaPoly((1,))
+    beta = bernoulli_taps(n + 1)[n + 1]
+    halved = beta.scale_lambda(Fraction(1, 2))
+    return (2 ** (n + 1) * halved - beta) * Fraction(2 ** (n + 1), n + 1)
+
+
+#: Every family's routes, default first, each with its private builder: a
+#: table route's builder extends its rows in ``_ROWS``, a point route's
+#: builder computes one value.
+ROUTES = {
+    "eulerian": {"recursion": _extend_recursion, "explicit": _extend_explicit,
+                 "gf-recursion": _extend_gf_recursion},
+    "bernoulli": {"egf-triangular": _extend_bernoulli},
+    "stirling1": {"basis-conversion": _extend_stirling1},
+    "stirling2": {"explicit": _extend_stirling2, "eulerian": _extend_stirling2_eulerian},
+    "powersum": {"direct": _power_sum_direct, "eulerian": _power_sum_eulerian,
+                 "bernoulli": _power_sum_bernoulli},
+    "eulerian-at": {"direct": _at_minus_one_direct, "bernoulli": _at_minus_one_bernoulli},
 }
+_TABLE_FAMILIES = ("eulerian", "bernoulli", "stirling1", "stirling2")
+
+#: Each table route's rows as far as any call has asked, per (family, route).
+#: A route only ever extends its own rows, so no route answers for another.
+_ROWS: Dict[Tuple[str, str], List[tuple]] = {
+    (family, route): [] for family in _TABLE_FAMILIES for route in ROUTES[family]
+}
+#: β_n(x) per n already asked for.
+_BERNOULLI_POLY: Dict[int, XLPoly] = {}
+
+
+def _default(family: str) -> str:
+    return next(iter(ROUTES[family]))
+
+
+def _route(family: str, route: str):
+    """The builder of ``route``; ValueError if ``family`` has no such route."""
+    routes = ROUTES[family]
+    if route not in tuple(routes):  # a route may be unhashable
+        raise ValueError(f"unknown route {route!r}, expected one of {tuple(routes)}")
+    return routes[route]
+
+
+def _rows(family: str, route: str, max_n: int) -> List[tuple]:
+    """The memo of a table route, extended to hold at least rows 0..max_n."""
+    extend = _route(family, route)
+    rows = _ROWS[family, route]
+    if len(rows) <= max_n:
+        extend(rows, max_n)
+    return rows
+
+
+def _clear_memos() -> None:
+    """Forget every memoized builder value: the rows of every table route,
+    the Bernoulli polynomials, the Bernoulli taps past β_0, the falling
+    factorials and the descent distributions."""
+    for rows in _ROWS.values():
+        rows.clear()
+    _BERNOULLI_POLY.clear()
+    del _BERNOULLI[1:]
+    _FALLING.clear()
+    _DESCENTS.clear()
+
+
+def route_rows(family: str, max_n: int, route: str) -> Tuple[tuple, ...]:
+    """Rows 0..max_n of a table family (``eulerian``, ``bernoulli``,
+    ``stirling1``, ``stirling2``) by the chosen route, from the memo."""
+    _check_nonneg(max_n=max_n)
+    if family not in _TABLE_FAMILIES:
+        raise ValueError(f"unknown table family {family!r}, expected one of {_TABLE_FAMILIES}")
+    return tuple(_rows(family, route, max_n)[: max_n + 1])
 
 
 class EulerianTable(NamedTuple):
@@ -215,22 +359,17 @@ class EulerianTable(NamedTuple):
         return self.rows[n]
 
 
-def eulerian_table(max_n: int, route: str = EULERIAN_ROUTES[0]) -> EulerianTable:
+def eulerian_table(max_n: int, route: str = _default("eulerian")) -> EulerianTable:
     """The triangle 0..max_n by the chosen route.
 
     Rows are memoized per route and process: a smaller max_n slices the
     rows already built, a larger one continues the route from its last row.
     """
     _check_nonneg(max_n=max_n)
-    if route not in _EULERIAN_ROWS:
-        raise ValueError(f"unknown route {route!r}, expected one of {EULERIAN_ROUTES}")
-    rows = _EULERIAN_ROWS[route]
-    if len(rows) <= max_n:
-        _EXTEND_EULERIAN[route](rows, max_n)
-    return EulerianTable(max_n, route, tuple(rows[: max_n + 1]))
+    return EulerianTable(max_n, route, tuple(_rows("eulerian", route, max_n)[: max_n + 1]))
 
 
-def eulerian_poly(n: int, route: str = EULERIAN_ROUTES[0]) -> XLPoly:
+def eulerian_poly(n: int, route: str = _default("eulerian")) -> XLPoly:
     """Degenerate Eulerian polynomial A_n(x) = Σ_k A(n,k)·x^k.
 
     Each route's row n is the coefficient list; 'gf-recursion' builds its
@@ -241,7 +380,7 @@ def eulerian_poly(n: int, route: str = EULERIAN_ROUTES[0]) -> XLPoly:
     return XLPoly(eulerian_table(n, route).row(n))
 
 
-def eulerian_at_minus_one(n: int, route: str = AT_MINUS_ONE_ROUTES[0]) -> LambdaPoly:
+def eulerian_at_minus_one(n: int, route: str = _default("eulerian-at")) -> LambdaPoly:
     """The value A_n(-1), i.e. the alternating sum Σ_k (-1)^k A(n,k).
 
     route 'direct' evaluates the Eulerian polynomial at x = -1; route
@@ -252,15 +391,7 @@ def eulerian_at_minus_one(n: int, route: str = AT_MINUS_ONE_ROUTES[0]) -> Lambda
     which exercises the λ -> λ/2 substitution.
     """
     _check_nonneg(n=n)
-    if route == "direct":
-        return eulerian_poly(n).eval_x(-1)
-    if route == "bernoulli":
-        if n == 0:
-            return LambdaPoly((1,))
-        beta = bernoulli_taps(n + 1)[n + 1]
-        halved = beta.scale_lambda(Fraction(1, 2))
-        return (2 ** (n + 1) * halved - beta) * Fraction(2 ** (n + 1), n + 1)
-    raise ValueError(f"unknown route {route!r}, expected one of {AT_MINUS_ONE_ROUTES}")
+    return _route("eulerian-at", route)(n)
 
 
 def bernoulli_polynomial(n: int) -> XLPoly:
@@ -290,83 +421,35 @@ def bernoulli_polynomial(n: int) -> XLPoly:
     return poly
 
 
-#: β_n(x) per n already asked for.
-_BERNOULLI_POLY: Dict[int, XLPoly] = {}
-#: {n k} per (n, k) already asked for.
-_STIRLING2: Dict[Tuple[int, int], LambdaPoly] = {}
-#: S1(n,0)..S1(n,n) per n already asked for.
-_STIRLING1: Dict[int, Tuple[LambdaPoly, ...]] = {}
-
-
 def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
-    """Degenerate Stirling number of the second kind, explicit sum
-
-        {n k} = ((-1)^k/k!)·Σ_{j=0}^{k} (-1)^j·C(k,j)·(j)_{n,λ}
-
-    Total in (n,k): the sum vanishes identically for k > n. Memoized per
-    (n, k) and process.
-    """
+    """Degenerate Stirling number of the second kind {n k}, from the rows
+    of the ``explicit`` route. Total in (n,k): zero for k > n."""
     _check_nonneg(n=n, k=k)
-    value = _STIRLING2.get((n, k))
-    if value is None:
-        acc = []
-        for j in range(k + 1):
-            c = comb(k, j)
-            _add_linear(acc, falling_factorial_degenerate(j, n)._num, -c if (k - j) % 2 else c)
-        value = _STIRLING2[(n, k)] = _make(acc, factorial(k))
-    return value
-
-
-def _clear_memos() -> None:
-    """Forget every memoized builder value: the Eulerian rows, the Bernoulli
-    polynomials, the Stirling numbers of both kinds, the Bernoulli taps past
-    β_0, the falling factorials and the descent distributions."""
-    for rows in _EULERIAN_ROWS.values():
-        rows.clear()
-    _BERNOULLI_POLY.clear()
-    _STIRLING2.clear()
-    _STIRLING1.clear()
-    del _BERNOULLI[1:]
-    _FALLING.clear()
-    _DESCENTS.clear()
+    if k > n:
+        return LambdaPoly()
+    return _rows("stirling2", "explicit", n)[n][k]
 
 
 def stirling2_from_eulerian(n: int, k: int) -> LambdaPoly:
-    """Second-kind Stirling number out of the λ-negated Eulerian row:
+    """{n k} from the rows of the ``eulerian`` route of ``stirling2``,
 
-        {n k} = (1/k!)·Σ_{j=0}^{n} A_{-λ}(n,j)·C(j, n-k)
+        {n k} = (1/k!)·Σ_{j=0}^{n} A_{-λ}(n,j)·C(j, n-k).
+
+    The Eulerian triangle is read on every call, memo hit or not, so each
+    call reaches the rows it is built from.
     """
     _check_nonneg(n=n, k=k)
     if k > n:
         raise ValueError("route requires 0 <= k <= n")
-    row = eulerian_table(n).row(n)
-    acc = []
-    for j in range(n - k, n + 1):  # C(j, n-k) vanishes below j = n-k
-        _add_linear(acc, row[j]._num, comb(j, n - k))
-    return _make(_negate_lambda(acc), factorial(k))
+    eulerian_table(n)
+    return _rows("stirling2", "eulerian", n)[n][k]
 
 
 def stirling1_row(n: int) -> List[LambdaPoly]:
-    """Coefficients S1(n,0)..S1(n,n) of (x)_n in the basis (x)_{k,λ}.
-
-    Triangular elimination: (x)_{k,λ} is monic of x-degree k, so peeling
-    the leading x-coefficient off the remainder is exact and terminates.
-    Memoized per n and process; each call returns a new list.
-    """
+    """Coefficients S1(n,0)..S1(n,n) of (x)_n in the basis (x)_{k,λ}, from
+    the rows of the ``basis-conversion`` route; each call returns a new list."""
     _check_nonneg(n=n)
-    row = _STIRLING1.get(n)
-    if row is None:
-        rem = falling_factorial_classical(n)
-        out = [LambdaPoly() for _ in range(n + 1)]
-        for k in range(n, -1, -1):
-            c = rem.coeff(k)
-            if not c.is_zero:
-                out[k] = c
-                rem = rem - falling_factorial_degenerate(X, k) * c
-        if not rem.is_zero:
-            raise AssertionError("basis conversion left a nonzero remainder")
-        row = _STIRLING1[n] = tuple(out)
-    return list(row)
+    return list(_rows("stirling1", "basis-conversion", n)[n])
 
 
 def eulerian_from_stirling2(n: int, k: int) -> LambdaPoly:
@@ -385,7 +468,7 @@ def eulerian_from_stirling2(n: int, k: int) -> LambdaPoly:
     return _make(acc, den)
 
 
-def power_sum(m: int, n: int, route: str = POWER_SUM_ROUTES[0]) -> LambdaPoly:
+def power_sum(m: int, n: int, route: str = _default("powersum")) -> LambdaPoly:
     """The degenerate power sum Σ_{k=1}^{m} (k)_{n,λ}, by three routes:
 
       direct     literal summation of the falling factorials
@@ -394,28 +477,7 @@ def power_sum(m: int, n: int, route: str = POWER_SUM_ROUTES[0]) -> LambdaPoly:
     """
     if m < 1 or n < 1:
         raise ValueError("requires m >= 1 and n >= 1")
-    if route == "direct":
-        acc = []
-        for k in range(1, m + 1):
-            _add_linear(acc, falling_factorial_degenerate(k, n)._num, 1)
-        return _make(acc, 1)
-    if route == "eulerian":
-        row = eulerian_table(n).row(n)
-        acc = []
-        for j in range(n + 1):
-            _add_linear(acc, row[j]._num, comb(m + j + 1, n + 1))
-        return _make(_negate_lambda(acc), 1)
-    if route == "bernoulli":
-        # β_{n+1}(m+1) - β_{n+1}(0) = Σ_{j≥1} c_j·(m+1)^j: an integer Horner
-        # scheme over the common denominator that skips c_0
-        cs = bernoulli_polynomial(n + 1).coeffs
-        den = lcm(*[c._den for c in cs])
-        acc = []
-        for c in reversed(cs[1:]):
-            _add_linear(acc, c._num, den // c._den)
-            acc = [a * (m + 1) for a in acc]
-        return _make(acc, den * (n + 1))
-    raise ValueError(f"unknown route {route!r}, expected one of {POWER_SUM_ROUTES}")
+    return _route("powersum", route)(m, n)
 
 
 def worpitzky_lhs(n: int) -> XLPoly:

@@ -56,10 +56,8 @@ def test_tables_match_the_recorded_digests():
 
 def _memo_sizes():
     return (
-        {route: len(rows) for route, rows in sequences._EULERIAN_ROWS.items()},
+        {key: len(rows) for key, rows in sequences._ROWS.items()},
         {base: len(products) for base, products in algebra._FALLING.items()},
-        len(sequences._STIRLING1),
-        len(sequences._STIRLING2),
         len(egf._BERNOULLI),
         len(sequences._BERNOULLI_POLY),
     )

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpoly import cli
+from degenpoly import cli, sequences
 from degenpoly.algebra import LambdaPoly, XLPoly
 from degenpoly.cli import (
     build_parser,
@@ -143,7 +143,7 @@ def test_table_human():
 
 PIN_LAMBDAS = ("0", "1", "-1", "3/7", "-2/3")
 FAMILY_ROUTE_PAIRS = [(family, route) for family in cli.TABLE_FAMILIES
-                      for route in cli.FAMILY_ROUTES[family]]
+                      for route in sequences.ROUTES[cli._FAMILY.get(family, family)]]
 
 
 def _evaluated(family, symbolic_values, lam):
@@ -353,7 +353,7 @@ def test_verify_failure_exits_1(monkeypatch):
 
 RATIONAL_TOKENS = ("0", "3", "-1", "1/2", "-2/3", "0.5", "1/0")
 rationals = st.sampled_from(RATIONAL_TOKENS)
-ROUTES = sorted({route for routes in cli.FAMILY_ROUTES.values() for route in routes})
+ROUTES = sorted({route for routes in sequences.ROUTES.values() for route in routes})
 small_ints = st.sampled_from(("-1", "0", "1", "2", "3", "4"))
 options_with_values = st.one_of(
     st.tuples(st.just("--route"), st.sampled_from(ROUTES + ["bogus"])),

@@ -30,7 +30,7 @@ from degenpoly.algebra import (
 )
 from degenpoly.egf import bernoulli_taps
 from degenpoly.sequences import (
-    EULERIAN_ROUTES,
+    ROUTES,
     bernoulli_polynomial,
     eulerian_at_minus_one,
     eulerian_explicit,
@@ -38,6 +38,7 @@ from degenpoly.sequences import (
     eulerian_poly,
     eulerian_table,
     power_sum,
+    route_rows,
     stirling1_row,
     stirling2_degenerate,
     stirling2_from_eulerian,
@@ -91,7 +92,7 @@ def test_routes_agree_on_small_triangle():
 
 
 def test_table_routes_match():
-    tables = {route: eulerian_table(10, route) for route in EULERIAN_ROUTES}
+    tables = {route: eulerian_table(10, route) for route in ROUTES["eulerian"]}
     for n in range(11):
         for k in range(n + 1):
             entries = {t.entry(n, k) for t in tables.values()}
@@ -109,7 +110,7 @@ def test_table_out_of_triangle_and_bounds():
 
 
 def test_memoized_table_slices_to_the_size_asked():
-    for route in EULERIAN_ROUTES:
+    for route in ROUTES["eulerian"]:
         large = eulerian_table(12, route)
         small = eulerian_table(4, route)
         assert (small.max_n, small.route) == (4, route)
@@ -119,22 +120,21 @@ def test_memoized_table_slices_to_the_size_asked():
 
 
 def test_extending_a_warm_memo_matches_a_cold_build():
-    for route in EULERIAN_ROUTES:
+    for family, route in sequences._ROWS:
         sequences._clear_memos()
-        eulerian_table(4, route)
-        warm = eulerian_table(14, route)
+        route_rows(family, 4, route)
+        warm = route_rows(family, 14, route)
         sequences._clear_memos()
-        cold = eulerian_table(14, route)
-        assert warm.rows == cold.rows, route
+        cold = route_rows(family, 14, route)
+        assert warm == cold, (family, route)
 
 
 def test_routes_share_no_entry_objects():
     owner = {}
-    for route in EULERIAN_ROUTES:
-        table = eulerian_table(12, route)
-        for n in range(1, 13):
-            for k, entry in enumerate(table.row(n)):
-                assert owner.setdefault(id(entry), route) == route, (route, n, k)
+    for family, route in sequences._ROWS:
+        for n, row in enumerate(route_rows(family, 12, route)):
+            for k, entry in enumerate(row):
+                assert owner.setdefault(id(entry), (family, route)) == (family, route), (family, route, n, k)
 
 
 def test_warm_memo_changes_no_report():
@@ -159,8 +159,8 @@ def test_later_cli_commands_reuse_the_memos(monkeypatch):
     # the memos outlive a CLI command, as they do for library callers: a
     # second identical command extends no triangle and prints the same bytes
     builds = []
-    extend = sequences._EXTEND_EULERIAN["recursion"]
-    monkeypatch.setitem(sequences._EXTEND_EULERIAN, "recursion",
+    extend = ROUTES["eulerian"]["recursion"]
+    monkeypatch.setitem(ROUTES["eulerian"], "recursion",
                         lambda rows, max_n: builds.append(max_n) or extend(rows, max_n))
     argv = ["table", "eulerian-number", "--n-max", "6", "--route", "recursion"]
     outputs = []
@@ -170,7 +170,7 @@ def test_later_cli_commands_reuse_the_memos(monkeypatch):
         outputs.append(sink.getvalue())
     assert builds == [6] and outputs[0] == outputs[1]
     eulerian_table(6, "recursion")
-    assert builds == [6]
+    assert builds == [6] and len(sequences._ROWS["eulerian", "recursion"]) == 7
 
 
 # Each case makes one step of a memoized builder raise halfway through the
@@ -184,6 +184,10 @@ CRASH_CASES = {
                                "--route", "direct"]),
     "stirling1-row": (sequences, "falling_factorial_degenerate",
                       ["table", "stirling1", "--n-max", "8"]),
+    "stirling2-explicit": (sequences, "_add_linear",
+                           ["table", "stirling2", "--n-max", "8", "--route", "explicit"]),
+    "stirling2-eulerian": (sequences, "_add_linear",
+                           ["table", "stirling2", "--n-max", "8", "--route", "eulerian"]),
 }
 
 
@@ -241,7 +245,7 @@ def test_poly_assembly():
 
 def test_poly_routes_agree():
     for n in range(9):
-        polys = {eulerian_poly(n, route) for route in EULERIAN_ROUTES}
+        polys = {eulerian_poly(n, route) for route in ROUTES["eulerian"]}
         assert len(polys) == 1, n
     with pytest.raises(ValueError):
         eulerian_poly(2, route="fastest")
@@ -348,22 +352,24 @@ def test_stirling1_reconstructs_classical_falling_factorial():
 
 
 def test_stirling1_row_is_memoized_per_n(monkeypatch):
-    # one basis elimination per n and process, across CLI commands too
+    # one basis elimination per row and process, across CLI commands too:
+    # the rows 0..n stay in the route's row memo
     calls = []
     falling = sequences.falling_factorial_degenerate
     monkeypatch.setattr(sequences, "falling_factorial_degenerate",
                         lambda *args: calls.append(args) or falling(*args))
-    sequences._clear_memos()
+    rows = sequences._ROWS["stirling1", "basis-conversion"]
     first = stirling1_row(6)
-    assert calls
+    assert calls and len(rows) == 7 and first == list(rows[6])
     calls.clear()
     second = stirling1_row(6)
+    assert stirling1_row(3) == list(rows[3])
     assert calls == []
     assert second == first and second is not first
     second.append(LambdaPoly())  # a caller's list is its own
     assert stirling1_row(6) == first
 
-    argv = ["table", "stirling1", "--n-max", "6"]
+    argv = ["table", "stirling1", "--n-max", "8"]
     counts, outputs = [], []
     for _ in range(2):
         calls.clear()
@@ -371,7 +377,7 @@ def test_stirling1_row_is_memoized_per_n(monkeypatch):
         assert main(argv, sink) == 0
         counts.append(len(calls))
         outputs.append(sink.getvalue())
-    assert counts[0] > 0 and counts[1] == 0
+    assert counts[0] > 0 and counts[1] == 0 and len(rows) == 9
     assert outputs[0] == outputs[1]
 
 
