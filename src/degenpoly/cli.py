@@ -18,6 +18,12 @@ A_n(x). One short block per format then writes the rows.
 exact rational token; float literals are rejected so results stay exact
 end to end.
 
+Each command's arguments are declared once, as data (``_COMMANDS``).
+``build_parser`` adds them to argparse, which runs only for usage, help
+and errors; a command in plain forms (exact option strings and their
+values, ``--opt=value`` taken as it stands, flags, the positional) is
+read against the same table in one pass, without building the parser.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -30,7 +36,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -233,7 +239,7 @@ def cmd_table(args, out) -> int:
 def cmd_eval(args, out) -> int:
     lam = render_rational(args.lam)
     if args.expr == "powersum":
-        if args.m is None or args.n is None:
+        if args.m is None:
             raise UsageError("powersum requires --m and --n")
         if args.m < 1 or args.n < 1:
             raise UsageError("powersum requires m >= 1 and n >= 1")
@@ -242,7 +248,7 @@ def cmd_eval(args, out) -> int:
         value = power_sum(args.m, args.n, route).eval(args.lam)
         parameters = {"m": args.m, "n": args.n, "lambda": lam, "route": route}
     else:  # eulerian-at
-        if args.x is None or args.n is None:
+        if args.x is None:
             raise UsageError("eulerian-at requires --x and --n")
         _check_cap("--n", args.n)
         route = _resolve_route(args.expr, args.route)
@@ -343,83 +349,49 @@ def _rational_arg(*words: str):
     return convert
 
 
+#: Each command's function, by name (looked up per namespace, so a wrapper
+#: bound over the module attribute is the one called), its help line and
+#: its arguments, each declared once: a flag or positional name and its
+#: ``add_argument`` keywords. build_parser and the one-pass reader read it.
+_COMMANDS = {
+    "table": ("cmd_table", "emit a sequence family as JSON or CSV", (
+        ("family", {"choices": TABLE_FAMILIES}),
+        ("--n-max", {"type": int, "required": True}),
+        ("--route", {"help": "computation route (family-specific)"}),
+        ("--lambda", {"dest": "lam", "type": _rational_arg("symbolic"), "default": "symbolic",
+                      "help": '"symbolic" (default) or an exact rational like 1/2'}),
+        ("--format", {"choices": ("json", "csv"), "default": "json"}),
+        ("--human", {"action": "store_true", "help": "readable math text instead of machine output"}),
+        ("--timestamp", {"action": "store_true", "help": "include a UTC timestamp in metadata"}),
+    )),
+    "eval": ("cmd_eval", "evaluate one quantity at exact rational arguments", (
+        ("expr", {"choices": ("powersum", "eulerian-at")}),
+        ("--m", {"type": int}),
+        ("--n", {"type": int, "required": True}),
+        ("--x", {"type": _rational_arg()}),
+        ("--lambda", {"dest": "lam", "type": _rational_arg(), "required": True}),
+        ("--route", {}),
+        ("--human", {"action": "store_true"}),
+        ("--timestamp", {"action": "store_true"}),
+    )),
+    "verify": ("cmd_verify", "run the identity suite", (
+        ("--suite", {"choices": ("all",)}),
+        ("--check", {"action": "append", "help": "check id (repeatable)"}),
+        ("--n-max", {"type": int}),
+        ("--m-max", {"type": int}),
+        ("--k-max", {"type": int}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+        ("--timestamp", {"action": "store_true"}),
+    )),
+}
+
+
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that takes "--lambda -2/3" as a value, like "--n -3",
-    and reads the plain forms of a command's arguments in one pass."""
+    """ArgumentParser that takes "--lambda -2/3" as a value, like "--n -3"."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_VALUE_RE
-
-    @cached_property
-    def _plain_forms(self):
-        """What parse_plain reads, taken from this parser's own actions:
-        option string -> (action, kind, type) for the single-value ``store``
-        and ``append`` options and the ``store_true`` flags, the one
-        positional, the defaults (a string default through ``type``, as
-        argparse converts it) and the required actions."""
-        kinds = {self._registry_get("action", kind): kind for kind in ("store", "store_true", "append")}
-        options, positional, defaults = {}, None, {}
-        for action in self._actions:
-            kind = kinds.get(type(action))
-            convert = self._registry_get("type", action.type, action.type)
-            if kind is not None and (kind == "store_true" or action.nargs is None):
-                if action.option_strings:
-                    options.update(dict.fromkeys(action.option_strings, (action, kind, convert)))
-                elif kind == "store":
-                    positional = (action, kind, convert)
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-                default = action.default
-                defaults.setdefault(action.dest, convert(default) if isinstance(default, str) else default)
-        for dest, default in self._defaults.items():
-            defaults.setdefault(dest, default)
-        required = frozenset(action for action in self._actions if action.required)
-        return options, positional, defaults, required
-
-    def parse_plain(self, args: Sequence[str], command: str) -> Optional[argparse.Namespace]:
-        """The namespace ``parse_args`` makes of ``args`` under ``command``,
-        read in one pass; None where ``args`` hold anything but exact option
-        strings with their values, ``--opt=value``, flags and the one
-        positional, or where a value fails its type or choices or a required
-        argument is missing. A value that starts with "-" must look like a
-        negative number. ``append`` builds a new list, so no command shares
-        the default."""
-        options, positional, defaults, required = self._plain_forms
-        values = {"command": command, **defaults}
-        seen = set()
-        tokens = iter(args)
-        for token in tokens:
-            if token[:1] != "-" or _NEGATIVE_VALUE_RE.match(token):
-                if positional is None or positional[0] in seen:
-                    return None
-                (action, kind, convert), value = positional, token
-            else:
-                option, explicit, value = token.partition("=")
-                entry = options.get(option)
-                if entry is None:
-                    return None
-                action, kind, convert = entry
-                if kind == "store_true":
-                    if explicit:
-                        return None
-                    values[action.dest] = action.const
-                    seen.add(action)
-                    continue
-                if not explicit:
-                    value = next(tokens, None)
-                    if value is None:
-                        return None
-                if value[:1] == "-" and not _NEGATIVE_VALUE_RE.match(value):
-                    return None
-            try:
-                value = convert(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-            if action.choices is not None and value not in action.choices:
-                return None
-            values[action.dest] = [*(values[action.dest] or ()), value] if kind == "append" else value
-            seen.add(action)
-        return argparse.Namespace(**values) if required <= seen else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,75 +401,99 @@ def build_parser() -> argparse.ArgumentParser:
         "degenerate Eulerian, Bernoulli and Stirling families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="emit a sequence family as JSON or CSV")
-    p_table.add_argument("family", choices=TABLE_FAMILIES)
-    p_table.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p_table.add_argument("--route", default=None, help="computation route (family-specific)")
-    p_table.add_argument(
-        "--lambda",
-        dest="lam",
-        type=_rational_arg("symbolic"),
-        default="symbolic",
-        help='"symbolic" (default) or an exact rational like 1/2',
-    )
-    p_table.add_argument("--format", choices=("json", "csv"), default="json")
-    p_table.add_argument("--human", action="store_true", help="readable math text instead of machine output")
-    p_table.add_argument("--timestamp", action="store_true", help="include a UTC timestamp in metadata")
-    p_table.set_defaults(func=cmd_table)
-
-    p_eval = sub.add_parser("eval", help="evaluate one quantity at exact rational arguments")
-    p_eval.add_argument("expr", choices=("powersum", "eulerian-at"))
-    p_eval.add_argument("--m", type=int, default=None)
-    p_eval.add_argument("--n", type=int, default=None, required=True)
-    p_eval.add_argument("--x", type=_rational_arg(), default=None)
-    p_eval.add_argument("--lambda", dest="lam", type=_rational_arg(), required=True)
-    p_eval.add_argument("--route", default=None)
-    p_eval.add_argument("--human", action="store_true")
-    p_eval.add_argument("--timestamp", action="store_true")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="run the identity suite")
-    p_verify.add_argument("--suite", choices=("all",), default=None)
-    p_verify.add_argument("--check", action="append", default=None, help="check id (repeatable)")
-    p_verify.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p_verify.add_argument("--m-max", type=int, default=None, dest="m_max")
-    p_verify.add_argument("--k-max", type=int, default=None, dest="k_max")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--timestamp", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
-
+    for command, (func, help_line, arguments) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_line)
+        for flag, keywords in arguments:
+            p_command.add_argument(flag, **keywords)
+        p_command.set_defaults(func=globals()[func])
     return parser
 
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first command and shared by the later ones in
-    the process; parse_args leaves it unchanged and returns a new namespace."""
+    """The parser, built on first use and shared by the later commands in the
+    process; parse_args leaves it unchanged and returns a new namespace."""
     return build_parser()
 
 
-def _parse_args(argv: List[str]) -> argparse.Namespace:
-    """The namespace the full parser makes of ``argv``, read in one pass
-    over the tokens when ``argv`` is a known command in plain forms.
+@cache
+def _command_forms(command: str):
+    """``command``'s declared arguments as _read_plain reads them: option
+    string -> (dest, type, choices), type None for a ``store_true`` flag; the
+    positional likewise; each dest's default (a string one through its type,
+    as argparse converts it); the dests that must be given. Any other option
+    (``append``) is left out, so argparse reads it when given."""
+    options, positional, defaults, required = {}, None, {}, set()
+    for flag, keywords in _COMMANDS[command][2]:
+        dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+        action = keywords.get("action", "store")
+        convert = keywords.get("type", str)
+        default = keywords.get("default", False if action == "store_true" else None)
+        defaults[dest] = convert(default) if isinstance(default, str) else default
+        form = (dest, None if action == "store_true" else convert, keywords.get("choices"))
+        if flag[0] != "-" or keywords.get("required"):
+            required.add(dest)
+        if flag[0] != "-":
+            positional = form
+        elif action in ("store", "store_true"):
+            options[flag] = form
+    return options, positional, defaults, frozenset(required)
 
-    The arguments after a known command name are read against that
-    command's subparser's own actions (``_Parser.parse_plain``): exact
-    option strings with their values, ``--opt=value``, flags and the
-    positional. Anything else (no command, an unknown command, -h, --, an
-    abbreviated or unknown option, a flag given a value, a missing value
-    or required option, a value that fails its type or choices) goes
-    through the full parser, so every usage message, help text and exit
-    status stays argparse's own.
-    """
-    parser = _parser()
-    (commands,) = parser._subparsers._group_actions
-    command = commands.choices.get(argv[0]) if argv else None
-    if command is not None:
-        args = command.parse_plain(argv[1:], argv[0])
+
+def _read_plain(command: str, args: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``parse_args`` makes of ``args`` under ``command``,
+    read in one pass; None where ``args`` hold anything but exact option
+    strings with their values, ``--opt=value``, flags and the one
+    positional, or where a value fails its type or choices or a required
+    argument is missing. A separate value that starts with "-" must look
+    like a negative number; a value after "=" is taken as it stands."""
+    options, positional, defaults, required = _command_forms(command)
+    values = {**defaults, "command": command, "func": globals()[_COMMANDS[command][0]]}
+    seen = set()
+    tokens = iter(args)
+    for token in tokens:
+        if token[:1] != "-" or _NEGATIVE_VALUE_RE.match(token):
+            if positional is None or positional[0] in seen:
+                return None
+            (dest, convert, choices), value = positional, token
+        else:
+            option, explicit, value = token.partition("=")
+            if option not in options:
+                return None
+            dest, convert, choices = options[option]
+            if convert is None:  # a store_true flag, which takes no value
+                if explicit:
+                    return None
+                values[dest] = True
+                continue
+            if not explicit:
+                value = next(tokens, None)
+                if value is None or value[:1] == "-" and not _NEGATIVE_VALUE_RE.match(value):
+                    return None
+        try:
+            value = convert(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        seen.add(dest)
+    return argparse.Namespace(**values) if required <= seen else None
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """The namespace the full parser makes of ``argv``: read in one pass by
+    _read_plain when ``argv`` is a known command in plain forms. Anything
+    else (no command or an unknown one, -h, --, ``--check``, an abbreviated
+    or unknown option, a flag given a value, a missing value or required
+    option, a value that fails its type or choices) goes through the full
+    parser, built on that first use, so every usage message, help text and
+    exit status stays argparse's own."""
+    if argv and argv[0] in _COMMANDS:
+        args = _read_plain(argv[0], argv[1:])
         if args is not None:
             return args
-    return parser.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:

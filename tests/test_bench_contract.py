@@ -91,8 +91,8 @@ def test_warm_memos_print_what_empty_memos_print():
 
 
 def test_direct_parse_gives_the_full_parsers_namespace():
-    # every command the harness runs parses in one pass, straight through
-    # its subparser, into the namespace the full parser makes of it
+    # every command the harness runs parses in one pass, against its entry
+    # in the command table, into the namespace the full parser makes of it
     workloads = _workloads()
     full = build_parser()
     argvs = [argv for workload in ("eval-stream", "tables", "suite")
