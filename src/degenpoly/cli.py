@@ -37,7 +37,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Union
 
 from . import __version__
@@ -81,14 +80,16 @@ def parse_rational(token: str) -> Fraction:
 
 
 def render_rational(value) -> str:
+    if type(value) is int or type(value) is Fraction:  # already in lowest terms
+        return str(value)
     return str(Fraction(value))
 
 
 def render_lambda_poly(p: LambdaPoly) -> List[str]:
     """Coefficient array of a λ-polynomial, lowest power first."""
     if p._den == 1:  # str(n) is str(Fraction(n)), without the reduction
-        return [str(c) for c in p._num]
-    return [str(c) for c in p.coeffs]
+        return list(map(str, p._num))
+    return list(map(str, p.coeffs))
 
 
 def parse_lambda_poly(values: Sequence[str]) -> LambdaPoly:
@@ -154,17 +155,77 @@ def _metadata(route: Optional[str] = None, mode: Optional[str] = None, timestamp
 
 
 #: Every JSON document's layout: sorted keys, two-space indent, UTF-8 text.
+#: ``_emit_json`` writes it directly and hands ``_JSON`` only the values it
+#: has no case for.
 _JSON = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+#: The C string quoting that ``_JSON`` itself uses with ensure_ascii=False.
+_quote = json.encoder.encode_basestring
+#: Parts held before they are written out.
+_BATCH = 32
 
 
 def _emit_json(doc: dict, out) -> None:
-    # Written in batches of encoder chunks: json.dump writes every chunk
-    # (hundreds for one eval document) through ``out``, while one json.dumps
-    # string would hold a second copy of a table document (up to ~0.7 MB).
-    chunks = _JSON.iterencode(doc)
-    while batch := "".join(islice(chunks, 512)):
-        out.write(batch)
-    out.write("\n")
+    # Below Python 3.13, ``_JSON`` has no C path with an indent: each key,
+    # list and string would be a pure-Python generator step. The parts go
+    # out in small batches, since one string would hold a second copy of a
+    # table document (~7 MB at the n = 64 cap).
+    parts: List[str] = []
+    _write_json(doc, "\n", parts, out)
+    parts.append("\n")
+    out.write("".join(parts))
+
+
+def _write_json(value, newline: str, parts: List[str], out) -> None:
+    """Append ``value`` in ``_JSON``'s layout to ``parts``; ``newline`` is
+    a line break followed by the indent of the line ``value`` starts on."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_quote(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        try:  # all strings, such as a λ-coefficient array or a table row: one join
+            parts.append(f"[{inner}{sep.join(map(_quote, value))}{newline}]")
+            return
+        except TypeError:  # not all strings: item by item
+            pass
+        head = "[" + inner
+        for item in value:
+            parts.append(head)
+            _write_json(item, inner, parts, out)
+            if len(parts) >= _BATCH:
+                out.write("".join(parts))
+                parts.clear()
+            head = sep
+        parts.append(newline + "]")
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        head = "{" + inner
+        for key, item in sorted(value.items()):
+            if type(item) is str:
+                parts.append(f"{head}{_quote(key)}: {_quote(item)}")
+            else:
+                parts.append(f"{head}{_quote(key)}: ")
+                _write_json(item, inner, parts, out)
+            head = sep
+        parts.append(newline + "}")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    else:  # a float, a subclass, a dict with a key that is not a str: the encoder, re-indented
+        parts.append(_JSON.encode(value).replace("\n", newline))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +286,11 @@ def cmd_table(args, out) -> int:
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["family", "n", "k", "value"])
-    for n, row in enumerate(values):
-        for k, cell in enumerate(row):
-            writer.writerow([family, n, "" if flat else k, ";".join(cell) if symbolic else cell])
+    writer.writerows(
+        (family, n, "" if flat else k, ";".join(cell) if symbolic else cell)
+        for n, row in enumerate(values)
+        for k, cell in enumerate(row)
+    )
     return 0
 
 

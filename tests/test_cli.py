@@ -69,6 +69,21 @@ def test_rational_rendering_is_canonical():
         parse_rational("1e3")
 
 
+@given(st.one_of(st.integers(), st.fractions(), st.tuples(st.integers(), st.integers(1, 10**6))))
+def test_render_rational_is_str_of_the_fraction(value):
+    if type(value) is tuple:  # a reducible numerator and denominator
+        value = F(*value)
+    assert render_rational(value) == str(F(value))
+
+
+@pytest.mark.parametrize("value, text", [
+    (0, "0"), (-7, "-7"), (10**30, str(10**30)), (F(6, 4), "3/2"), (F(-6, 4), "-3/2"),
+    (F(0, 5), "0"), (F(8, 4), "2"), (True, "1"), ("-6/4", "-3/2"),
+])
+def test_render_rational_examples(value, text):
+    assert render_rational(value) == text == str(F(value))
+
+
 #: ints of any size and fractions with denominators up to 10^12, mixed in
 #: one polynomial
 ring_coefficients = st.one_of(st.integers(), st.fractions(max_denominator=10**12))
@@ -554,6 +569,93 @@ def test_main_without_argv_reads_sys_argv(monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("usage: degenpoly [-h] {table,eval,verify} ...\n")
     assert (code, out, err) == _full_parser_outcome(None)
+
+
+# ---------------------------------------------------------------------------
+# JSON layout: every document is written by cli._emit_json, which must
+# match the encoder that defines the layout byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _emitted(doc) -> str:
+    buf = io.StringIO()
+    cli._emit_json(doc, buf)
+    return buf.getvalue()
+
+
+#: Text that JSON must escape or may keep: quotes, backslashes, control
+#: characters, U+2028/U+2029 and non-ASCII.
+json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\n\t\x7f\u2028\u2029λé€😀')))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(json_text)
+        | st.dictionaries(json_text, children)
+    ),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_emitted_json_is_the_encoder_layout(doc):
+    assert _emitted(doc) == cli._JSON.encode(doc) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"float": [1.5, -0.0, 1e300, float("inf")], "nested": {"x": [2.5]}},
+    {"keys": {2: "b", 1: [None, {3.5: True}]}},
+    {"empty": [[], {}, (), ""], "top": "x"},
+    [],
+    "λ",
+])
+def test_emitted_json_hands_other_values_to_the_encoder(doc):
+    assert _emitted(doc) == cli._JSON.encode(doc) + "\n"
+
+
+def test_emitted_json_rejects_what_the_encoder_rejects():
+    for doc in ({"a": [1, object()]}, {"a": {"b": {1, 2}}}):
+        with pytest.raises(TypeError) as emitted:
+            _emitted(doc)
+        with pytest.raises(TypeError) as encoded:
+            cli._JSON.encode(doc)
+        assert str(emitted.value) == str(encoded.value)
+
+
+def _json_commands():
+    for family in cli.TABLE_FAMILIES:
+        for route in sequences.ROUTES[cli._FAMILY.get(family, family)]:
+            for lam in ("symbolic", "-2/3"):
+                yield ("table", family, "--n-max", "6", "--route", route, f"--lambda={lam}")
+    for route in sequences.ROUTES["powersum"]:
+        yield ("eval", "powersum", "--m", "4", "--n", "5", "--lambda=-2/3", "--route", route)
+    for route in sequences.ROUTES["eulerian-at"]:
+        yield ("eval", "eulerian-at", "--x=-1", "--n", "5", "--lambda=-2/3", "--route", route)
+    yield ("eval", "eulerian-at", "--x=1/2", "--n", "5", "--lambda=3")
+    yield ("verify", "--suite", "all", "--format", "json")
+
+
+def test_every_command_document_is_the_encoder_layout():
+    for argv in _json_commands():
+        code, text = run_cli(*argv)
+        assert code == 0, argv
+        assert text == cli._JSON.encode(json.loads(text)) + "\n", argv
+
+
+def test_a_table_document_is_written_in_small_batches():
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    assert main(["table", "eulerian-number", "--n-max", "36", "--format", "json"], out=Recorder()) == 0
+    text = "".join(writes)
+    assert len(text) > 600_000
+    assert text == cli._JSON.encode(json.loads(text)) + "\n"
+    assert len(writes) > 10
+    assert max(map(len, writes)) < len(text) // 10
 
 
 # ---------------------------------------------------------------------------
