@@ -34,22 +34,18 @@ Integer kernels: the builders whose values lie in Z[λ], or in Z[λ] over
 one known denominator, do their arithmetic on lists of int numerators and
 build one canonical LambdaPoly per value with ``_make`` (one XLPoly of
 them with ``_xl``). Their one shared step is ``_add_linear``,
-acc += num·(a + bλ); ``_negate_lambda`` takes p(λ) to p(-λ) by flipping
-the sign of the odd numerators, and ``_times_x_minus_one`` multiplies an
-element of Z[λ][x], one int list per x-coefficient, by (1 + sλ)(x - 1),
-the step of the Horner schemes in (x - 1) that ``sequences`` (the
-``gf-recursion`` route) and ``egf`` (the generating-function residual)
-run on their own. Here ``_add_linear`` extends the
-memoized falling factorials of an integer base and of x, and multiplies
-out the int coefficients of (x+offset)_n (``_x_falling``) behind
+acc += num·(a + bλ). On an element of Z[λ][x], one int list per
+x-coefficient, ``_times_x_minus_one`` multiplies by (1 + sλ)(x - 1), the
+step of the Horner schemes in (x - 1) of the ``gf-recursion`` route and
+the generating-function residual, and ``_times_x_minus_lambda`` by
+(x - jλ), the step of the falling factorials of x here and of the
+Bernoulli polynomials in ``sequences``. ``_negate_lambda`` takes p(λ) to
+p(-λ) by flipping the sign of the odd numerators, and ``_x_falling``
+multiplies out the int coefficients of (x+offset)_n behind
 ``binomial_poly`` and ``falling_factorial_classical``. ``sequences`` and
-``egf`` use ``_add_linear`` and ``_negate_lambda`` for the Eulerian
-recursion, the explicit sums, the Bernoulli solve, the Bernoulli
-polynomials (a Horner scheme in the falling basis of x), the sums over
-the λ-negated Eulerian numbers (the Stirling bridges, the Eulerian and
-Bernoulli power sums, the Worpitzky sum) and ``eulerian_from_stirling2``;
-``verify`` uses them for the sums its eq-19, eq-38, row-sum and
-alternating-sum checks compare.
+``egf`` build every table route on these kernels (``stirling1`` divides
+(x)_n by x - jλ with ``_add_linear``), and ``verify`` sums the values its
+eq-19, eq-38, row-sum and alternating-sum checks compare with them.
 ``XLPoly.eval_x`` is an integer Horner scheme over the common
 denominator of the x-coefficients, like ``LambdaPoly.eval`` in λ.
 
@@ -179,6 +175,12 @@ def _times_x_minus_one(acc: list, s: int) -> list:
         out.append(_add_linear(list(d), d, 0, s) if s else d)
         prev = c
     return out
+
+
+def _times_x_minus_lambda(acc: list, j: int) -> list:
+    """(x - jλ)·acc for acc in Z[λ][x], laid out as for ``_times_x_minus_one``;
+    returns a new list. x-coefficient m of the product is c_{m-1} - jλ·c_m."""
+    return [_add_linear(list(prev), c, 0, -j) for prev, c in zip([[]] + acc, acc + [[]])]
 
 
 def _negate_lambda(num) -> list:
@@ -581,10 +583,9 @@ def falling_factorial_degenerate(base, n: int):
         last = products[-1]
         if scalar:  # the numerators times (base - iλ)
             products.append(_make(_add_linear([], last._num, base, -i), 1))
-        else:  # x-coefficient m of last·(x - iλ) is c_{m-1} - iλ·c_m
-            cs = last.coeffs
-            products.append(_xl([_make(_add_linear(list(prev._num), c._num, 0, -i), 1)
-                                 for prev, c in zip((_ZERO,) + cs, cs + (_ZERO,))]))
+        else:  # last·(x - iλ)
+            cs = _times_x_minus_lambda([c._num for c in last.coeffs], i)
+            products.append(_xl([_make(c, 1) for c in cs]))
     return products[n]
 
 

@@ -360,13 +360,15 @@ def cmd_verify(args, out) -> int:
     except (UnknownCheckError, RangeOverrideError) as exc:
         raise UsageError(str(exc)) from None
 
-    failed = [spec for spec in results if spec.status == "fail"]
+    failed = [spec for spec in results if spec.status != "pass"]
     if args.format == "json":
+        checks = [{**spec._asdict(), "counterexample": spec.counterexample and spec.counterexample._asdict()}
+                  for spec in results]
+        for check in checks:
+            if check["error"] is None:  # the key appears only on an errored check
+                del check["error"]
         doc = {
-            "checks": [
-                {**spec._asdict(), "counterexample": spec.counterexample and spec.counterexample._asdict()}
-                for spec in results
-            ],
+            "checks": checks,
             "summary": {
                 "total": len(results),
                 "passed": len(results) - len(failed),
@@ -386,6 +388,8 @@ def cmd_verify(args, out) -> int:
                 out.write(f"     counterexample at {at}:\n")
                 out.write(f"       lhs = {ce.lhs}\n")
                 out.write(f"       rhs = {ce.rhs}\n")
+            if spec.error is not None:
+                out.write(f"     error: {spec.error}\n")
         out.write(
             f"{len(results)} checks: {len(results) - len(failed)} passed, "
             f"{len(failed)} failed (mode: exact)\n"

@@ -36,26 +36,19 @@ rows and taps are stored, a command that fails midway leaves nothing
 partial behind. ``_clear_memos`` empties them all, and the memoized
 descent distributions of ``oracles`` with them.
 
-The builders whose values lie in Z[λ], or in Z[λ] over one known
-denominator, run on int numerator lists through ``algebra._add_linear``
-and build one LambdaPoly (or one XLPoly of them) per value: the
-``recursion`` route's cells, the explicit sums ``eulerian_explicit`` and
-the ``explicit`` route of ``stirling2`` (over k!), its ``eulerian`` route
-(over k!), ``eulerian_from_stirling2`` (over the lcm of the {n j}
-denominators), ``power_sum`` by the ``direct`` and ``eulerian`` routes,
-``power_sum(..., "bernoulli")`` (an integer Horner scheme in x over the
-common denominator of β_{n+1}(x)), ``bernoulli_polynomial`` (a Horner
-scheme in the falling basis (x)_{j,λ}, one int list per x-coefficient,
-over the lcm of the β_k denominators) and ``worpitzky_lhs``
-(x-coefficient j summed from the int coefficients of (x+k)_n, over n!).
-The ``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
-``XLPoly.eval_x``, itself an integer Horner scheme. The ``gf-recursion``
-route sums its recursion as a nested Horner scheme in (x-1): each step
-multiplies the int numerator lists of the partial sum by (1 + sλ)(x-1)
-(``algebra._times_x_minus_one``) and adds C(n,i)·A_i(x), so it forms no
-λ-polynomial product. The ``basis-conversion`` route of ``stirling1``
-and the ``bernoulli`` route of ``eulerian_at_minus_one`` use the ring
-operators.
+Every builder but one runs on int numerator lists through
+``algebra._add_linear`` and builds one LambdaPoly (or one XLPoly of them)
+per value, over 1 or over one known denominator: the three Eulerian
+routes (``gf-recursion`` as a nested Horner scheme in (x-1) with
+``algebra._times_x_minus_one``), the ``basis-conversion`` route of
+``stirling1`` (a Newton division by x, x - λ, x - 2λ, ...), both
+``stirling2`` routes and ``eulerian_from_stirling2``, the three power-sum
+routes, ``bernoulli_polynomial`` (a Horner scheme in the falling basis
+with ``algebra._times_x_minus_lambda``) and ``worpitzky_lhs``. The
+``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
+``XLPoly.eval_x``, itself an integer Horner scheme. Its ``bernoulli``
+route uses the ring operators on purpose: it exercises the λ -> λ/2
+substitution.
 """
 
 from __future__ import annotations
@@ -69,13 +62,12 @@ from .algebra import (
     _add_linear,
     _make,
     _negate_lambda,
+    _times_x_minus_lambda,
     _times_x_minus_one,
     _x_falling,
     _xl,
     LambdaPoly,
-    X,
     XLPoly,
-    falling_factorial_classical,
     falling_factorial_degenerate,
 )
 from .egf import _BERNOULLI, bernoulli_taps
@@ -186,20 +178,20 @@ def _extend_bernoulli(rows: List[tuple], max_n: int) -> None:
 def _extend_stirling1(rows: List[tuple], max_n: int) -> None:
     """Rows S1(n,0)..S1(n,n), the coefficients of (x)_n in the basis (x)_{k,λ}.
 
-    Triangular elimination: (x)_{k,λ} is monic of x-degree k, so peeling
-    the leading x-coefficient off the remainder is exact and terminates.
+    Its Newton coefficients at the nodes 0, λ, 2λ, ...: as (x)_{k+1,λ} =
+    (x)_{k,λ}·(x - kλ), dividing (x)_n by x - jλ for j = 0..n in turn leaves
+    S1(n,j) as remainder j. Each synthetic division, q_{i-1} = p_i + jλ·q_i,
+    runs on int numerator lists, one per x-coefficient, highest power first.
     """
     for n in range(len(rows), max_n + 1):
-        rem = falling_factorial_classical(n)
-        out = [LambdaPoly() for _ in range(n + 1)]
-        for k in range(n, -1, -1):
-            c = rem.coeff(k)
-            if not c.is_zero:
-                out[k] = c
-                rem = rem - falling_factorial_degenerate(X, k) * c
-        if not rem.is_zero:
-            raise AssertionError("basis conversion left a nonzero remainder")
-        rows.append(tuple(out))
+        p, row = [[c] for c in reversed(_x_falling(0, n))], []
+        for j in range(n + 1):
+            q = []
+            for c in p:
+                q.append(_add_linear(list(c), q[-1] if q else [], 0, j))
+            row.append(_make(q.pop(), 1))
+            p = q
+        rows.append(tuple(row))
 
 
 def _extend_stirling2(rows: List[tuple], max_n: int) -> None:
@@ -402,10 +394,10 @@ def bernoulli_polynomial(n: int) -> XLPoly:
         acc <- acc·(x - jλ) + C(n,j)·β_{n-j},   j = n-1 .. 0,
 
     from acc = β_0 = 1, on int numerator lists (one per x-coefficient) over
-    the lcm D of the denominators of β_0..β_n. Multiplying by (x - jλ)
-    takes x-coefficient m to c_{m-1} - jλ·c_m. Memoized per n and process;
-    the taps are read on every call, memo hit or not, so each call reaches
-    the egf solve it is built from.
+    the lcm D of the denominators of β_0..β_n; each step multiplies by
+    (x - jλ) with ``algebra._times_x_minus_lambda``. Memoized per n and
+    process; the taps are read on every call, memo hit or not, so each
+    call reaches the egf solve it is built from.
     """
     _check_nonneg(n=n)
     beta = bernoulli_taps(n)
@@ -414,7 +406,7 @@ def bernoulli_polynomial(n: int) -> XLPoly:
         den = lcm(*[b._den for b in beta])
         acc = [[den]]  # β_0 = 1
         for j in range(n - 1, -1, -1):
-            acc = [_add_linear(list(prev), c, 0, -j) for prev, c in zip([[]] + acc, acc + [[]])]
+            acc = _times_x_minus_lambda(acc, j)
             b = beta[n - j]
             _add_linear(acc[0], b._num, comb(n, j) * (den // b._den))
         poly = _BERNOULLI_POLY[n] = _xl([_make(c, den) for c in acc])

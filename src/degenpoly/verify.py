@@ -1,10 +1,10 @@
 """Registry of every identity as an executable, named check.
 
 Each check scans a parameter range in lexicographic order and compares two
-independently computed values. A check either passes over its whole range
-or fails carrying the smallest counterexample (parameters plus both sides
-rendered as polynomial text). Every case is compared by exact equality of
-polynomials over Q[λ] (or Q[λ][x]), never by sampling λ.
+independently computed values by exact equality of polynomials over Q[λ]
+(or Q[λ][x]), never by sampling λ. It passes over its whole range, fails
+with the smallest counterexample (parameters plus both sides as polynomial
+text), or errors with the exception a case raised.
 
 A check may declare the largest ranges it supports (the permutation
 enumerations stop at n = MAX_ENUMERATION_N) and the smallest ones that
@@ -75,15 +75,16 @@ class Counterexample(NamedTuple):
 
 
 class CheckSpec(NamedTuple):
-    """One named identity check with its outcome, built once when the check
-    has run: status "pass", or "fail" with the smallest counterexample.
+    """A named check's outcome once run: "pass", "fail" with the smallest
+    counterexample, or "error" with what its cases raised, as "Type: message".
     ``status`` defaults to "pending" for a spec built by hand."""
 
     id: str
     statement: str
     ranges: Dict[str, int]
-    status: str = "pending"  # pending | pass | fail
+    status: str = "pending"  # pending | pass | fail | error
     counterexample: Optional[Counterexample] = None
+    error: Optional[str] = None
 
 
 #: A case is (parameters, lhs, rhs); lhs/rhs are ring elements or rationals.
@@ -140,12 +141,15 @@ def _agree(lhs, rhs) -> bool:
 def run_check(check: Check, ranges: Optional[Dict[str, int]] = None) -> CheckSpec:
     """Run one check over its (possibly overridden) ranges and return its
     finished spec: "fail" with the first (smallest) disagreeing case as the
-    counterexample, else "pass"."""
+    counterexample, "error" if computing a case raised, else "pass"."""
     effective = _effective_ranges(check, ranges)
-    for params, lhs, rhs in check.cases(effective):
-        if not _agree(lhs, rhs):
-            counterexample = Counterexample(dict(params), str(lhs), str(rhs))
-            return CheckSpec(check.id, check.statement, effective, "fail", counterexample)
+    try:
+        for params, lhs, rhs in check.cases(effective):
+            if not _agree(lhs, rhs):
+                counterexample = Counterexample(dict(params), str(lhs), str(rhs))
+                return CheckSpec(check.id, check.statement, effective, "fail", counterexample)
+    except Exception as exc:
+        return CheckSpec(check.id, check.statement, effective, "error", error=f"{type(exc).__name__}: {exc}")
     return CheckSpec(check.id, check.statement, effective, "pass")
 
 

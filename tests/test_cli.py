@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpoly import cli, sequences
+from degenpoly import cli, sequences, verify
 from degenpoly.algebra import LambdaPoly, XLPoly
 from degenpoly.cli import (
     build_parser,
@@ -363,6 +363,43 @@ def test_verify_failure_exits_1(monkeypatch):
         "lhs": "1",
         "rhs": "1 - λ",
     }
+
+
+def test_verify_reports_a_raising_check_as_error(monkeypatch):
+    # a check whose cases raise is reported, in text and in JSON, never as a
+    # traceback; verify still prints the whole report and exits 1
+    def raising(r):
+        yield {"n": 0}, LambdaPoly(), LambdaPoly()
+        raise ZeroDivisionError("deliberate")
+
+    registry = (verify.get_check("eulerian-top-entry"),
+                verify.Check("self-test-raises", "harness self-test", {"n_max": 2}, raising))
+    monkeypatch.setattr(verify, "REGISTRY", registry)
+    monkeypatch.setattr(verify, "_BY_ID", {check.id: check for check in registry})
+    code, text = run_cli("verify", "--suite", "all")
+    assert code == 1
+    assert text == (
+        "PASS eulerian-top-entry (n_max=20)\n"
+        "ERROR self-test-raises (n_max=2)\n"
+        "     error: ZeroDivisionError: deliberate\n"
+        "2 checks: 1 passed, 1 failed (mode: exact)\n"
+    )
+
+    buf = io.StringIO()
+    assert main(["verify", "--suite", "all", "--format", "json"], out=buf) == 1
+    doc = json.loads(buf.getvalue())
+    jsonschema.Draft202012Validator(output_schema()).validate(doc)
+    passed, errored = doc["checks"]
+    assert passed["status"] == "pass" and "error" not in passed
+    assert errored == {
+        "id": "self-test-raises",
+        "statement": "harness self-test",
+        "ranges": {"n_max": 2},
+        "status": "error",
+        "counterexample": None,
+        "error": "ZeroDivisionError: deliberate",
+    }
+    assert doc["summary"] == {"total": 2, "passed": 1, "failed": 1, "mode": "exact"}
 
 
 # ---------------------------------------------------------------------------

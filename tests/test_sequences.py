@@ -26,6 +26,7 @@ from degenpoly.algebra import (
     XLPoly,
     _negate_lambda,
     binomial_poly,
+    falling_factorial_classical,
     falling_factorial_degenerate,
 )
 from degenpoly.egf import bernoulli_taps
@@ -182,8 +183,7 @@ CRASH_CASES = {
     "falling-factorial-int": (algebra, "_add_linear",
                               ["eval", "powersum", "--m", "8", "--n", "10", "--lambda", "1/2",
                                "--route", "direct"]),
-    "stirling1-row": (sequences, "falling_factorial_degenerate",
-                      ["table", "stirling1", "--n-max", "8"]),
+    "stirling1-row": (sequences, "_add_linear", ["table", "stirling1", "--n-max", "8"]),
     "stirling2-explicit": (sequences, "_add_linear",
                            ["table", "stirling2", "--n-max", "8", "--route", "explicit"]),
     "stirling2-eulerian": (sequences, "_add_linear",
@@ -342,8 +342,6 @@ def test_stirling1_small_values():
 
 def test_stirling1_reconstructs_classical_falling_factorial():
     # definition: (x)_n = Σ_k S1(n,k)·(x)_{k,λ}
-    from degenpoly.algebra import falling_factorial_classical
-
     for n in range(9):
         acc = XLPoly()
         for k, entry in enumerate(stirling1_row(n)):
@@ -351,13 +349,32 @@ def test_stirling1_reconstructs_classical_falling_factorial():
         assert acc == falling_factorial_classical(n), n
 
 
+def _stirling1_by_elimination(n):
+    """Reference model: S1(n,0)..S1(n,n) by triangular elimination with the
+    ring operators. (x)_{k,λ} is monic of x-degree k, so peeling the leading
+    x-coefficient off the remainder is exact and ends at zero."""
+    rem = falling_factorial_classical(n)
+    out = [LambdaPoly() for _ in range(n + 1)]
+    for k in range(n, -1, -1):
+        out[k] = rem.coeff(k)
+        rem = rem - falling_factorial_degenerate(X, k) * out[k]
+    assert rem.is_zero, n
+    return out
+
+
+def test_stirling1_row_matches_ring_elimination():
+    # no registered check reads first-kind numbers at general λ, so this
+    # reference guards the Newton division of the basis-conversion route
+    for n in range(25):
+        assert stirling1_row(n) == _stirling1_by_elimination(n), n
+
+
 def test_stirling1_row_is_memoized_per_n(monkeypatch):
-    # one basis elimination per row and process, across CLI commands too:
+    # one Newton division per row and process, across CLI commands too:
     # the rows 0..n stay in the route's row memo
     calls = []
-    falling = sequences.falling_factorial_degenerate
-    monkeypatch.setattr(sequences, "falling_factorial_degenerate",
-                        lambda *args: calls.append(args) or falling(*args))
+    step = sequences._add_linear
+    monkeypatch.setattr(sequences, "_add_linear", lambda *args: calls.append(args) or step(*args))
     rows = sequences._ROWS["stirling1", "basis-conversion"]
     first = stirling1_row(6)
     assert calls and len(rows) == 7 and first == list(rows[6])
