@@ -37,9 +37,10 @@ them with ``_xl``). Their one shared step is ``_add_linear``,
 acc += num·(a + bλ). On an element of Z[λ][x], one int list per
 x-coefficient, ``_times_x_minus_one`` multiplies by (1 + sλ)(x - 1), the
 step of the Horner schemes in (x - 1) of the ``gf-recursion`` route and
-the generating-function residual, and ``_times_x_minus_lambda`` by
-(x - jλ), the step of the falling factorials of x here and of the
-Bernoulli polynomials in ``sequences``. ``_negate_lambda`` takes p(λ) to
+the generating-function residual, in one pass per x-coefficient (the
+difference of neighbours, shifted by sλ as it goes), and
+``_times_x_minus_lambda`` by (x - jλ), the step of the falling factorials
+of x here and of the Bernoulli polynomials in ``sequences``. ``_negate_lambda`` takes p(λ) to
 p(-λ) by flipping the sign of the odd numerators, and ``_x_falling``
 multiplies out the int coefficients of (x+offset)_n behind
 ``binomial_poly`` and ``falling_factorial_classical``. ``sequences`` and
@@ -55,6 +56,7 @@ Values are immutable after construction; all operations return new values.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial, gcd, lcm
 from typing import Dict, Iterable, Tuple, Union
 
@@ -167,12 +169,20 @@ def _times_x_minus_one(acc: list, s: int) -> list:
 
     x-coefficient m of the product is (1 + sλ)·(c_{m-1} - c_m): the step of
     the Horner schemes in (x - 1) that sum the generating-function
-    recursion and its residual.
+    recursion and its residual. Each is built in one pass over the
+    numerators, the difference d_i = c_{m-1,i} - c_{m,i} shifted by sλ as
+    it goes: numerator i is d_i + s·d_{i-1}.
     """
     out, prev = [], []
     for c in acc + [[]]:
-        d = _add_linear(list(prev), c, -1)
-        out.append(_add_linear(list(d), d, 0, s) if s else d)
+        d, last = [], 0
+        for a, b in zip_longest(prev, c, fillvalue=0):
+            v = a - b
+            d.append(v + s * last)
+            last = v
+        if s and last:
+            d.append(s * last)
+        out.append(d)
         prev = c
     return out
 

@@ -30,9 +30,16 @@ continues the route and nothing is rebuilt. A route reads another
 route's rows only where its formula is stated over them (``stirling2``
 by ``eulerian`` sums the ``recursion`` triangle). The Bernoulli
 polynomials are memoized per n, as are the falling factorials and the
-Bernoulli taps in ``algebra`` and ``egf``. The memos outlive a CLI
-command, so later commands in the process reuse them; as only complete
-rows and taps are stored, a command that fails midway leaves nothing
+Bernoulli taps in ``algebra`` and ``egf``. The ``direct`` power-sum route
+keeps one column per n in ``_POWER_SUMS``, the prefix sums
+Σ_{k≤m}(k)_{n,λ} for m = 0, 1, ..., each the last plus one falling
+factorial: a larger m extends the column, a smaller one is a lookup.
+Its ``eulerian`` and ``bernoulli`` routes are not memoized; they read
+the memoized Eulerian rows and β_{n+1}(x) on every call. A_n(-1) is
+memoized per (route, n) in ``_AT_MINUS_ONE``; a memo only ever keys on a
+route ``_route`` has accepted. The memos outlive a CLI command, so later
+commands in the process reuse them; as only complete rows, taps, sums
+and values are stored, a command that fails midway leaves nothing
 partial behind. ``_clear_memos`` empties them all, and the memoized
 descent distributions of ``oracles`` with them.
 
@@ -97,6 +104,20 @@ def _check_nonneg(**kwargs):
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def _falling_numerators(n: int, top: int) -> list:
+    """The numerators of (j)_{n,λ} for j = 0..top, fetched once for a row."""
+    return [falling_factorial_degenerate(j, n)._num for j in range(top + 1)]
+
+
+def _explicit_sum(n: int, k: int, falling: list) -> LambdaPoly:
+    """A(n,k) by the explicit sum, with falling[j] the numerators of (j)_{n,λ}."""
+    acc = []
+    for i in range(k + 1):
+        c = comb(n + 1, i)
+        _add_linear(acc, falling[k - i + 1], -c if i % 2 else c)
+    return _make(acc, 1)
+
+
 def eulerian_explicit(n: int, k: int) -> LambdaPoly:
     """Degenerate Eulerian number by the explicit alternating sum
 
@@ -107,11 +128,7 @@ def eulerian_explicit(n: int, k: int) -> LambdaPoly:
     which is asserted by the verification suite rather than special-cased.
     """
     _check_nonneg(n=n, k=k)
-    acc = []
-    for i in range(k + 1):
-        c = comb(n + 1, i)
-        _add_linear(acc, falling_factorial_degenerate(k - i + 1, n)._num, -c if i % 2 else c)
-    return _make(acc, 1)
+    return _explicit_sum(n, k, _falling_numerators(n, k + 1))
 
 
 def _extend_recursion(rows: List[tuple], max_n: int) -> None:
@@ -139,7 +156,8 @@ def _extend_recursion(rows: List[tuple], max_n: int) -> None:
 
 def _extend_explicit(rows: List[tuple], max_n: int) -> None:
     for n in range(len(rows), max_n + 1):
-        rows.append(tuple(eulerian_explicit(n, k) for k in range(n + 1)))
+        falling = _falling_numerators(n, n + 1)
+        rows.append(tuple(_explicit_sum(n, k, falling) for k in range(n + 1)))
 
 
 def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
@@ -200,12 +218,12 @@ def _extend_stirling2(rows: List[tuple], max_n: int) -> None:
         {n k} = ((-1)^k/k!)·Σ_{j=0}^{k} (-1)^j·C(k,j)·(j)_{n,λ}
     """
     for n in range(len(rows), max_n + 1):
-        row = []
+        falling, row = _falling_numerators(n, n), []
         for k in range(n + 1):
             acc = []
             for j in range(k + 1):
                 c = comb(k, j)
-                _add_linear(acc, falling_factorial_degenerate(j, n)._num, -c if (k - j) % 2 else c)
+                _add_linear(acc, falling[j], -c if (k - j) % 2 else c)
             row.append(_make(acc, factorial(k)))
         rows.append(tuple(row))
 
@@ -228,10 +246,15 @@ def _extend_stirling2_eulerian(rows: List[tuple], max_n: int) -> None:
 
 
 def _power_sum_direct(m: int, n: int) -> LambdaPoly:
-    acc = []
-    for k in range(1, m + 1):
-        _add_linear(acc, falling_factorial_degenerate(k, n)._num, 1)
-    return _make(acc, 1)
+    """Entry m of the column of n in ``_POWER_SUMS``, where entry k is
+    entry k-1 plus (k)_{n,λ}; a request past the column's end extends it."""
+    column = _POWER_SUMS.get(n)
+    if column is None:
+        column = _POWER_SUMS[n] = [_make([], 1)]
+    for k in range(len(column), m + 1):
+        acc = _add_linear(list(column[-1]._num), falling_factorial_degenerate(k, n)._num, 1)
+        column.append(_make(acc, 1))
+    return column[m]
 
 
 def _power_sum_eulerian(m: int, n: int) -> LambdaPoly:
@@ -288,6 +311,11 @@ _ROWS: Dict[Tuple[str, str], List[tuple]] = {
 }
 #: β_n(x) per n already asked for.
 _BERNOULLI_POLY: Dict[int, XLPoly] = {}
+#: Per n, the ``direct`` power sums Σ_{k≤m}(k)_{n,λ} for m = 0, 1, ... as
+#: far as any call has asked: a column of running sums.
+_POWER_SUMS: Dict[int, List[LambdaPoly]] = {}
+#: A_n(-1) per (route, n) already asked for.
+_AT_MINUS_ONE: Dict[Tuple[str, int], LambdaPoly] = {}
 
 
 def _default(family: str) -> str:
@@ -297,9 +325,10 @@ def _default(family: str) -> str:
 def _route(family: str, route: str):
     """The builder of ``route``; ValueError if ``family`` has no such route."""
     routes = ROUTES[family]
-    if route not in tuple(routes):  # a route may be unhashable
-        raise ValueError(f"unknown route {route!r}, expected one of {tuple(routes)}")
-    return routes[route]
+    try:
+        return routes[route]
+    except (KeyError, TypeError):  # TypeError: an unhashable route
+        raise ValueError(f"unknown route {route!r}, expected one of {tuple(routes)}") from None
 
 
 def _rows(family: str, route: str, max_n: int) -> List[tuple]:
@@ -313,11 +342,14 @@ def _rows(family: str, route: str, max_n: int) -> List[tuple]:
 
 def _clear_memos() -> None:
     """Forget every memoized builder value: the rows of every table route,
-    the Bernoulli polynomials, the Bernoulli taps past β_0, the falling
-    factorials and the descent distributions."""
+    the Bernoulli polynomials, the power-sum columns, the values of
+    A_n(-1), the Bernoulli taps past β_0, the falling factorials and the
+    descent distributions."""
     for rows in _ROWS.values():
         rows.clear()
     _BERNOULLI_POLY.clear()
+    _POWER_SUMS.clear()
+    _AT_MINUS_ONE.clear()
     del _BERNOULLI[1:]
     _FALLING.clear()
     _DESCENTS.clear()
@@ -380,10 +412,15 @@ def eulerian_at_minus_one(n: int, route: str = _default("eulerian-at")) -> Lambd
 
         A_n(-1) = 2^{n+1}·(2^{n+1}·β_{n+1,λ/2} - β_{n+1,λ})/(n+1),  n ≥ 1
 
-    which exercises the λ -> λ/2 substitution.
+    which exercises the λ -> λ/2 substitution. Memoized per (route, n)
+    and process.
     """
     _check_nonneg(n=n)
-    return _route("eulerian-at", route)(n)
+    build = _route("eulerian-at", route)
+    value = _AT_MINUS_ONE.get((route, n))
+    if value is None:
+        value = _AT_MINUS_ONE[route, n] = build(n)
+    return value
 
 
 def bernoulli_polynomial(n: int) -> XLPoly:
@@ -463,7 +500,8 @@ def eulerian_from_stirling2(n: int, k: int) -> LambdaPoly:
 def power_sum(m: int, n: int, route: str = _default("powersum")) -> LambdaPoly:
     """The degenerate power sum Σ_{k=1}^{m} (k)_{n,λ}, by three routes:
 
-      direct     literal summation of the falling factorials
+      direct     literal summation of the falling factorials, kept per n
+                 as a column of running sums
       eulerian   Σ_{j=0}^{n} A_{-λ}(n,j)·C(m+j+1, n+1)
       bernoulli  (β_{n+1}(m+1) - β_{n+1})/(n+1)
     """

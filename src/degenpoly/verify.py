@@ -224,9 +224,10 @@ def _cases_power_sum(route_a: str, route_b: str):
 
 
 def _cases_eulerian_from_stirling2(r) -> Cases:
+    explicit = eulerian_table(r["n_max"], "explicit")
     for n in range(1, r["n_max"] + 1):
         for k in range(1, n + 1):
-            yield {"n": n, "k": k}, eulerian_from_stirling2(n, k), eulerian_explicit(n, k - 1)
+            yield {"n": n, "k": k}, eulerian_from_stirling2(n, k), explicit.entry(n, k - 1)
 
 
 def _cases_coefficient_relation(r) -> Cases:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenpoly.algebra import (
@@ -447,6 +447,13 @@ def test_falling_kernels_match_the_ring():
 
 @given(st.lists(st.lists(st.integers(-10**12, 10**12), max_size=5), max_size=6), st.integers(-70, 70))
 @settings(max_examples=200)
+# empty x-coefficients first, in the middle and last, with and without λ
+@example([[], [3, -1], [], [], [7, 0, 2], []], 0)
+@example([[], [3, -1], [], [], [7, 0, 2], []], -5)
+@example([[5], [], [-2, 4]], 0)
+@example([[5], [], [-2, 4]], 9)
+@example([[]], 1)
+@example([], 4)
 def test_times_x_minus_one_is_the_ring_product(acc, s):
     before = [list(c) for c in acc]
     out = _times_x_minus_one(acc, s)

@@ -60,6 +60,8 @@ def _memo_sizes():
         {base: len(products) for base, products in algebra._FALLING.items()},
         len(egf._BERNOULLI),
         len(sequences._BERNOULLI_POLY),
+        {n: len(column) for n, column in sequences._POWER_SUMS.items()},
+        len(sequences._AT_MINUS_ONE),
     )
 
 

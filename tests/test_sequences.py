@@ -183,6 +183,13 @@ CRASH_CASES = {
     "falling-factorial-int": (algebra, "_add_linear",
                               ["eval", "powersum", "--m", "8", "--n", "10", "--lambda", "1/2",
                                "--route", "direct"]),
+    "power-sum-column": (sequences, "_add_linear",
+                         ["eval", "powersum", "--m", "8", "--n", "10", "--lambda", "1/2",
+                          "--route", "direct"]),
+    # the ring products of the closed form, after its taps are solved
+    "at-minus-one-bernoulli": (algebra, "_make",
+                               ["eval", "eulerian-at", "--x=-1", "--n", "8", "--lambda", "1/2",
+                                "--route", "bernoulli"]),
     "stirling1-row": (sequences, "_add_linear", ["table", "stirling1", "--n-max", "8"]),
     "stirling2-explicit": (sequences, "_add_linear",
                            ["table", "stirling2", "--n-max", "8", "--route", "explicit"]),
@@ -276,6 +283,17 @@ def test_at_minus_one_routes_agree():
         assert eulerian_at_minus_one(n, "direct") == eulerian_at_minus_one(n, "bernoulli"), n
     with pytest.raises(ValueError):
         eulerian_at_minus_one(2, "magic")
+
+
+def test_at_minus_one_is_memoized_per_route_and_n(monkeypatch):
+    taps = []
+    monkeypatch.setattr(sequences, "bernoulli_taps",
+                        lambda order: taps.append(order) or bernoulli_taps(order))
+    first = eulerian_at_minus_one(6, "bernoulli")
+    assert eulerian_at_minus_one(6, "bernoulli") is first and taps == [7]
+    direct = eulerian_at_minus_one(6, "direct")
+    assert direct == first and direct is not first
+    assert set(sequences._AT_MINUS_ONE) == {("bernoulli", 6), ("direct", 6)}
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +458,43 @@ def test_power_sum_validation():
         power_sum(2, 0)
     with pytest.raises(ValueError):
         power_sum(2, 2, "microwave")
+
+
+def test_an_unhashable_route_is_an_unknown_route():
+    calls = {
+        "powersum": lambda: power_sum(2, 2, ["direct"]),
+        "eulerian-at": lambda: eulerian_at_minus_one(2, ["direct"]),
+        "eulerian": lambda: route_rows("eulerian", 2, ["direct"]),
+    }
+    for family, call in calls.items():
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == f"unknown route ['direct'], expected one of {tuple(ROUTES[family])}"
+
+
+def test_direct_power_sum_column_extends_and_is_read(monkeypatch):
+    # one column of running sums per n: a larger m extends it by one term
+    # per new m, a smaller one is read from it
+    n, terms, step = 7, [], sequences._add_linear
+    monkeypatch.setattr(sequences, "_add_linear", lambda *args: terms.append(args) or step(*args))
+    for m, new_terms in ((20, 20), (5, 0), (24, 4)):
+        terms.clear()
+        literal = LambdaPoly()
+        for k in range(1, m + 1):
+            literal = literal + _ring_falling(k, n)
+        assert _stored(power_sum(m, n, "direct")) == _stored(literal), m
+        assert len(terms) == new_terms, m
+    assert len(sequences._POWER_SUMS[n]) == 25
+    assert list(sequences._POWER_SUMS) == [n]
+
+
+def test_clear_memos_empties_the_power_sum_and_at_minus_one_memos():
+    power_sum(4, 3, "direct")
+    for route in ROUTES["eulerian-at"]:
+        eulerian_at_minus_one(5, route)
+    assert sequences._POWER_SUMS and sequences._AT_MINUS_ONE
+    sequences._clear_memos()
+    assert sequences._POWER_SUMS == {} and sequences._AT_MINUS_ONE == {}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from degenpoly import sequences
 from degenpoly.algebra import LambdaPoly
 from degenpoly.oracles import MAX_ENUMERATION_N
 from degenpoly.sequences import eulerian_explicit, eulerian_table
@@ -141,3 +142,15 @@ def test_deterministic_repeat():
     first = run_suite(["prop-2.1-gf-residual"], ranges={"n_max": 5})
     second = run_suite(["prop-2.1-gf-residual"], ranges={"n_max": 5})
     assert first == second
+
+
+def test_any_order_gives_the_per_check_results_of_empty_memos():
+    # the checks share the memos, so each must report what it reports alone
+    alone = {}
+    for check in REGISTRY:
+        sequences._clear_memos()
+        alone[check.id] = run_check(check)
+    sequences._clear_memos()
+    reverse = [run_check(check) for check in reversed(REGISTRY)]
+    assert {spec.id: spec for spec in reverse} == alone
+    assert {spec.status for spec in reverse} == {"pass"}
