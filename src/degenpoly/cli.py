@@ -24,14 +24,19 @@ and errors; a command in plain forms (exact option strings and their
 values, ``--opt=value`` taken as it stands, flags, the positional) is
 read against the same table in one pass, without building the parser.
 
+Importing this module loads only what ``table`` and ``eval`` run. JSON
+is written by ``_emit_json`` with the C string quoting of ``_json``, and
+the ``json`` package is imported only for a value the emitter has no case
+for or by ``output_schema()``. No CSV field can hold a comma, a quote or
+a line break, so rows are written directly, without the ``csv`` module.
+``cmd_verify`` imports ``verify``, and with it ``oracles``, when it runs.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import re
 import sys
@@ -42,7 +47,11 @@ from typing import Dict, List, Optional, Sequence, Union
 from . import __version__
 from .algebra import LambdaPoly, XLPoly
 from .sequences import ROUTES, eulerian_at_minus_one, eulerian_poly, power_sum, route_rows
-from .verify import RangeOverrideError, UnknownCheckError, run_suite
+
+try:  # the C string quoting that json.encoder re-exports, without loading json
+    from _json import encode_basestring as _quote
+except ImportError:
+    from json.encoder import encode_basestring as _quote
 
 DEFAULT_N_CAP = 64
 N_CAP_ENV = "DEGENPOLY_MAX_N"
@@ -107,7 +116,8 @@ def parse_xl_poly(values: Sequence[Sequence[str]]) -> XLPoly:
 
 def output_schema() -> dict:
     """The JSON schema all CLI JSON documents validate against."""
-    from importlib import resources  # on demand: no command reads the schema
+    import json  # on demand, as no command reads the schema
+    from importlib import resources
 
     with resources.files(__package__).joinpath("output-schema.json").open("rb") as fh:
         return json.load(fh)
@@ -154,18 +164,22 @@ def _metadata(route: Optional[str] = None, mode: Optional[str] = None, timestamp
     return meta
 
 
-#: Every JSON document's layout: sorted keys, two-space indent, UTF-8 text.
-#: ``_emit_json`` writes it directly and hands ``_JSON`` only the values it
-#: has no case for.
-_JSON = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
-#: The C string quoting that ``_JSON`` itself uses with ensure_ascii=False.
-_quote = json.encoder.encode_basestring
 #: Parts held before they are written out.
 _BATCH = 32
 
 
+@cache
+def _encoder():
+    """Every JSON document's layout: sorted keys, two-space indent, UTF-8
+    text. ``_emit_json`` writes it directly and builds this encoder only for
+    a value it has no case for."""
+    import json
+
+    return json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+
+
 def _emit_json(doc: dict, out) -> None:
-    # Below Python 3.13, ``_JSON`` has no C path with an indent: each key,
+    # Below Python 3.13, the encoder has no C path with an indent: each key,
     # list and string would be a pure-Python generator step. The parts go
     # out in small batches, since one string would hold a second copy of a
     # table document (~7 MB at the n = 64 cap).
@@ -176,7 +190,7 @@ def _emit_json(doc: dict, out) -> None:
 
 
 def _write_json(value, newline: str, parts: List[str], out) -> None:
-    """Append ``value`` in ``_JSON``'s layout to ``parts``; ``newline`` is
+    """Append ``value`` in the encoder's layout to ``parts``; ``newline`` is
     a line break followed by the indent of the line ``value`` starts on."""
     kind = type(value)
     if kind is str:
@@ -225,7 +239,7 @@ def _write_json(value, newline: str, parts: List[str], out) -> None:
     elif value is False:
         parts.append("false")
     else:  # a float, a subclass, a dict with a key that is not a str: the encoder, re-indented
-        parts.append(_JSON.encode(value).replace("\n", newline))
+        parts.append(_encoder().encode(value).replace("\n", newline))
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +298,11 @@ def cmd_table(args, out) -> int:
         _emit_json(doc, out)
         return 0
 
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["family", "n", "k", "value"])
-    writer.writerows(
-        (family, n, "" if flat else k, ";".join(cell) if symbolic else cell)
+    # No field can hold a comma, a quote or a line break, so each row is
+    # written as csv.writer would write it, unquoted.
+    out.write("family,n,k,value\n")
+    out.writelines(
+        f"{family},{n},{'' if flat else k},{';'.join(cell) if symbolic else cell}\n"
         for n, row in enumerate(values)
         for k, cell in enumerate(row)
     )
@@ -306,6 +321,7 @@ def cmd_eval(args, out) -> int:
             raise UsageError("powersum requires --m and --n")
         if args.m < 1 or args.n < 1:
             raise UsageError("powersum requires m >= 1 and n >= 1")
+        _check_cap("--m", args.m)
         _check_cap("--n", args.n)
         route = _resolve_route(args.expr, args.route)
         value = power_sum(args.m, args.n, route).eval(args.lam)
@@ -355,6 +371,9 @@ def cmd_verify(args, out) -> int:
         if value is not None:
             _check_cap("--" + key.replace("_", "-"), value)
             ranges[key] = value
+    # on demand: only verify loads the identity suite and the oracles
+    from .verify import RangeOverrideError, UnknownCheckError, run_suite
+
     try:
         results = run_suite(selection, ranges or None)
     except (UnknownCheckError, RangeOverrideError) as exc:

@@ -78,7 +78,6 @@ from .algebra import (
     falling_factorial_degenerate,
 )
 from .egf import _BERNOULLI, bernoulli_taps
-from .oracles import _DESCENTS
 
 __all__ = [
     "ROUTES",
@@ -352,6 +351,8 @@ def _clear_memos() -> None:
     _AT_MINUS_ONE.clear()
     del _BERNOULLI[1:]
     _FALLING.clear()
+    from .oracles import _DESCENTS  # on demand: only verify loads the oracles
+
     _DESCENTS.clear()
 
 

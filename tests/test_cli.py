@@ -1,6 +1,7 @@
 """CLI behavior: document shapes, determinism, exit codes, serialization."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -192,6 +193,32 @@ def test_table_rational_lambda_is_the_symbolic_table_evaluated(family, route):
         assert lines[1:] == rows, token
 
 
+def _csv_module_layout(argv):
+    """What csv.writer writes for the rows of ``argv``'s JSON document."""
+    doc = run_json(*argv)
+    family, symbolic = doc["family"], doc["parameters"]["lambda"] == "symbolic"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["family", "n", "k", "value"])
+    for n, row in enumerate(doc["values"]):
+        for k, cell in [("", row)] if family == "bernoulli" else enumerate(row):
+            writer.writerow([family, n, k, ";".join(cell) if symbolic else cell])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("family,route", FAMILY_ROUTE_PAIRS)
+def test_table_csv_is_the_csv_module_layout(family, route):
+    for lam in ("symbolic", "-2/3", "0"):
+        argv = ("table", family, "--n-max", "6", "--route", route, f"--lambda={lam}")
+        code, text = run_cli(*argv, "--format", "csv")
+        assert code == 0
+        assert text == _csv_module_layout(argv), lam
+        if family == "eulerian-number":  # A(6,6) = 0: an empty value, or "0"
+            assert text.endswith("\neulerian-number,6,6,\n" if lam == "symbolic" else ",6,6,0\n")
+        if family == "bernoulli":  # no k
+            assert "\nbernoulli,6,," in text
+
+
 def test_table_eulerian_poly_trims_a_vanished_leading_coefficient():
     # A(2,1) = 1 + λ vanishes at λ = -1, so A_2(x) = 2 there
     doc = run_json("table", "eulerian-poly", "--n-max", "2", "--lambda", "-1")
@@ -277,6 +304,18 @@ def test_eval_validation():
     assert run_cli("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "0", "--route", "warp")[0] == 2
 
 
+def test_eval_m_cap(monkeypatch):
+    # the direct route memoizes the falling factorials of every base up to m
+    powersum = ["eval", "powersum", "--n", "2", "--lambda", "1/2", "--m"]
+    assert _outcome(powersum + ["65"]) == (
+        2, "", f"error: --m=65 exceeds the hard cap 64 (override with {cli.N_CAP_ENV})\n")
+    code, out, err = _outcome(powersum + ["64"])
+    assert (code, err) == (0, "") and json.loads(out)["value"]
+    monkeypatch.setenv(cli.N_CAP_ENV, "2")
+    assert _outcome(powersum + ["3"]) == (
+        2, "", f"error: --m=3 exceeds the hard cap 2 (override with {cli.N_CAP_ENV})\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -348,7 +387,7 @@ def test_verify_failure_exits_1(monkeypatch):
         counterexample=Counterexample({"n": 2, "k": 0}, "1", "1 - λ"),
     )
 
-    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: [failing])
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: [failing])
     code, text = run_cli("verify", "--check", "thm-2.6-recursion")
     assert code == 1
     assert "FAIL thm-2.6-recursion" in text
@@ -614,6 +653,11 @@ def test_main_without_argv_reads_sys_argv(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+#: The layout every JSON document must have, built here so that the
+#: reference does not depend on the code under test.
+LAYOUT = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+
+
 def _emitted(doc) -> str:
     buf = io.StringIO()
     cli._emit_json(doc, buf)
@@ -637,7 +681,7 @@ json_values = st.recursive(
 
 @given(json_values)
 def test_emitted_json_is_the_encoder_layout(doc):
-    assert _emitted(doc) == cli._JSON.encode(doc) + "\n"
+    assert _emitted(doc) == LAYOUT.encode(doc) + "\n"
 
 
 @pytest.mark.parametrize("doc", [
@@ -648,7 +692,7 @@ def test_emitted_json_is_the_encoder_layout(doc):
     "λ",
 ])
 def test_emitted_json_hands_other_values_to_the_encoder(doc):
-    assert _emitted(doc) == cli._JSON.encode(doc) + "\n"
+    assert _emitted(doc) == LAYOUT.encode(doc) + "\n"
 
 
 def test_emitted_json_rejects_what_the_encoder_rejects():
@@ -656,7 +700,7 @@ def test_emitted_json_rejects_what_the_encoder_rejects():
         with pytest.raises(TypeError) as emitted:
             _emitted(doc)
         with pytest.raises(TypeError) as encoded:
-            cli._JSON.encode(doc)
+            LAYOUT.encode(doc)
         assert str(emitted.value) == str(encoded.value)
 
 
@@ -677,7 +721,7 @@ def test_every_command_document_is_the_encoder_layout():
     for argv in _json_commands():
         code, text = run_cli(*argv)
         assert code == 0, argv
-        assert text == cli._JSON.encode(json.loads(text)) + "\n", argv
+        assert text == LAYOUT.encode(json.loads(text)) + "\n", argv
 
 
 def test_a_table_document_is_written_in_small_batches():
@@ -690,7 +734,7 @@ def test_a_table_document_is_written_in_small_batches():
     assert main(["table", "eulerian-number", "--n-max", "36", "--format", "json"], out=Recorder()) == 0
     text = "".join(writes)
     assert len(text) > 600_000
-    assert text == cli._JSON.encode(json.loads(text)) + "\n"
+    assert text == LAYOUT.encode(json.loads(text)) + "\n"
     assert len(writes) > 10
     assert max(map(len, writes)) < len(text) // 10
 
@@ -783,6 +827,16 @@ PLAIN_COMMANDS = (
 ON_DEMAND_MODULES = ("dataclasses", "inspect", "datetime", "importlib.resources")
 
 
+def _run_fresh(code):
+    """stdout of ``code`` in a fresh interpreter. -S: the site hooks of an
+    interpreter may import importlib.resources."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_commands_load_no_on_demand_module():
     code = (
         "import io, json, sys\n"
@@ -791,11 +845,45 @@ def test_commands_load_no_on_demand_module():
         "    assert main(list(argv), io.StringIO()) == 0, argv\n"
         f"print(json.dumps([m for m in {ON_DEMAND_MODULES!r} if m in sys.modules]))\n"
     )
-    # -S: the site hooks of an interpreter may import importlib.resources
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert json.loads(proc.stdout) == []
+    assert json.loads(_run_fresh(code)) == []
+
+
+#: Modules that ``table`` and ``eval`` never load, nor ``verify`` the first two.
+COMMAND_PATH_MODULES = ("json", "csv", "degenpoly.verify", "degenpoly.oracles")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (("table", "eulerian-poly", "--n-max", "4"), []),
+    (("table", "eulerian-poly", "--n-max", "4", "--format", "csv"), []),
+    (("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "0"), []),
+    (("verify", "--suite", "all", "--format", "json"), ["degenpoly.verify", "degenpoly.oracles"]),
+], ids=["table-json", "table-csv", "eval", "verify"])
+def test_each_command_loads_only_what_it_runs(argv, loaded):
+    code = (
+        "import io, sys\n"
+        "from degenpoly.cli import main\n"
+        f"assert main({list(argv)!r}, io.StringIO()) == 0\n"
+        f"print(*[m for m in {COMMAND_PATH_MODULES!r} if m in sys.modules])\n"
+    )
+    assert _run_fresh(code).split() == loaded
+
+
+def test_package_names_load_on_first_access():
+    code = (
+        "import sys, degenpoly\n"
+        "assert set(degenpoly.__all__) <= set(dir(degenpoly))\n"
+        f"assert not [m for m in {COMMAND_PATH_MODULES!r} if m in sys.modules]\n"
+        "run_suite, descent_distribution = degenpoly.run_suite, degenpoly.descent_distribution\n"
+        "from degenpoly import oracles, verify\n"
+        "assert run_suite is verify.run_suite\n"
+        "assert descent_distribution is oracles.descent_distribution\n"
+        "names = {}\n"
+        "exec('from degenpoly import *', names)\n"
+        "assert set(degenpoly.__all__) <= set(names)\n"
+        "assert not hasattr(degenpoly, 'no_such_name')\n"
+        "print('ok')\n"
+    )
+    assert _run_fresh(code) == "ok\n"
 
 
 @pytest.mark.parametrize("argv", PLAIN_COMMANDS, ids=lambda argv: argv[0])
