@@ -25,13 +25,16 @@ values, ``--opt=value`` taken as it stands, flags, the positional) is
 read against the same table in one pass, without building the parser.
 
 Importing this module loads only what ``table`` and ``eval`` run. JSON
-is written by ``_emit_json`` with the C string quoting of ``_json``, and
-the ``json`` package is imported only for a value the emitter has no case
-for or by ``output_schema()``. No CSV field can hold a comma, a quote or
-a line break, so rows are written directly, without the ``csv`` module.
-``cmd_verify`` imports ``verify``, and with it ``oracles``, when it runs.
+is written by ``_emit_json`` with the C string quoting of ``_json``; a
+document holds only strings, ints, None, lists and dicts with string
+keys, and any other value raises TypeError. The ``json`` package is
+imported only by ``output_schema()``. No CSV field can hold a comma, a
+quote or a line break, so rows are written directly, without the ``csv``
+module. ``cmd_verify`` imports ``verify``, and with it ``oracles``, when
+it runs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or output
+that could not be written.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import __version__
-from .algebra import LambdaPoly, XLPoly
+from .algebra import LambdaPoly, XLPoly, _trim
 from .sequences import ROUTES, eulerian_at_minus_one, eulerian_poly, power_sum, route_rows
 
 try:  # the C string quoting that json.encoder re-exports, without loading json
@@ -141,14 +144,19 @@ def _n_cap() -> int:
     return cap
 
 
-def _check_cap(name: str, value: int):
+def _check_caps(*named: Tuple[str, int]) -> None:
+    """Each (option, value) in turn against the cap, read once per command
+    and only when there is a value to check."""
+    if not named:
+        return
     cap = _n_cap()
-    if value > cap:
-        raise UsageError(
-            f"{name}={value} exceeds the hard cap {cap} (override with {N_CAP_ENV})"
-        )
-    if value < 0:
-        raise UsageError(f"{name} must be >= 0, got {value}")
+    for name, value in named:
+        if value > cap:
+            raise UsageError(
+                f"{name}={value} exceeds the hard cap {cap} (override with {N_CAP_ENV})"
+            )
+        if value < 0:
+            raise UsageError(f"{name} must be >= 0, got {value}")
 
 
 def _metadata(route: Optional[str] = None, mode: Optional[str] = None, timestamp: bool = False) -> dict:
@@ -168,21 +176,12 @@ def _metadata(route: Optional[str] = None, mode: Optional[str] = None, timestamp
 _BATCH = 32
 
 
-@cache
-def _encoder():
-    """Every JSON document's layout: sorted keys, two-space indent, UTF-8
-    text. ``_emit_json`` writes it directly and builds this encoder only for
-    a value it has no case for."""
-    import json
-
-    return json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
-
-
 def _emit_json(doc: dict, out) -> None:
-    # Below Python 3.13, the encoder has no C path with an indent: each key,
-    # list and string would be a pure-Python generator step. The parts go
-    # out in small batches, since one string would hold a second copy of a
-    # table document (~7 MB at the n = 64 cap).
+    # The layout of json.JSONEncoder(sort_keys=True, indent=2,
+    # ensure_ascii=False), which below Python 3.13 has no C path with an
+    # indent: each key, list and string would be a pure-Python generator
+    # step. The parts go out in small batches, since one string would hold
+    # a second copy of a table document (~7 MB at the n = 64 cap).
     parts: List[str] = []
     _write_json(doc, "\n", parts, out)
     parts.append("\n")
@@ -190,14 +189,15 @@ def _emit_json(doc: dict, out) -> None:
 
 
 def _write_json(value, newline: str, parts: List[str], out) -> None:
-    """Append ``value`` in the encoder's layout to ``parts``; ``newline`` is
-    a line break followed by the indent of the line ``value`` starts on."""
+    """Append ``value`` in the document layout to ``parts``; ``newline`` is
+    a line break followed by the indent of the line ``value`` starts on.
+    A value that no document holds raises TypeError."""
     kind = type(value)
     if kind is str:
         parts.append(_quote(value))
     elif kind is int:
         parts.append(int.__repr__(value))
-    elif kind is list or kind is tuple:
+    elif kind is list:
         if not value:
             parts.append("[]")
             return
@@ -217,7 +217,10 @@ def _write_json(value, newline: str, parts: List[str], out) -> None:
                 parts.clear()
             head = sep
         parts.append(newline + "]")
-    elif kind is dict and all(type(key) is str for key in value):
+    elif kind is dict:
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
         if not value:
             parts.append("{}")
             return
@@ -234,12 +237,8 @@ def _write_json(value, newline: str, parts: List[str], out) -> None:
         parts.append(newline + "}")
     elif value is None:
         parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    else:  # a float, a subclass, a dict with a key that is not a str: the encoder, re-indented
-        parts.append(_encoder().encode(value).replace("\n", newline))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,7 @@ def _resolve_route(family: str, requested: Optional[str]) -> str:
 
 def cmd_table(args, out) -> int:
     family, lam = args.family, args.lam
-    _check_cap("--n-max", args.n_max)
+    _check_caps(("--n-max", args.n_max))
     route = _resolve_route(family, args.route)
     # rows of λ-polynomial cells: a triangle row, or the single cell β_n
     rows = route_rows(_FAMILY.get(family, family), args.n_max, route)
@@ -269,7 +268,7 @@ def cmd_table(args, out) -> int:
     if not symbolic:
         rows = [[c.eval(lam) for c in row] for row in rows]
     if family == "eulerian-poly":  # A_n(x)'s x-coefficients, trimmed after λ: a value can zero the top one
-        rows = [[c if symbolic else c.coeff(0) for c in XLPoly(row).coeffs] for row in rows]
+        rows = [_trim(list(row)) for row in rows]
     flat = family == "bernoulli"  # one cell per n, written without k
 
     if args.human:
@@ -321,15 +320,14 @@ def cmd_eval(args, out) -> int:
             raise UsageError("powersum requires --m and --n")
         if args.m < 1 or args.n < 1:
             raise UsageError("powersum requires m >= 1 and n >= 1")
-        _check_cap("--m", args.m)
-        _check_cap("--n", args.n)
+        _check_caps(("--m", args.m), ("--n", args.n))
         route = _resolve_route(args.expr, args.route)
         value = power_sum(args.m, args.n, route).eval(args.lam)
         parameters = {"m": args.m, "n": args.n, "lambda": lam, "route": route}
     else:  # eulerian-at
         if args.x is None:
             raise UsageError("eulerian-at requires --x and --n")
-        _check_cap("--n", args.n)
+        _check_caps(("--n", args.n))
         route = _resolve_route(args.expr, args.route)
         if args.x == -1:
             value = eulerian_at_minus_one(args.n, route).eval(args.lam)
@@ -365,12 +363,9 @@ def cmd_verify(args, out) -> int:
     selection = args.check if args.check else None
     if args.suite and args.check:
         raise UsageError("use either --suite all or --check, not both")
-    ranges: Dict[str, int] = {}
-    for key in ("n_max", "m_max", "k_max"):
-        value = getattr(args, key)
-        if value is not None:
-            _check_cap("--" + key.replace("_", "-"), value)
-            ranges[key] = value
+    ranges = {key: getattr(args, key) for key in ("n_max", "m_max", "k_max")
+              if getattr(args, key) is not None}
+    _check_caps(*(("--" + key.replace("_", "-"), value) for key, value in ranges.items()))
     # on demand: only verify loads the identity suite and the oracles
     from .verify import RangeOverrideError, UnknownCheckError, run_suite
 
@@ -595,7 +590,21 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console entry: ``main`` on the process's argv and stdout. Output
+    that cannot be written (a closed pipe, a full disk) exits 2 with one
+    error line, not a traceback."""
+    try:
+        try:
+            status = main()
+        finally:  # a short report, or the help argparse exits after, fails only here
+            sys.stdout.flush()
+    except OSError as exc:
+        # Python flushes stdout again at exit; from the Note on SIGPIPE in
+        # the signal module's docs: point it at devnull so that cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: could not write the output: {exc.strerror or exc}", file=sys.stderr)
+        status = 2
+    sys.exit(status)
 
 
 if __name__ == "__main__":

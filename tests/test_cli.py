@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -223,6 +224,10 @@ def test_table_eulerian_poly_trims_a_vanished_leading_coefficient():
     # A(2,1) = 1 + λ vanishes at λ = -1, so A_2(x) = 2 there
     doc = run_json("table", "eulerian-poly", "--n-max", "2", "--lambda", "-1")
     assert doc["values"] == [["1"], ["1"], ["2"]]
+    # A(n,n) = 0 for n >= 1, so the symbolic rows are trimmed too, on a copy:
+    # the memoized triangle keeps its n + 1 cells
+    assert run_json("table", "eulerian-poly", "--n-max", "2")["values"][2] == [["1", "-1"], ["1", "1"]]
+    assert [len(row) for row in sequences.route_rows("eulerian", 2, "recursion")] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("family", cli.TABLE_FAMILIES)
@@ -302,6 +307,43 @@ def test_eval_validation():
     assert run_cli("eval", "powersum", "--m", "0", "--n", "2", "--lambda", "0")[0] == 2
     assert run_cli("eval", "eulerian-at", "--x", "2", "--n", "2", "--lambda", "0", "--route", "bernoulli")[0] == 2
     assert run_cli("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "0", "--route", "warp")[0] == 2
+
+
+def test_the_cap_is_read_once_per_command_and_only_to_check_a_value(monkeypatch):
+    reads = []
+
+    def counting_n_cap():
+        reads.append(1)
+        return cli.DEFAULT_N_CAP
+
+    monkeypatch.setattr(cli, "_n_cap", counting_n_cap)
+    for argv, expected in (
+        (("eval", "powersum", "--m", "2", "--n", "3", "--lambda", "1/2"), 1),
+        (("eval", "eulerian-at", "--x=-1", "--n", "3", "--lambda", "1/2"), 1),
+        (("table", "bernoulli", "--n-max", "3"), 1),
+        (("verify", "--check", "thm-2.10-power-sum-routes", "--n-max", "3", "--m-max", "3",
+          "--k-max", "3"), 1),
+        (("verify", "--check", "eulerian-top-entry"), 0),
+    ):
+        reads.clear()
+        assert run_cli(*argv)[0] == 0, argv
+        assert len(reads) == expected, argv
+
+
+def test_cap_messages_keep_their_order(monkeypatch):
+    assert _outcome(["eval", "powersum", "--m", "65", "--n", "66", "--lambda", "0"])[2] == (
+        f"error: --m=65 exceeds the hard cap 64 (override with {cli.N_CAP_ENV})\n")
+    assert _outcome(["eval", "powersum", "--m", "3", "--n", "66", "--lambda", "0"])[2] == (
+        f"error: --n=66 exceeds the hard cap 64 (override with {cli.N_CAP_ENV})\n")
+    assert _outcome(["verify", "--check", "eulerian-row-sum", "--n-max", "-1", "--m-max", "99"])[2] == (
+        "error: --n-max must be >= 0, got -1\n")
+    assert _outcome(["verify", "--check", "eulerian-row-sum", "--m-max", "99", "--k-max", "-1"])[2] == (
+        f"error: --m-max=99 exceeds the hard cap 64 (override with {cli.N_CAP_ENV})\n")
+    # a command that checks no value reads no cap, so a bad one goes unnoticed
+    monkeypatch.setenv(cli.N_CAP_ENV, "abc")
+    assert _outcome(["verify", "--check", "eulerian-top-entry"])[0] == 0
+    assert _outcome(["verify", "--check", "eulerian-top-entry", "--n-max", "3"]) == (
+        2, "", f"error: {cli.N_CAP_ENV} must be an integer, got 'abc'\n")
 
 
 def test_eval_m_cap(monkeypatch):
@@ -667,14 +709,11 @@ def _emitted(doc) -> str:
 #: Text that JSON must escape or may keep: quotes, backslashes, control
 #: characters, U+2028/U+2029 and non-ASCII.
 json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\n\t\x7f\u2028\u2029λé€😀')))
+#: Every value a document can hold: strings, ints, None, lists and dicts
+#: with string keys.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | json_text,
-    lambda children: (
-        st.lists(children)
-        | st.lists(children).map(tuple)
-        | st.lists(json_text)
-        | st.dictionaries(json_text, children)
-    ),
+    st.none() | st.integers() | json_text,
+    lambda children: st.lists(children) | st.lists(json_text) | st.dictionaries(json_text, children),
     max_leaves=20,
 )
 
@@ -684,15 +723,14 @@ def test_emitted_json_is_the_encoder_layout(doc):
     assert _emitted(doc) == LAYOUT.encode(doc) + "\n"
 
 
-@pytest.mark.parametrize("doc", [
-    {"float": [1.5, -0.0, 1e300, float("inf")], "nested": {"x": [2.5]}},
-    {"keys": {2: "b", 1: [None, {3.5: True}]}},
-    {"empty": [[], {}, (), ""], "top": "x"},
-    [],
-    "λ",
+@pytest.mark.parametrize("value,name", [
+    (1.5, "float"), (True, "bool"), ((), "tuple"), (("a", "b"), "tuple"), ({1, 2}, "set"),
+    ({"a": 1, 2: "b"}, "int"), ({(1,): "a"}, "tuple"), (object(), "object"),
 ])
-def test_emitted_json_hands_other_values_to_the_encoder(doc):
-    assert _emitted(doc) == LAYOUT.encode(doc) + "\n"
+def test_emitted_json_rejects_a_value_no_document_holds(value, name):
+    for doc in (value, {"a": [value]}, ["a", value], {"a": {"b": value}}):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            _emitted(doc)
 
 
 def test_emitted_json_rejects_what_the_encoder_rejects():
@@ -868,6 +906,38 @@ def test_each_command_loads_only_what_it_runs(argv, loaded):
     assert _run_fresh(code).split() == loaded
 
 
+#: ``degenpoly.__all__`` before the package re-exported each module's own.
+EARLIER_PACKAGE_NAMES = (
+    "__version__", "LAM", "LambdaPoly", "X", "XLPoly", "binomial_poly",
+    "falling_factorial_classical", "falling_factorial_degenerate", "bernoulli_taps",
+    "gf_residual", "ClassicalTriangles", "PermStatDistribution", "classical_triangles",
+    "descent_distribution", "excedance_distribution", "EulerianTable", "bernoulli_polynomial",
+    "eulerian_at_minus_one", "eulerian_explicit", "eulerian_from_stirling2", "eulerian_poly",
+    "eulerian_table", "power_sum", "stirling1_row", "stirling2_degenerate",
+    "stirling2_from_eulerian", "worpitzky_lhs", "CheckSpec", "Counterexample",
+    "UnknownCheckError", "check_ids", "run_suite",
+)
+
+
+def test_package_reexports_each_module_all():
+    import degenpoly
+    from degenpoly import algebra, egf, oracles
+
+    assert set(degenpoly._ON_DEMAND) == {"oracles", "verify"}
+    assert set(degenpoly._ON_DEMAND["oracles"]) == set(oracles.__all__)
+    assert set(degenpoly._ON_DEMAND["verify"]) == set(verify.__all__)
+    for module in (algebra, egf, sequences, oracles, verify):
+        for name in module.__all__:
+            assert name in degenpoly.__all__, (module.__name__, name)
+            assert getattr(degenpoly, name) is getattr(module, name), (module.__name__, name)
+    assert len(degenpoly.__all__) == len(set(degenpoly.__all__))
+    assert set(EARLIER_PACKAGE_NAMES) <= set(degenpoly.__all__)
+    # the eager modules' names are not typed out again
+    source = Path(degenpoly.__file__).read_text(encoding="utf-8")
+    assert [name for module in (algebra, egf, sequences) for name in module.__all__
+            if re.search(rf"\b{name}\b", source)] == []
+
+
 def test_package_names_load_on_first_access():
     code = (
         "import sys, degenpoly\n"
@@ -884,6 +954,45 @@ def test_package_names_load_on_first_access():
         "print('ok')\n"
     )
     assert _run_fresh(code) == "ok\n"
+
+
+#: Commands whose output can fail to be written: one document of more than
+#: 64 KiB, written in batches; one short report, written only at the last
+#: flush; the help, after which argparse exits.
+WRITE_FAILURE_COMMANDS = (
+    ("table", "eulerian-number", "--n-max", "40"),
+    ("verify", "--suite", "all"),
+    ("--help",),
+)
+
+
+def _console(argv, stdout):
+    """Exit status and stderr of the console entry with ``stdout``, block
+    buffered as it is by default."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "degenpoly", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=dict(env, PYTHONPATH=src))
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", WRITE_FAILURE_COMMANDS, ids=lambda argv: argv[0].lstrip("-"))
+def test_a_full_disk_exits_2_without_a_traceback(argv):
+    with open("/dev/full", "w") as full:
+        code, err = _console(argv, full)
+    assert (code, err) == (2, f"error: could not write the output: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("argv", WRITE_FAILURE_COMMANDS, ids=lambda argv: argv[0].lstrip("-"))
+def test_a_closed_pipe_exits_2_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, err = _console(argv, write)
+    finally:
+        os.close(write)
+    assert (code, err) == (2, f"error: could not write the output: {os.strerror(errno.EPIPE)}\n")
 
 
 @pytest.mark.parametrize("argv", PLAIN_COMMANDS, ids=lambda argv: argv[0])

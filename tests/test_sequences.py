@@ -301,6 +301,21 @@ def test_at_minus_one_is_memoized_per_route_and_n(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def test_the_bernoulli_table_holds_the_very_taps_the_checks_compare():
+    # ``table bernoulli`` prints the ``egf-triangular`` rows: one store, not
+    # a copy, whichever of the two is asked first
+    for n in range(13):
+        for warm_taps in (False, True):
+            sequences._clear_memos()
+            if warm_taps:
+                bernoulli_taps(16)
+            rows = route_rows("bernoulli", n, "egf-triangular")
+            taps = bernoulli_taps(n)
+            assert len(rows) == len(taps) == n + 1
+            for k in range(n + 1):
+                assert rows[k][0] is taps[k], (n, k, warm_taps)
+
+
 def test_bernoulli_polynomial_small():
     assert bernoulli_polynomial(0) == XLPoly.constant(1)
     assert bernoulli_polynomial(1) == X + XLPoly.constant(LambdaPoly((F(-1, 2), F(1, 2))))
