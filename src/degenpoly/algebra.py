@@ -50,6 +50,13 @@ eq-19, eq-38, row-sum and alternating-sum checks compare with them.
 ``XLPoly.eval_x`` is an integer Horner scheme over the common
 denominator of the x-coefficients, like ``LambdaPoly.eval`` in λ.
 
+Memos: every value a builder of the package memoizes, here and in
+``egf``, ``sequences`` and ``oracles``, lives in the one store
+``_MEMOS``, under a key of names and ints: the falling factorials per
+base, the Bernoulli taps, the rows of each table route, the ``direct``
+power-sum columns, β_n(x), A_n(-1) and the descent distributions.
+``sequences._clear_memos`` empties it.
+
 Values are immutable after construction; all operations return new values.
 """
 
@@ -58,7 +65,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd, lcm
-from typing import Dict, Iterable, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -567,9 +574,44 @@ LAM = LambdaPoly.variable()
 X = XLPoly.variable()
 
 
-#: (base)_{0,λ}, (base)_{1,λ}, ... per integer base and for X, each list
-#: extended by one factor per new j and never rebuilt.
-_FALLING: Dict[object, list] = {}
+#: Every memoized builder value of the package, kept per process: a list
+#: that only grows by complete entries (``_grown``) or a value built whole
+#: (``_built``), keyed by a tuple of names and ints that names the memo.
+_MEMOS: dict = {}
+
+
+def _grown(key: tuple, n: int, extend, *args) -> list:
+    """The list at ``key``, first extended by ``extend(entries, n, *args)``
+    if it holds no entry n; ``extend`` appends only complete entries."""
+    entries = _MEMOS.get(key)
+    if entries is None:
+        entries = _MEMOS[key] = []
+    if len(entries) <= n:
+        extend(entries, n, *args)
+    return entries
+
+
+def _built(key: tuple, build, *args):
+    """The value at ``key``, built by ``build(*args)`` on first use."""
+    value = _MEMOS.get(key)
+    if value is None:
+        value = _MEMOS[key] = build(*args)
+    return value
+
+
+def _extend_falling(products: list, n: int, base) -> None:
+    """(base)_{0,λ} .. (base)_{n,λ}, each the last times (base - iλ), on int
+    numerator lists; the base "x" stands for X."""
+    scalar = base != "x"
+    if not products:
+        products.append(_make([1], 1) if scalar else _xl([_make([1], 1)]))
+    for i in range(len(products) - 1, n):
+        last = products[-1]
+        if scalar:  # the numerators times (base - iλ)
+            products.append(_make(_add_linear([], last._num, base, -i), 1))
+        else:  # last·(x - iλ)
+            cs = _times_x_minus_lambda([c._num for c in last.coeffs], i)
+            products.append(_xl([_make(c, 1) for c in cs]))
 
 
 def falling_factorial_degenerate(base, n: int):
@@ -582,20 +624,13 @@ def falling_factorial_degenerate(base, n: int):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    scalar = isinstance(base, int)
-    if not scalar and not (isinstance(base, XLPoly) and base == X):
-        raise TypeError(f"base must be an int or X, got {type(base).__name__} {base!r}")
-    products = _FALLING.get(base)
-    if products is None:
-        one = _make([1], 1)
-        products = _FALLING[base] = [one if scalar else _xl([one])]
-    for i in range(len(products) - 1, n):
-        last = products[-1]
-        if scalar:  # the numerators times (base - iλ)
-            products.append(_make(_add_linear([], last._num, base, -i), 1))
-        else:  # last·(x - iλ)
-            cs = _times_x_minus_lambda([c._num for c in last.coeffs], i)
-            products.append(_xl([_make(c, 1) for c in cs]))
+    if not isinstance(base, int):
+        if not (isinstance(base, XLPoly) and base == X):
+            raise TypeError(f"base must be an int or X, got {type(base).__name__} {base!r}")
+        base = "x"
+    products = _MEMOS.get(("falling", base))  # a hit packs no arguments for _grown
+    if products is None or len(products) <= n:
+        products = _grown(("falling", base), n, _extend_falling, base)
     return products[n]
 
 

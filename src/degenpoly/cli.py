@@ -474,6 +474,13 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_VALUE_RE
 
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError of the write; one to stdout (the help or
+        # usage) is run()'s to report, so a help that cannot be written exits 2
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -19,16 +19,12 @@ from __future__ import annotations
 from math import comb, lcm
 from typing import List, Sequence, Tuple
 
-from .algebra import LambdaPoly, XLPoly, _add_linear, _make, _times_x_minus_one, _xl
+from .algebra import LambdaPoly, XLPoly, _add_linear, _grown, _make, _times_x_minus_one, _xl
 
 __all__ = [
     "bernoulli_taps",
     "gf_residual",
 ]
-
-
-#: β_{0,λ}, β_{1,λ}, ... as far as any call has asked, extended in place.
-_BERNOULLI: List[LambdaPoly] = [LambdaPoly((1,))]
 
 
 def bernoulli_taps(order: int) -> List[LambdaPoly]:
@@ -46,12 +42,19 @@ def bernoulli_taps(order: int) -> List[LambdaPoly]:
     times (1)_{2,λ} = 1 - λ at the end. It runs on int numerators over the
     lcm of the known taps' denominators, one canonical tap per n.
 
-    The solved taps are kept per process: a larger order continues the
-    solve from the last kept tap. Each call returns a new list.
+    The solved taps are kept per process in the builder memos of
+    ``algebra``: a larger order continues the solve from the last kept
+    tap. Each call returns a new list.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    beta = _BERNOULLI
+    return _grown(("bernoulli-taps",), order, _extend_taps)[: order + 1]
+
+
+def _extend_taps(beta: List[LambdaPoly], order: int) -> None:
+    """Append β_{len(beta)} .. β_order to the solved taps, from β_0 = 1."""
+    if not beta:
+        beta.append(LambdaPoly((1,)))
     for n in range(len(beta), order + 1):
         den = lcm(*[b._den for b in beta])
         acc = []
@@ -61,7 +64,6 @@ def bernoulli_taps(order: int) -> List[LambdaPoly]:
             _add_linear(acc, b._num, comb(n + 1, k) * (den // b._den))
         acc = _add_linear([], acc, 1, -1)
         beta.append(_make([-c for c in acc], den * (n + 1)))
-    return beta[: order + 1]
 
 
 def _residual_taps(rows: Sequence[Sequence[LambdaPoly]]) -> Tuple[XLPoly, ...]:

@@ -4,7 +4,8 @@ These oracles deliberately avoid the polynomial rings: permutation
 statistics are counted by full enumeration, and the classical triangles
 are generated by their own textbook recursions over plain integers and
 Fractions. The λ = 0 specialization of every degenerate family must match
-them exactly.
+them exactly. The one name taken from the package is ``algebra``'s memo
+helper, which keeps the descent distributions.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb
 from operator import gt
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
+
+from .algebra import _built
 
 __all__ = [
     "MAX_ENUMERATION_N",
@@ -46,8 +49,8 @@ def _distribution(n: int, statistic) -> PermStatDistribution:
     return PermStatDistribution(n, tuple(counts))
 
 
-#: descent_distribution(n) per n already enumerated.
-_DESCENTS: Dict[int, PermStatDistribution] = {}
+def _descents(sigma) -> int:
+    return sum(map(gt, sigma, sigma[1:]))
 
 
 def descent_distribution(n: int) -> PermStatDistribution:
@@ -55,10 +58,7 @@ def descent_distribution(n: int) -> PermStatDistribution:
 
     Memoized per n and process.
     """
-    value = _DESCENTS.get(n)
-    if value is None:
-        value = _DESCENTS[n] = _distribution(n, lambda sigma: sum(map(gt, sigma, sigma[1:])))
-    return value
+    return _built(("descents", n), _distribution, n, _descents)
 
 
 def excedance_distribution(n: int) -> PermStatDistribution:

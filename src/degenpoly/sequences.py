@@ -22,26 +22,24 @@ sum is λ-negated once, by flipping the sign of its odd numerators
 (``algebra._negate_lambda``), rather than kept as a second table.
 
 ``ROUTES`` maps each family to its routes, default first, and each route
-to its private builder; one check refuses an unknown route. The rows of
-every table route are memoized per process in ``_ROWS``, per (family,
-route): a builder appends complete rows by its route's own formula from
-the first row not yet built, so a smaller n is sliced, a larger one
-continues the route and nothing is rebuilt. A route reads another
-route's rows only where its formula is stated over them (``stirling2``
-by ``eulerian`` sums the ``recursion`` triangle). The Bernoulli
-polynomials are memoized per n, as are the falling factorials and the
-Bernoulli taps in ``algebra`` and ``egf``. The ``direct`` power-sum route
-keeps one column per n in ``_POWER_SUMS``, the prefix sums
-Σ_{k≤m}(k)_{n,λ} for m = 0, 1, ..., each the last plus one falling
-factorial: a larger m extends the column, a smaller one is a lookup.
-Its ``eulerian`` and ``bernoulli`` routes are not memoized; they read
-the memoized Eulerian rows and β_{n+1}(x) on every call. A_n(-1) is
-memoized per (route, n) in ``_AT_MINUS_ONE``; a memo only ever keys on a
-route ``_route`` has accepted. The memos outlive a CLI command, so later
-commands in the process reuse them; as only complete rows, taps, sums
-and values are stored, a command that fails midway leaves nothing
-partial behind. ``_clear_memos`` empties them all, and the memoized
-descent distributions of ``oracles`` with them.
+to its private builder; one check refuses an unknown route. Every
+memoized value lives per process in the one store ``algebra._MEMOS``,
+and ``_clear_memos`` empties it. The rows of every table route are kept
+under the key (family, route): a builder appends complete rows by its
+route's own formula from the first row not yet built, so a smaller n is
+sliced, a larger one continues the route and nothing is rebuilt. A route
+reads another route's rows only where its formula is stated over them
+(``stirling2`` by ``eulerian`` sums the ``recursion`` triangle). The
+store also keeps β_n(x) per n, A_n(-1) per (route, n) (a memo only ever
+keys on a route ``_route`` has accepted), and the ``direct`` power-sum
+route's column per n: the prefix sums Σ_{k≤m}(k)_{n,λ} for m = 0, 1,
+..., each the last plus one falling factorial, so a larger m extends
+the column and a smaller one is a lookup. The ``eulerian`` and
+``bernoulli`` power-sum routes are not memoized; they read the memoized
+Eulerian rows and β_{n+1}(x) on every call. The memos outlive a CLI
+command, so later commands in the process reuse them; as only complete
+rows, taps, sums and values are stored, a command that fails midway
+leaves nothing partial behind.
 
 Every builder but one runs on int numerator lists through
 ``algebra._add_linear`` and builds one LambdaPoly (or one XLPoly of them)
@@ -62,11 +60,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .algebra import (
-    _FALLING,
+    _MEMOS,
     _add_linear,
+    _built,
+    _grown,
     _make,
     _negate_lambda,
     _times_x_minus_lambda,
@@ -77,7 +77,7 @@ from .algebra import (
     XLPoly,
     falling_factorial_degenerate,
 )
-from .egf import _BERNOULLI, bernoulli_taps
+from .egf import bernoulli_taps
 
 __all__ = [
     "ROUTES",
@@ -244,16 +244,18 @@ def _extend_stirling2_eulerian(rows: List[tuple], max_n: int) -> None:
         rows.append(tuple(row))
 
 
-def _power_sum_direct(m: int, n: int) -> LambdaPoly:
-    """Entry m of the column of n in ``_POWER_SUMS``, where entry k is
-    entry k-1 plus (k)_{n,λ}; a request past the column's end extends it."""
-    column = _POWER_SUMS.get(n)
-    if column is None:
-        column = _POWER_SUMS[n] = [_make([], 1)]
+def _extend_power_sums(column: List[LambdaPoly], m: int, n: int) -> None:
+    """The running sums Σ_{k≤j}(k)_{n,λ} for j = len(column) .. m, entry j
+    entry j-1 plus (j)_{n,λ}, from the empty sum."""
+    if not column:
+        column.append(_make([], 1))
     for k in range(len(column), m + 1):
         acc = _add_linear(list(column[-1]._num), falling_factorial_degenerate(k, n)._num, 1)
         column.append(_make(acc, 1))
-    return column[m]
+
+
+def _power_sum_direct(m: int, n: int) -> LambdaPoly:
+    return _grown(("powersum", "direct", n), m, _extend_power_sums, n)[m]
 
 
 def _power_sum_eulerian(m: int, n: int) -> LambdaPoly:
@@ -289,8 +291,8 @@ def _at_minus_one_bernoulli(n: int) -> LambdaPoly:
 
 
 #: Every family's routes, default first, each with its private builder: a
-#: table route's builder extends its rows in ``_ROWS``, a point route's
-#: builder computes one value.
+#: table route's builder extends its rows, kept under the key (family,
+#: route) of ``algebra._MEMOS``; a point route's builder computes one value.
 ROUTES = {
     "eulerian": {"recursion": _extend_recursion, "explicit": _extend_explicit,
                  "gf-recursion": _extend_gf_recursion},
@@ -302,19 +304,6 @@ ROUTES = {
     "eulerian-at": {"direct": _at_minus_one_direct, "bernoulli": _at_minus_one_bernoulli},
 }
 _TABLE_FAMILIES = ("eulerian", "bernoulli", "stirling1", "stirling2")
-
-#: Each table route's rows as far as any call has asked, per (family, route).
-#: A route only ever extends its own rows, so no route answers for another.
-_ROWS: Dict[Tuple[str, str], List[tuple]] = {
-    (family, route): [] for family in _TABLE_FAMILIES for route in ROUTES[family]
-}
-#: β_n(x) per n already asked for.
-_BERNOULLI_POLY: Dict[int, XLPoly] = {}
-#: Per n, the ``direct`` power sums Σ_{k≤m}(k)_{n,λ} for m = 0, 1, ... as
-#: far as any call has asked: a column of running sums.
-_POWER_SUMS: Dict[int, List[LambdaPoly]] = {}
-#: A_n(-1) per (route, n) already asked for.
-_AT_MINUS_ONE: Dict[Tuple[str, int], LambdaPoly] = {}
 
 
 def _default(family: str) -> str:
@@ -331,29 +320,14 @@ def _route(family: str, route: str):
 
 
 def _rows(family: str, route: str, max_n: int) -> List[tuple]:
-    """The memo of a table route, extended to hold at least rows 0..max_n."""
-    extend = _route(family, route)
-    rows = _ROWS[family, route]
-    if len(rows) <= max_n:
-        extend(rows, max_n)
-    return rows
+    """The rows of a table route, extended to hold at least rows 0..max_n.
+    A route only ever extends its own rows, so no route answers for another."""
+    return _grown((family, route), max_n, _route(family, route))
 
 
 def _clear_memos() -> None:
-    """Forget every memoized builder value: the rows of every table route,
-    the Bernoulli polynomials, the power-sum columns, the values of
-    A_n(-1), the Bernoulli taps past β_0, the falling factorials and the
-    descent distributions."""
-    for rows in _ROWS.values():
-        rows.clear()
-    _BERNOULLI_POLY.clear()
-    _POWER_SUMS.clear()
-    _AT_MINUS_ONE.clear()
-    del _BERNOULLI[1:]
-    _FALLING.clear()
-    from .oracles import _DESCENTS  # on demand: only verify loads the oracles
-
-    _DESCENTS.clear()
+    """Forget every memoized builder value of the package."""
+    _MEMOS.clear()
 
 
 def route_rows(family: str, max_n: int, route: str) -> Tuple[tuple, ...]:
@@ -417,11 +391,7 @@ def eulerian_at_minus_one(n: int, route: str = _default("eulerian-at")) -> Lambd
     and process.
     """
     _check_nonneg(n=n)
-    build = _route("eulerian-at", route)
-    value = _AT_MINUS_ONE.get((route, n))
-    if value is None:
-        value = _AT_MINUS_ONE[route, n] = build(n)
-    return value
+    return _built(("eulerian-at", route, n), _route("eulerian-at", route), n)
 
 
 def bernoulli_polynomial(n: int) -> XLPoly:
@@ -438,17 +408,17 @@ def bernoulli_polynomial(n: int) -> XLPoly:
     call reaches the egf solve it is built from.
     """
     _check_nonneg(n=n)
-    beta = bernoulli_taps(n)
-    poly = _BERNOULLI_POLY.get(n)
-    if poly is None:
-        den = lcm(*[b._den for b in beta])
-        acc = [[den]]  # β_0 = 1
-        for j in range(n - 1, -1, -1):
-            acc = _times_x_minus_lambda(acc, j)
-            b = beta[n - j]
-            _add_linear(acc[0], b._num, comb(n, j) * (den // b._den))
-        poly = _BERNOULLI_POLY[n] = _xl([_make(c, den) for c in acc])
-    return poly
+    return _built(("bernoulli-poly", n), _bernoulli_horner, n, bernoulli_taps(n))
+
+
+def _bernoulli_horner(n: int, beta: List[LambdaPoly]) -> XLPoly:
+    den = lcm(*[b._den for b in beta])
+    acc = [[den]]  # β_0 = 1
+    for j in range(n - 1, -1, -1):
+        acc = _times_x_minus_lambda(acc, j)
+        b = beta[n - j]
+        _add_linear(acc[0], b._num, comb(n, j) * (den // b._den))
+    return _xl([_make(c, den) for c in acc])
 
 
 def stirling2_degenerate(n: int, k: int) -> LambdaPoly:

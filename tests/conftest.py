@@ -1,8 +1,8 @@
 """Every test starts from empty builder memos.
 
-The memos of ``algebra``, ``egf``, ``sequences`` and ``oracles`` live as
-long as the process, across CLI commands too, so without this a test that
-counts builds would see what the tests before it left behind.
+The builder memo store ``algebra._MEMOS`` lives as long as the process,
+across CLI commands too, so without this a test that counts builds would
+see what the tests before it left behind.
 """
 
 import pytest

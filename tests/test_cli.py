@@ -3,9 +3,11 @@
 import contextlib
 import csv
 import errno
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -19,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpoly import cli, sequences, verify
+import degenpoly
+from degenpoly import algebra, cli, sequences, verify
 from degenpoly.algebra import LambdaPoly, XLPoly
 from degenpoly.cli import (
     build_parser,
@@ -762,6 +765,33 @@ def test_every_command_document_is_the_encoder_layout():
         assert text == LAYOUT.encode(json.loads(text)) + "\n", argv
 
 
+def _module_containers():
+    """The size of every dict, list and set bound at the top level of a
+    loaded degenpoly module, but the builder memo store."""
+    return {(name, attr): len(value)
+            for name, module in sys.modules.items() if name.partition(".")[0] == "degenpoly"
+            for attr, value in vars(module).items()
+            if isinstance(value, (dict, list, set)) and attr != "__builtins__"
+            and value is not algebra._MEMOS}
+
+
+def test_every_memo_lives_in_the_one_store():
+    # every table family × route, eval by every route and the whole suite in
+    # one process grow no module-level container but the store, and one
+    # clear empties the store
+    for module in pkgutil.iter_modules(degenpoly.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"degenpoly.{module.name}")
+    before = _module_containers()
+    for argv in _json_commands():
+        assert run_cli(*argv)[0] == 0, argv
+    assert _module_containers() == before
+    assert {key[0] for key in algebra._MEMOS} >= {"falling", "bernoulli-taps", "bernoulli-poly",
+                                                  "powersum", "eulerian-at", "descents"}
+    sequences._clear_memos()
+    assert algebra._MEMOS == {}
+
+
 def test_a_table_document_is_written_in_small_batches():
     writes = []
 
@@ -958,38 +988,45 @@ def test_package_names_load_on_first_access():
 
 #: Commands whose output can fail to be written: one document of more than
 #: 64 KiB, written in batches; one short report, written only at the last
-#: flush; the help, after which argparse exits.
-WRITE_FAILURE_COMMANDS = (
-    ("table", "eulerian-number", "--n-max", "40"),
-    ("verify", "--suite", "all"),
-    ("--help",),
-)
+#: flush when stdout is block buffered; the help of the program and of a
+#: command, after which argparse exits.
+WRITE_FAILURE_COMMANDS = {
+    "table": ("table", "eulerian-number", "--n-max", "40"),
+    "verify": ("verify", "--suite", "all"),
+    "help": ("--help",),
+    "table-help": ("table", "-h"),
+}
+#: Each command with stdout block buffered, as by default, and unbuffered.
+WRITE_FAILURES = [pytest.param(argv, unbuffered, id=name + ("-unbuffered" if unbuffered else ""))
+                  for unbuffered in (False, True) for name, argv in WRITE_FAILURE_COMMANDS.items()]
 
 
-def _console(argv, stdout):
+def _console(argv, stdout, unbuffered):
     """Exit status and stderr of the console entry with ``stdout``, block
-    buffered as it is by default."""
+    buffered unless ``unbuffered``."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run([sys.executable, "-m", "degenpoly", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=dict(env, PYTHONPATH=src))
     return proc.returncode, proc.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("argv", WRITE_FAILURE_COMMANDS, ids=lambda argv: argv[0].lstrip("-"))
-def test_a_full_disk_exits_2_without_a_traceback(argv):
+@pytest.mark.parametrize("argv, unbuffered", WRITE_FAILURES)
+def test_a_full_disk_exits_2_without_a_traceback(argv, unbuffered):
     with open("/dev/full", "w") as full:
-        code, err = _console(argv, full)
+        code, err = _console(argv, full, unbuffered)
     assert (code, err) == (2, f"error: could not write the output: {os.strerror(errno.ENOSPC)}\n")
 
 
-@pytest.mark.parametrize("argv", WRITE_FAILURE_COMMANDS, ids=lambda argv: argv[0].lstrip("-"))
-def test_a_closed_pipe_exits_2_without_a_traceback(argv):
+@pytest.mark.parametrize("argv, unbuffered", WRITE_FAILURES)
+def test_a_closed_pipe_exits_2_without_a_traceback(argv, unbuffered):
     read, write = os.pipe()
     os.close(read)
     try:
-        code, err = _console(argv, write)
+        code, err = _console(argv, write, unbuffered)
     finally:
         os.close(write)
     assert (code, err) == (2, f"error: could not write the output: {os.strerror(errno.EPIPE)}\n")

@@ -120,8 +120,12 @@ def test_memoized_table_slices_to_the_size_asked():
             small.entry(5, 0)
 
 
+#: Every (family, route) that keeps rows in the builder memo store.
+TABLE_ROUTES = [(family, route) for family in sequences._TABLE_FAMILIES for route in ROUTES[family]]
+
+
 def test_extending_a_warm_memo_matches_a_cold_build():
-    for family, route in sequences._ROWS:
+    for family, route in TABLE_ROUTES:
         sequences._clear_memos()
         route_rows(family, 4, route)
         warm = route_rows(family, 14, route)
@@ -132,7 +136,7 @@ def test_extending_a_warm_memo_matches_a_cold_build():
 
 def test_routes_share_no_entry_objects():
     owner = {}
-    for family, route in sequences._ROWS:
+    for family, route in TABLE_ROUTES:
         for n, row in enumerate(route_rows(family, 12, route)):
             for k, entry in enumerate(row):
                 assert owner.setdefault(id(entry), (family, route)) == (family, route), (family, route, n, k)
@@ -171,7 +175,7 @@ def test_later_cli_commands_reuse_the_memos(monkeypatch):
         outputs.append(sink.getvalue())
     assert builds == [6] and outputs[0] == outputs[1]
     eulerian_table(6, "recursion")
-    assert builds == [6] and len(sequences._ROWS["eulerian", "recursion"]) == 7
+    assert builds == [6] and len(algebra._MEMOS["eulerian", "recursion"]) == 7
 
 
 # Each case makes one step of a memoized builder raise halfway through the
@@ -293,7 +297,8 @@ def test_at_minus_one_is_memoized_per_route_and_n(monkeypatch):
     assert eulerian_at_minus_one(6, "bernoulli") is first and taps == [7]
     direct = eulerian_at_minus_one(6, "direct")
     assert direct == first and direct is not first
-    assert set(sequences._AT_MINUS_ONE) == {("bernoulli", 6), ("direct", 6)}
+    assert [key for key in algebra._MEMOS if key[0] == "eulerian-at"] == [
+        ("eulerian-at", "bernoulli", 6), ("eulerian-at", "direct", 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +413,8 @@ def test_stirling1_row_is_memoized_per_n(monkeypatch):
     calls = []
     step = sequences._add_linear
     monkeypatch.setattr(sequences, "_add_linear", lambda *args: calls.append(args) or step(*args))
-    rows = sequences._ROWS["stirling1", "basis-conversion"]
     first = stirling1_row(6)
+    rows = algebra._MEMOS["stirling1", "basis-conversion"]
     assert calls and len(rows) == 7 and first == list(rows[6])
     calls.clear()
     second = stirling1_row(6)
@@ -499,17 +504,8 @@ def test_direct_power_sum_column_extends_and_is_read(monkeypatch):
             literal = literal + _ring_falling(k, n)
         assert _stored(power_sum(m, n, "direct")) == _stored(literal), m
         assert len(terms) == new_terms, m
-    assert len(sequences._POWER_SUMS[n]) == 25
-    assert list(sequences._POWER_SUMS) == [n]
-
-
-def test_clear_memos_empties_the_power_sum_and_at_minus_one_memos():
-    power_sum(4, 3, "direct")
-    for route in ROUTES["eulerian-at"]:
-        eulerian_at_minus_one(5, route)
-    assert sequences._POWER_SUMS and sequences._AT_MINUS_ONE
-    sequences._clear_memos()
-    assert sequences._POWER_SUMS == {} and sequences._AT_MINUS_ONE == {}
+    assert [key for key in algebra._MEMOS if key[0] == "powersum"] == [("powersum", "direct", n)]
+    assert len(algebra._MEMOS["powersum", "direct", n]) == 25
 
 
 # ---------------------------------------------------------------------------
