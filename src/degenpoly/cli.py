@@ -598,18 +598,19 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 def run() -> None:
     """The console entry: ``main`` on the process's argv and stdout. Output
-    that cannot be written (a closed pipe, a full disk) exits 2 with one
-    error line, not a traceback."""
+    that cannot be written (a closed pipe, a full disk, an encoding such as
+    ASCII that has no λ) exits 2 with one error line, not a traceback."""
     try:
         try:
             status = main()
         finally:  # a short report, or the help argparse exits after, fails only here
             sys.stdout.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         # Python flushes stdout again at exit; from the Note on SIGPIPE in
         # the signal module's docs: point it at devnull so that cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: could not write the output: {exc.strerror or exc}", file=sys.stderr)
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: could not write the output: {reason}", file=sys.stderr)
         status = 2
     sys.exit(status)
 

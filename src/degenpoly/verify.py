@@ -76,13 +76,12 @@ class Counterexample(NamedTuple):
 
 class CheckSpec(NamedTuple):
     """A named check's outcome once run: "pass", "fail" with the smallest
-    counterexample, or "error" with what its cases raised, as "Type: message".
-    ``status`` defaults to "pending" for a spec built by hand."""
+    counterexample, or "error" with what its cases raised, as "Type: message"."""
 
     id: str
     statement: str
     ranges: Dict[str, int]
-    status: str = "pending"  # pending | pass | fail | error
+    status: str  # pass | fail | error
     counterexample: Optional[Counterexample] = None
     error: Optional[str] = None
 

@@ -293,6 +293,8 @@ def test_eval_eulerian_at():
 def test_eval_negative_rational_as_separate_token():
     separate = run_cli("eval", "powersum", "--m", "20", "--n", "12", "--lambda", "-2/3")
     assert separate == run_cli("eval", "powersum", "--m", "20", "--n", "12", "--lambda=-2/3")
+    # an abbreviated option, which only the full parser reads
+    assert separate == run_cli("eval", "powersum", "--m", "20", "--n", "12", "--lam=-2/3")
     assert separate[0] == 0
     separate = run_cli("eval", "eulerian-at", "--x", "-1/2", "--n", "4", "--lambda", "-3")
     assert separate == run_cli("eval", "eulerian-at", "--x=-1/2", "--n", "4", "--lambda=-3")
@@ -300,6 +302,18 @@ def test_eval_negative_rational_as_separate_token():
     with pytest.raises(SystemExit) as excinfo:
         run_cli("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "-0.5")
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv", (
+    ("eval", "powersum", "--m", "20", "--n", "12"),
+    ("eval", "powersum", "--m", "64", "--n", "64"),
+    ("eval", "eulerian-at", "--x=-1", "--n", "64"),
+), ids=" ".join)
+def test_eval_routes_print_one_value(argv):
+    routes = sequences.ROUTES[argv[1]]
+    docs = [run_json(*argv, "--lambda=-2/3", "--route", route) for route in routes]
+    assert [doc["metadata"]["route"] for doc in docs] == list(routes)
+    assert len({doc["value"] for doc in docs}) == 1, argv
 
 
 def test_eval_validation():
@@ -604,14 +618,24 @@ def test_usage_paths_match_the_full_parser(argv):
     assert (code, out, err) == _full_parser_outcome(argv)
 
 
-@pytest.mark.parametrize("argv", (
-    ["table", "bernoulli", "--n-max", "3", "--route=--"],
-    ["eval", "powersum", "--m", "2", "--n", "2", "--lambda", "1", "--route=--"],
-), ids=" ".join)
+#: A command of each CLI family, which takes a --route.
+ROUTE_COMMANDS = {
+    **{family: ["table", family, "--n-max", "3"] for family in cli.TABLE_FAMILIES},
+    "powersum": ["eval", "powersum", "--m", "2", "--n", "2", "--lambda", "1"],
+    "eulerian-at": ["eval", "eulerian-at", "--x=-1", "--n", "2", "--lambda", "1"],
+}
+
+
+def test_every_route_family_has_a_command():
+    assert {cli._FAMILY.get(family, family) for family in ROUTE_COMMANDS} == set(sequences.ROUTES)
+
+
+@pytest.mark.parametrize("argv", [argv + ["--route=--"] for argv in ROUTE_COMMANDS.values()],
+                         ids=" ".join)
 def test_value_after_equals_is_verbatim(argv):
     # argparse before 3.13 drops a "--" it finds in an option's values
     family = argv[1]
-    routes = ", ".join(sequences.ROUTES[family])
+    routes = ", ".join(sequences.ROUTES[cli._FAMILY.get(family, family)])
     message = f"error: route '--' is not available for {family}; choose from: {routes}\n"
     assert _outcome(argv) == (2, "", message)
 
@@ -1030,6 +1054,25 @@ def test_a_closed_pipe_exits_2_without_a_traceback(argv, unbuffered):
     finally:
         os.close(write)
     assert (code, err) == (2, f"error: could not write the output: {os.strerror(errno.EPIPE)}\n")
+
+
+@pytest.mark.parametrize("argv", (
+    ("verify", "--check", "eulerian-top-entry", "--format", "json"),
+    ("table", "eulerian-number", "--n-max", "2", "--human"),
+    ("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "0", "--human"),
+), ids=lambda argv: argv[0])
+def test_an_ascii_stdout_exits_2_without_a_traceback(argv):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "degenpoly", *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii"))
+    assert proc.returncode == 2
+    assert re.fullmatch(r"error: could not write the output: 'ascii' codec can't encode "
+                        r"character '\\[^']+' in position \d+: ordinal not in range\(128\)\n",
+                        proc.stderr), proc.stderr
+    # what a UTF-8 stdout receives is what main writes
+    utf8 = subprocess.run([sys.executable, "-m", "degenpoly", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8"))
+    assert (utf8.returncode, utf8.stdout.decode("utf-8"), utf8.stderr) == (0, run_cli(*argv)[1], b"")
 
 
 @pytest.mark.parametrize("argv", PLAIN_COMMANDS, ids=lambda argv: argv[0])

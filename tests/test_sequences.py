@@ -229,6 +229,62 @@ def test_a_failed_command_leaves_only_complete_memos(monkeypatch, case):
     assert warm.getvalue() == cold.getvalue()
 
 
+# ---------------------------------------------------------------------------
+# route independence: the memos each route builds
+# ---------------------------------------------------------------------------
+
+#: The store keys each route creates from an empty store: tables at n = 8,
+#: power_sum(5, 6) and A_6(-1), with ("falling",) for any ("falling", j). A
+#: route that reads another route's memo names that bridge in its row.
+ROUTE_FOOTPRINTS = {
+    ("eulerian", "recursion"): {("eulerian", "recursion")},
+    ("eulerian", "explicit"): {("eulerian", "explicit"), ("falling",)},
+    ("eulerian", "gf-recursion"): {("eulerian", "gf-recursion")},
+    ("bernoulli", "egf-triangular"): {("bernoulli", "egf-triangular"), ("bernoulli-taps",)},
+    ("stirling1", "basis-conversion"): {("stirling1", "basis-conversion")},
+    ("stirling2", "explicit"): {("stirling2", "explicit"), ("falling",)},
+    ("stirling2", "eulerian"): {("stirling2", "eulerian"), ("eulerian", "recursion")},
+    ("powersum", "direct"): {("powersum", "direct", 6), ("falling",)},
+    ("powersum", "eulerian"): {("eulerian", "recursion")},
+    ("powersum", "bernoulli"): {("bernoulli-poly", 7), ("bernoulli-taps",)},
+    ("eulerian-at", "direct"): {("eulerian-at", "direct", 6), ("eulerian", "recursion")},
+    ("eulerian-at", "bernoulli"): {("eulerian-at", "bernoulli", 6), ("bernoulli-taps",)},
+}
+
+#: Memos that both sides of a check read, by check. thm-2.11 compares a sum
+#: over the stirling2 explicit rows with the eulerian explicit triangle, and
+#: both are sums of the falling factorials (x)_{n,λ}.
+SHARED_INPUTS = {"thm-2.11-eulerian-from-stirling2": {("falling",)}}
+
+
+def _footprint(build):
+    """The store keys ``build()`` creates from an empty store."""
+    sequences._clear_memos()
+    build()
+    return {key[:1] if key[0] == "falling" else key for key in algebra._MEMOS}
+
+
+def _build_route(family, route):
+    if family == "powersum":
+        return power_sum(5, 6, route)
+    if family == "eulerian-at":
+        return eulerian_at_minus_one(6, route)
+    return route_rows(family, 8, route)
+
+
+def test_each_route_builds_only_its_declared_memos():
+    assert set(ROUTE_FOOTPRINTS) == {(family, route) for family in ROUTES for route in ROUTES[family]}
+    for (family, route), keys in ROUTE_FOOTPRINTS.items():
+        assert _footprint(lambda: _build_route(family, route)) == keys, (family, route)
+
+
+def test_checks_share_only_the_declared_inputs():
+    assert set(SHARED_INPUTS) <= set(verify.check_ids())
+    stirling2_side = _footprint(lambda: [eulerian_from_stirling2(8, k) for k in range(1, 9)])
+    eulerian_side = _footprint(lambda: eulerian_table(8, "explicit"))
+    assert stirling2_side & eulerian_side == SHARED_INPUTS["thm-2.11-eulerian-from-stirling2"]
+
+
 def test_lambda_degree_and_row_sums():
     table = eulerian_table(10)
     for n in range(11):
