@@ -54,7 +54,9 @@ Memos: every value a builder of the package memoizes, here and in
 ``egf``, ``sequences`` and ``oracles``, lives in the one store
 ``_MEMOS``, under a key of names and ints: the falling factorials per
 base, the Bernoulli taps, the rows of each table route, the ``direct``
-power-sum columns, β_n(x), A_n(-1) and the descent distributions.
+power-sum columns, the ``eulerian`` and ``bernoulli`` power sums per n
+and m, β_n(x), A_n(-1), the descent distributions and the classical
+triangles.
 ``sequences._clear_memos`` empties it.
 
 Values are immutable after construction; all operations return new values.

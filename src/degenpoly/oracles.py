@@ -5,7 +5,8 @@ statistics are counted by full enumeration, and the classical triangles
 are generated by their own textbook recursions over plain integers and
 Fractions. The λ = 0 specialization of every degenerate family must match
 them exactly. The one name taken from the package is ``algebra``'s memo
-helper, which keeps the descent distributions.
+helper, which keeps the descent distributions and the classical triangles
+per size.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ def excedance_distribution(n: int) -> PermStatDistribution:
     than assuming it. Not memoized, and enumerated on its own, so the
     descent and excedance oracles stay independent.
     """
-    return _distribution(n, lambda sigma: sum(map(gt, sigma[:-1], range(1, n))))
+    fixed = range(1, n)  # map stops at the shorter argument: σ(n) is never compared
+    return _distribution(n, lambda sigma: sum(map(gt, sigma, fixed)))
 
 
 class ClassicalTriangles(NamedTuple):
@@ -87,10 +89,16 @@ class ClassicalTriangles(NamedTuple):
 
 
 def classical_triangles(max_n: int) -> ClassicalTriangles:
-    """Generate the classical tables by their standard recursions."""
+    """Generate the classical tables by their standard recursions.
+
+    Memoized per max_n and process.
+    """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
+    return _built(("classical", max_n), _classical, max_n)
 
+
+def _classical(max_n: int) -> ClassicalTriangles:
     def grow(rows, step):
         for n in range(1, max_n + 1):
             prev = rows[-1]

@@ -35,11 +35,12 @@ keys on a route ``_route`` has accepted), and the ``direct`` power-sum
 route's column per n: the prefix sums Σ_{k≤m}(k)_{n,λ} for m = 0, 1,
 ..., each the last plus one falling factorial, so a larger m extends
 the column and a smaller one is a lookup. The ``eulerian`` and
-``bernoulli`` power-sum routes are not memoized; they read the memoized
-Eulerian rows and β_{n+1}(x) on every call. The memos outlive a CLI
-command, so later commands in the process reuse them; as only complete
-rows, taps, sums and values are stored, a command that fails midway
-leaves nothing partial behind.
+``bernoulli`` power-sum routes keep one value per (route, n, m), under
+("powersum", route, n, m); each call, memo hit or not, still reads the
+memoized Eulerian row n or β_{n+1}(x) it is built from. The memos
+outlive a CLI command, so later commands in the process reuse them; as
+only complete rows, taps, sums and values are stored, a command that
+fails midway leaves nothing partial behind.
 
 Every builder but one runs on int numerator lists through
 ``algebra._add_linear`` and builds one LambdaPoly (or one XLPoly of them)
@@ -259,7 +260,11 @@ def _power_sum_direct(m: int, n: int) -> LambdaPoly:
 
 
 def _power_sum_eulerian(m: int, n: int) -> LambdaPoly:
-    row = eulerian_table(n).row(n)
+    # the row is read on every call, memo hit or not
+    return _built(("powersum", "eulerian", n, m), _eulerian_sum, m, n, eulerian_table(n).row(n))
+
+
+def _eulerian_sum(m: int, n: int, row: Tuple[LambdaPoly, ...]) -> LambdaPoly:
     acc = []
     for j in range(n + 1):
         _add_linear(acc, row[j]._num, comb(m + j + 1, n + 1))
@@ -267,14 +272,19 @@ def _power_sum_eulerian(m: int, n: int) -> LambdaPoly:
 
 
 def _power_sum_bernoulli(m: int, n: int) -> LambdaPoly:
-    # β_{n+1}(m+1) - β_{n+1}(0) = Σ_{j≥1} c_j·(m+1)^j: an integer Horner
-    # scheme over the common denominator that skips c_0
-    cs = bernoulli_polynomial(n + 1).coeffs
+    # β_{n+1}(x) is read on every call, memo hit or not
+    return _built(("powersum", "bernoulli", n, m), _bernoulli_sum, m, n, bernoulli_polynomial(n + 1))
+
+
+def _bernoulli_sum(m: int, n: int, beta: XLPoly) -> LambdaPoly:
+    # β_{n+1}(m+1) - β_{n+1}(0) = Σ_{j≥1} c_j·(m+1)^j, summed over the
+    # common denominator with a running power of m+1; c_0 is skipped
+    cs = beta.coeffs
     den = lcm(*[c._den for c in cs])
-    acc = []
-    for c in reversed(cs[1:]):
-        _add_linear(acc, c._num, den // c._den)
-        acc = [a * (m + 1) for a in acc]
+    acc, power = [], 1
+    for c in cs[1:]:
+        power *= m + 1
+        _add_linear(acc, c._num, power * (den // c._den))
     return _make(acc, den * (n + 1))
 
 
@@ -475,6 +485,10 @@ def power_sum(m: int, n: int, route: str = _default("powersum")) -> LambdaPoly:
                  as a column of running sums
       eulerian   Σ_{j=0}^{n} A_{-λ}(n,j)·C(m+j+1, n+1)
       bernoulli  (β_{n+1}(m+1) - β_{n+1})/(n+1)
+
+    Memoized per route, n and m and process: a repeated call returns the
+    same object. The ``eulerian`` and ``bernoulli`` routes read Eulerian
+    row n or β_{n+1}(x) on every call, memo hit or not.
     """
     if m < 1 or n < 1:
         raise ValueError("requires m >= 1 and n >= 1")

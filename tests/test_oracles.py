@@ -1,6 +1,7 @@
 """Permutation statistics and classical triangle oracles."""
 
 from fractions import Fraction as F
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -29,6 +30,22 @@ def test_descent_distribution_is_memoized_per_n():
     rebuilt = descent_distribution(5)
     assert rebuilt is not first
     assert rebuilt == first
+
+
+def _reference_counts(n):
+    """Descent and excedance counts over S_n, one permutation at a time."""
+    descents, excedances = [0] * n, [0] * n
+    for sigma in permutations(range(1, n + 1)):
+        descents[sum(1 for i in range(n - 1) if sigma[i] > sigma[i + 1])] += 1
+        excedances[sum(1 for i in range(n - 1) if sigma[i] > i + 1)] += 1
+    return tuple(descents), tuple(excedances)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_counts_match_a_per_permutation_enumeration(n):
+    descents, excedances = _reference_counts(n)
+    assert descent_distribution(n).counts == descents
+    assert excedance_distribution(n).counts == excedances
 
 
 def test_excedance_small_cases():
@@ -107,6 +124,16 @@ def test_classical_bernoulli_values():
     assert bern[2] == F(1, 6)
     assert bern[3] == 0
     assert bern[4] == F(-1, 30)
+
+
+def test_classical_triangles_are_memoized_per_size():
+    first = classical_triangles(12)
+    assert classical_triangles(12) is first
+    assert classical_triangles(11) is not first
+    sequences._clear_memos()
+    rebuilt = classical_triangles(12)
+    assert rebuilt is not first
+    assert rebuilt == first
 
 
 def test_triangle_bound_enforced():

@@ -245,10 +245,24 @@ ROUTE_FOOTPRINTS = {
     ("stirling2", "explicit"): {("stirling2", "explicit"), ("falling",)},
     ("stirling2", "eulerian"): {("stirling2", "eulerian"), ("eulerian", "recursion")},
     ("powersum", "direct"): {("powersum", "direct", 6), ("falling",)},
-    ("powersum", "eulerian"): {("eulerian", "recursion")},
-    ("powersum", "bernoulli"): {("bernoulli-poly", 7), ("bernoulli-taps",)},
+    ("powersum", "eulerian"): {("powersum", "eulerian", 6, 5), ("eulerian", "recursion")},
+    ("powersum", "bernoulli"): {("powersum", "bernoulli", 6, 5), ("bernoulli-poly", 7),
+                                ("bernoulli-taps",)},
     ("eulerian-at", "direct"): {("eulerian-at", "direct", 6), ("eulerian", "recursion")},
     ("eulerian-at", "bernoulli"): {("eulerian-at", "bernoulli", 6), ("bernoulli-taps",)},
+}
+
+#: The two sides of each check that compares two routes, built small.
+CHECK_SIDES = {
+    "thm-2.9-power-sum-eulerian": (lambda: power_sum(5, 6, "direct"),
+                                   lambda: power_sum(5, 6, "eulerian")),
+    "eq-43-power-sum-bernoulli": (lambda: power_sum(5, 6, "direct"),
+                                  lambda: power_sum(5, 6, "bernoulli")),
+    "thm-2.10-power-sum-routes": (lambda: power_sum(5, 6, "eulerian"),
+                                  lambda: power_sum(5, 6, "bernoulli")),
+    "thm-2.11-eulerian-from-stirling2": (
+        lambda: [eulerian_from_stirling2(8, k) for k in range(1, 9)],
+        lambda: eulerian_table(8, "explicit")),
 }
 
 #: Memos that both sides of a check read, by check. thm-2.11 compares a sum
@@ -279,10 +293,35 @@ def test_each_route_builds_only_its_declared_memos():
 
 
 def test_checks_share_only_the_declared_inputs():
-    assert set(SHARED_INPUTS) <= set(verify.check_ids())
-    stirling2_side = _footprint(lambda: [eulerian_from_stirling2(8, k) for k in range(1, 9)])
-    eulerian_side = _footprint(lambda: eulerian_table(8, "explicit"))
-    assert stirling2_side & eulerian_side == SHARED_INPUTS["thm-2.11-eulerian-from-stirling2"]
+    assert set(SHARED_INPUTS) <= set(CHECK_SIDES) <= set(verify.check_ids())
+    for check, (build_a, build_b) in CHECK_SIDES.items():
+        shared = _footprint(build_a) & _footprint(build_b)
+        assert shared == SHARED_INPUTS.get(check, set()), check
+
+
+def _run_checks(*ids):
+    for check_id in ids:
+        assert verify.run_check(verify.get_check(check_id)).status == "pass", check_id
+
+
+def test_the_route_comparison_reads_the_power_sums_the_suite_built(monkeypatch):
+    # thm-2.9 and eq-43 build every power sum thm-2.10 compares, so it
+    # creates no store key and sums nothing
+    _run_checks("thm-2.9-power-sum-eulerian", "eq-43-power-sum-bernoulli")
+    before, terms, step = set(algebra._MEMOS), [], sequences._add_linear
+    monkeypatch.setattr(sequences, "_add_linear", lambda *args: terms.append(args) or step(*args))
+    _run_checks("thm-2.10-power-sum-routes")
+    assert set(algebra._MEMOS) == before
+    assert terms == []
+
+
+def test_the_route_comparison_alone_builds_both_routes():
+    _run_checks("thm-2.10-power-sum-routes")
+    ranges = verify.get_check("thm-2.10-power-sum-routes").default_ranges
+    for route in ("eulerian", "bernoulli"):
+        keys = {key for key in algebra._MEMOS if key[:2] == ("powersum", route)}
+        assert keys == {("powersum", route, n, m) for n in range(1, ranges["n_max"] + 1)
+                        for m in range(1, ranges["m_max"] + 1)}, route
 
 
 def test_lambda_degree_and_row_sums():
@@ -525,6 +564,16 @@ def test_power_sum_routes_agree():
             direct = power_sum(m, n, "direct")
             assert direct == power_sum(m, n, "eulerian"), (m, n)
             assert direct == power_sum(m, n, "bernoulli"), (m, n)
+
+
+def test_power_sum_is_memoized_per_route_n_and_m():
+    firsts = {route: power_sum(7, 4, route) for route in ROUTES["powersum"]}
+    for route, first in firsts.items():
+        assert power_sum(7, 4, route) is first, route
+        assert power_sum(8, 4, route) is not first, route
+    sequences._clear_memos()
+    for route, first in firsts.items():
+        assert power_sum(7, 4, route) is not first, route
 
 
 def test_power_sum_validation():
