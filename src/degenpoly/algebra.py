@@ -35,20 +35,31 @@ one known denominator, do their arithmetic on lists of int numerators and
 build one canonical LambdaPoly per value with ``_make`` (one XLPoly of
 them with ``_xl``). Their one shared step is ``_add_linear``,
 acc += num·(a + bλ). On an element of Z[λ][x], one int list per
-x-coefficient, ``_times_x_minus_one`` multiplies by (1 + sλ)(x - 1), the
-step of the Horner schemes in (x - 1) of the ``gf-recursion`` route and
-the generating-function residual, in one pass per x-coefficient (the
-difference of neighbours, shifted by sλ as it goes), and
-``_times_x_minus_lambda`` by (x - jλ), the step of the falling factorials
-of x here and of the Bernoulli polynomials in ``sequences``. ``_negate_lambda`` takes p(λ) to
-p(-λ) by flipping the sign of the odd numerators, and ``_x_falling``
-multiplies out the int coefficients of (x+offset)_n behind
-``binomial_poly`` and ``falling_factorial_classical``. ``sequences`` and
-``egf`` build every table route on these kernels (``stirling1`` divides
-(x)_n by x - jλ with ``_add_linear``), and ``verify`` sums the values its
-eq-19, eq-38, row-sum and alternating-sum checks compare with them.
+x-coefficient, ``_times_x_minus_lambda`` multiplies by (x - jλ), the step
+of the falling factorials of x here and of the Bernoulli polynomials in
+``sequences``. ``_negate_lambda`` takes p(λ) to p(-λ) by flipping the
+sign of the odd numerators, and ``_x_falling`` multiplies out the int
+coefficients of (x+offset)_n behind ``binomial_poly`` and
+``falling_factorial_classical``. ``sequences`` and ``egf`` build every
+table route on these kernels (``stirling1`` divides (x)_n by x - jλ with
+``_add_linear``), and ``verify`` sums the values its eq-19, eq-38,
+row-sum and alternating-sum checks compare with them.
 ``XLPoly.eval_x`` is an integer Horner scheme over the common
 denominator of the x-coefficients, like ``LambdaPoly.eval`` in λ.
+
+Packed values: where one value enters many sums, a builder packs its
+numerators c_0..c_d into one int Σ c_i·2^(S·i), in signed digits of a
+slot of S bits (``_pack``), and works on that int: a sum or an int
+multiple is one big-int operation, and the factor 1 + sλ is
+p + ((s·p) << S). ``_unpack`` returns the numerators once, when the
+value is stored. The slot must hold every numerator that is unpacked, so
+each packing site bounds them from its inputs' sup-norms before it packs
+and takes ``_slot`` of that bound. Three sites pack: the ``gf-recursion``
+route and the generating-function residual in ``egf`` (Horner schemes in
+(x - 1) whose step is (1 + sλ)(x - 1), on one packed int per
+x-coefficient) and ``sequences.worpitzky_lhs``. A value used in one sum
+only costs more to pack and unpack than to add as a list, so the other
+builders stay on lists.
 
 Memos: every value a builder of the package memoizes, here and in
 ``egf``, ``sequences`` and ``oracles``, lives in the one store
@@ -65,7 +76,6 @@ Values are immutable after construction; all operations return new values.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import factorial, gcd, lcm
 from typing import Iterable, Tuple, Union
 
@@ -172,33 +182,50 @@ def _add_linear(acc: list, num, a: int, b: int = 0) -> list:
     return acc
 
 
-def _times_x_minus_one(acc: list, s: int) -> list:
-    """(1 + sλ)(x - 1)·acc for acc in Z[λ][x] as int numerator lists, one
-    per x-coefficient, lowest power of x first; returns a new list.
+def _slot(bound: int) -> int:
+    """The slot width S, in bits, of ``_pack`` for numerators of magnitude
+    at most ``bound``: the least multiple of 8 with 2^(S-1) > bound."""
+    return (bound.bit_length() + 8) & -8
 
-    x-coefficient m of the product is (1 + sλ)·(c_{m-1} - c_m): the step of
-    the Horner schemes in (x - 1) that sum the generating-function
-    recursion and its residual. Each is built in one pass over the
-    numerators, the difference d_i = c_{m-1,i} - c_{m,i} shifted by sλ as
-    it goes: numerator i is d_i + s·d_{i-1}.
+
+def _bias(S: int, d: int) -> int:
+    """Σ_{i<d} 2^(S-1)·2^(S·i), which shifts d signed digits of slot S into
+    unsigned ones."""
+    return int.from_bytes((bytes(S // 8 - 1) + b"\x80") * d, "little")
+
+
+def _pack(num, S: int) -> int:
+    """The int numerators num as one int, Σ_i num[i]·2^(S·i), in signed
+    digits of a slot S from ``_slot``: every |num[i]| < 2^(S-1).
+
+    A packed value is its polynomial at λ = 2^S, so sums, int multiples
+    and the factor (1 + sλ), p + ((s·p) << S), act on it in one big-int
+    operation each instead of one step per coefficient. ``_unpack``
+    returns the numerators of a result whose own numerators, not just its
+    inputs', fit the slot; one that does not comes back wrong, silently,
+    so each packing site sizes S from a bound on what it unpacks. A
+    numerator outside the slot raises OverflowError here.
     """
-    out, prev = [], []
-    for c in acc + [[]]:
-        d, last = [], 0
-        for a, b in zip_longest(prev, c, fillvalue=0):
-            v = a - b
-            d.append(v + s * last)
-            last = v
-        if s and last:
-            d.append(s * last)
-        out.append(d)
-        prev = c
-    return out
+    w, half = S // 8, 1 << (S - 1)
+    digits = b"".join([(c + half).to_bytes(w, "little") for c in num])
+    return int.from_bytes(digits, "little") - _bias(S, len(num))
+
+
+def _unpack(v: int, S: int) -> list:
+    """The int numerators of a value packed by ``_pack`` with slot S, lowest
+    power of λ first: as many digits as v needs, perhaps with a trailing
+    zero (``_make`` trims it)."""
+    w, half, digit = S // 8, 1 << (S - 1), int.from_bytes
+    # |v| < 2^(S·d - 2) fits d signed digits
+    d = (v.bit_length() + S + 1) // S
+    b = (v + _bias(S, d)).to_bytes(w * d, "little")
+    return [digit(b[i:i + w], "little") - half for i in range(0, w * d, w)]
 
 
 def _times_x_minus_lambda(acc: list, j: int) -> list:
-    """(x - jλ)·acc for acc in Z[λ][x], laid out as for ``_times_x_minus_one``;
-    returns a new list. x-coefficient m of the product is c_{m-1} - jλ·c_m."""
+    """(x - jλ)·acc for acc in Z[λ][x] as int numerator lists, one per
+    x-coefficient, lowest power of x first; returns a new list.
+    x-coefficient m of the product is c_{m-1} - jλ·c_m."""
     return [_add_linear(list(prev), c, 0, -j) for prev, c in zip([[]] + acc, acc + [[]])]
 
 

@@ -42,15 +42,23 @@ outlive a CLI command, so later commands in the process reuse them; as
 only complete rows, taps, sums and values are stored, a command that
 fails midway leaves nothing partial behind.
 
-Every builder but one runs on int numerator lists through
-``algebra._add_linear`` and builds one LambdaPoly (or one XLPoly of them)
-per value, over 1 or over one known denominator: the three Eulerian
-routes (``gf-recursion`` as a nested Horner scheme in (x-1) with
-``algebra._times_x_minus_one``), the ``basis-conversion`` route of
+Every builder but one works on int numerators and builds one LambdaPoly
+(or one XLPoly of them) per value, over 1 or over one known denominator.
+Most sum numerator lists with ``algebra._add_linear``: the ``recursion``
+and ``explicit`` Eulerian routes, the ``basis-conversion`` route of
 ``stirling1`` (a Newton division by x, x - λ, x - 2λ, ...), both
 ``stirling2`` routes and ``eulerian_from_stirling2``, the three power-sum
-routes, ``bernoulli_polynomial`` (a Horner scheme in the falling basis
-with ``algebra._times_x_minus_lambda``) and ``worpitzky_lhs``. The
+routes and ``bernoulli_polynomial`` (a Horner scheme in the falling basis
+with ``algebra._times_x_minus_lambda``). Two pack each value into one int
+instead (``algebra._pack``), because there each value enters many sums:
+the ``gf-recursion`` route, a nested Horner scheme in (x-1) in which a
+row enters the scheme of every later row, and ``worpitzky_lhs``, in
+which an Eulerian number enters every x-coefficient. Packing a value
+costs two to three times as much as adding it to a list once, so the
+builders whose values each enter only a few sums stay on lists: the
+``recursion`` route (two parents per cell), ``eulerian_explicit`` (each
+falling factorial it reads enters one sum) and the ``explicit`` rows
+that share its body, and ``stirling2``'s ``explicit`` route. The
 ``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
 ``XLPoly.eval_x``, itself an integer Horner scheme. Its ``bernoulli``
 route uses the ring operators on purpose: it exercises the λ -> λ/2
@@ -61,6 +69,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import mul, sub
 from typing import List, NamedTuple, Tuple
 
 from .algebra import (
@@ -70,8 +79,10 @@ from .algebra import (
     _grown,
     _make,
     _negate_lambda,
+    _pack,
+    _slot,
     _times_x_minus_lambda,
-    _times_x_minus_one,
+    _unpack,
     _x_falling,
     _xl,
     LambdaPoly,
@@ -171,21 +182,43 @@ def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
 
         acc <- acc·(1 + (n-i)λ)·(x-1) + C(n,i)·A_i(x),   i = 1 .. n-1,
 
-    from acc = A_0 = 1, on int numerator lists (one per x-coefficient;
-    every entry lies in Z[λ]) with no λ-polynomial product. The sum has
-    x-degree n-1, so row n ends in a zero A(n,n).
+    from acc = A_0 = 1, with no λ-polynomial product. Every entry lies in
+    Z[λ], and acc holds one packed int per x-coefficient (``algebra._pack``),
+    so x-coefficient m of a step is d + ((s·d) << S) + C(n,i)·A(i,m) with
+    d = c_{m-1} - c_m: a few big-int operations where a numerator list
+    takes one step per coefficient. One slot S serves every row of a call:
+    the rows already built are packed once, a new row's packed sums are
+    kept as they are, and each row is unpacked once, when it is stored.
+    The sum has x-degree n-1, so row n ends in a zero A(n,n).
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
+    start = len(rows)
+    # the rows of this call count with their bounds, the others with their norms
+    norms = [max((max(map(abs, c._num), default=0) for c in row), default=0) for row in rows]
+    for n in range(start, max_n + 1):
+        norms.append(_gf_bound(norms, n))
+    S = _slot(max(norms[start:], default=0))
+    packed = [[_pack(c._num, S) for c in row] for row in rows]
     zero = _make([], 1)
-    for n in range(len(rows), max_n + 1):
-        acc = [[1]]
+    for n in range(start, max_n + 1):
+        acc = [1]
         for i in range(1, n):
-            acc = _times_x_minus_one(acc, n - i)
-            c = comb(n, i)
-            for a, entry in zip(acc, rows[i]):
-                _add_linear(a, entry._num, c)
-        rows.append(tuple(_make(a, 1) for a in acc) + (zero,))
+            s, c = n - i, comb(n, i)
+            acc = [d + ((s * d) << S) + c * a for d, a in zip(map(sub, [0] + acc, acc + [0]), packed[i])]
+        packed.append(acc + [0])
+        rows.append(tuple(_make(_unpack(a, S), 1) for a in acc) + (zero,))
+
+
+def _gf_bound(norms: list, n: int) -> int:
+    """A bound on every numerator of the Horner scheme for row n of the
+    ``gf-recursion`` route when norms[i] bounds those of row i: a step
+    takes a difference of two neighbours (at most twice the bound), times
+    1 + sλ (at most 1 + s times that), plus C(n,i)·norms[i]."""
+    bound = 1
+    for i in range(1, n):
+        bound = 2 * (1 + n - i) * bound + comb(n, i) * norms[i]
+    return bound
 
 
 def _extend_bernoulli(rows: List[tuple], max_n: int) -> None:
@@ -500,21 +533,33 @@ def worpitzky_lhs(n: int) -> XLPoly:
 
         Σ_{k=0}^{n} C(x+k, n)·A_{-λ}(n,k)
 
-    which the identity suite compares against (x)_{n,λ}.
+    which the identity suite compares against (x)_{n,λ}. Each A(n,k)
+    enters every x-coefficient, so it is packed once (``algebra._pack``):
+    x-coefficient j is one sum of int multiples of the packed row,
+    unpacked once, λ-negated and divided by n!.
     """
     _check_nonneg(n=n)
     row = eulerian_table(n).row(n)
     # x-coefficient j sums A(n,k) times the int coefficient of x^j in (x+k)_n
-    accs = [[] for _ in range(n + 1)]
-    cs = _x_falling(0, n)
-    for k, entry in enumerate(row):
+    cs, polys = _x_falling(0, n), []
+    for k in range(n + 1):
         if k:  # (x+k)_n = (x+k-1)_n·(x+k)/(x+k-n): exact synthetic division
             q, carry = [0] * n, 0
             for j in range(n, 0, -1):
                 carry = q[j - 1] = cs[j] - (k - n) * carry
             cs = _add_linear([], q, k, 1)
-        if entry._num:
-            for acc, c in zip(accs, cs):
-                _add_linear(acc, entry._num, c)
+        polys.append(cs)
+    columns = list(zip(*polys))
+    S = _slot(_worpitzky_bound(columns, row))
+    packed = [_pack(entry._num, S) for entry in row]
     den = factorial(n)
-    return _xl([_make(_negate_lambda(acc), den) for acc in accs])
+    return _xl([_make(_negate_lambda(_unpack(sum(map(mul, column, packed)), S)), den)
+                for column in columns])
+
+
+def _worpitzky_bound(columns: list, row) -> int:
+    """max_j Σ_k |c_{k,j}|·max|A(n,k)|, with columns[j][k] = c_{k,j} the
+    coefficient of x^j in (x+k)_n: a bound on every numerator
+    ``worpitzky_lhs`` unpacks."""
+    norms = [max(map(abs, entry._num), default=0) for entry in row]
+    return max(sum(map(mul, map(abs, column), norms)) for column in columns)

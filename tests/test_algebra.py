@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from math import factorial, gcd
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,9 @@ from degenpoly.algebra import (
     X,
     XLPoly,
     _make,
-    _times_x_minus_one,
+    _pack,
+    _slot,
+    _unpack,
     _xl,
     binomial_poly,
     falling_factorial_classical,
@@ -445,6 +448,27 @@ def test_falling_kernels_match_the_ring():
     ]
 
 
+@given(st.lists(st.integers(-10**40, 10**40), max_size=12), st.integers(0, 10**40))
+@example([], 0)
+@example([0, 0, 3], 0)
+@example([-1, 1, -1], 1)
+def test_pack_round_trips(num, extra):
+    # the slot for a bound holds every numerator up to it, of either sign
+    bound = max(map(abs, num), default=0) + extra
+    S = _slot(bound)
+    assert S % 8 == 0 and 2 ** (S - 1) > bound
+    assert S == 8 or 2 ** (S - 9) <= bound  # a byte less would not hold it
+    v = _pack(num, S)
+    assert v == sum(c << (S * i) for i, c in enumerate(num))
+    assert _make(_unpack(v, S), 1)._num == _make(list(num), 1)._num
+
+
+def _packed_step(packed: list, s: int, S: int) -> list:
+    """(1 + sλ)(x - 1)·acc with one packed int per x-coefficient:
+    x-coefficient m is d + ((s·d) << S), d = c_{m-1} - c_m."""
+    return [d + ((s * d) << S) for d in map(sub, [0] + packed, packed + [0])]
+
+
 @given(st.lists(st.lists(st.integers(-10**12, 10**12), max_size=5), max_size=6), st.integers(-70, 70))
 @settings(max_examples=200)
 # empty x-coefficients first, in the middle and last, with and without λ
@@ -454,12 +478,16 @@ def test_falling_kernels_match_the_ring():
 @example([[5], [], [-2, 4]], 9)
 @example([[]], 1)
 @example([], 4)
-def test_times_x_minus_one_is_the_ring_product(acc, s):
-    before = [list(c) for c in acc]
-    out = _times_x_minus_one(acc, s)
-    assert acc == before and len(out) == len(acc) + 1
-    p = _xl([_make(list(c), 1) for c in acc])
-    assert _stored(_xl([_make(c, 1) for c in out])) == _stored(p * (X - 1) * LambdaPoly((1, s)))
+def test_packed_step_is_the_ring_product(acc, s):
+    # the step of the gf-recursion and residual Horner schemes, in a slot
+    # sized as they size theirs: a difference at most doubles, 1 + sλ
+    # multiplies by at most 1 + |s|
+    norm = max((abs(c) for a in acc for c in a), default=0)
+    S = _slot(2 * (1 + abs(s)) * norm)
+    out = _packed_step([_pack(a, S) for a in acc], s, S)
+    p = _xl([_make(list(a), 1) for a in acc])
+    expected = p * (X - 1) * LambdaPoly((1, s))
+    assert _stored(_xl([_make(_unpack(v, S), 1) for v in out])) == _stored(expected)
 
 
 def test_falling_memo_hit_builds_no_polynomial(monkeypatch):

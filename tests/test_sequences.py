@@ -183,6 +183,11 @@ def test_later_cli_commands_reuse_the_memos(monkeypatch):
 CRASH_CASES = {
     "extend-recursion": (sequences, "_add_linear",
                          ["table", "eulerian-number", "--n-max", "10", "--route", "recursion"]),
+    "extend-explicit": (sequences, "_add_linear",
+                        ["table", "eulerian-number", "--n-max", "10", "--route", "explicit"]),
+    # the packed rows, interrupted as they are unpacked into the memo
+    "extend-gf-recursion": (sequences, "_unpack",
+                            ["table", "eulerian-number", "--n-max", "10", "--route", "gf-recursion"]),
     "bernoulli-taps": (egf, "_add_linear", ["table", "bernoulli", "--n-max", "10"]),
     "falling-factorial-int": (algebra, "_add_linear",
                               ["eval", "powersum", "--m", "8", "--n", "10", "--lambda", "1/2",
