@@ -166,9 +166,9 @@ def _xl(coeffs: list) -> "XLPoly":
 def _add_linear(acc: list, num, a: int, b: int = 0) -> list:
     """acc += num·(a + bλ) on int numerator lists, in place; returns acc.
 
-    The one step of the integer kernels: a row of the Eulerian recursion,
-    a falling-factorial factor, a Horner step, or (b = 0) a term of a
-    linear combination. acc grows as far as the product reaches.
+    The one step of the integer kernels: a falling-factorial factor, a
+    Horner step, or (b = 0) a term of a linear combination. acc grows as
+    far as the product reaches.
     """
     need = len(num) + 1 if b else len(num)
     if len(acc) < need:

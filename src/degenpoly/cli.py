@@ -26,12 +26,15 @@ read against the same table in one pass, without building the parser.
 
 Importing this module loads only what ``table`` and ``eval`` run. JSON
 is written by ``_emit_json`` with the C string quoting of ``_json``; a
-document holds only strings, ints, None, lists and dicts with string
-keys, and any other value raises TypeError. The ``json`` package is
-imported only by ``output_schema()``. No CSV field can hold a comma, a
-quote or a line break, so rows are written directly, without the ``csv``
-module. ``cmd_verify`` imports ``verify``, and with it ``oracles``, when
-it runs.
+document holds only strings, ints, None, lists, dicts with string keys
+and LambdaPoly cells, and any other value raises TypeError. A cell is
+written as its coefficient array (``render_lambda_poly``), joined in
+one string: digits, "-" and "/" need no escaping. So a symbolic
+``table`` hands its rows of cells to the writer as they are. The
+``json`` package is imported only by ``output_schema()``. No CSV field
+can hold a comma, a quote or a line break, so rows are written directly,
+without the ``csv`` module. ``cmd_verify`` imports ``verify``, and with
+it ``oracles``, when it runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or output
 that could not be written.
@@ -197,6 +200,14 @@ def _write_json(value, newline: str, parts: List[str], out) -> None:
         parts.append(_quote(value))
     elif kind is int:
         parts.append(int.__repr__(value))
+    elif kind is LambdaPoly:  # its coefficient array: digits, "-" and "/" need no escaping
+        coeffs = render_lambda_poly(value)
+        if not coeffs:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        glue = '",' + inner + '"'
+        parts.append(f'[{inner}"{glue.join(coeffs)}"{newline}]')
     elif kind is list:
         if not value:
             parts.append("[]")
@@ -281,9 +292,9 @@ def cmd_table(args, out) -> int:
                 out.writelines(f"{family}[{n}][{k}] = {cell}\n" for k, cell in enumerate(row))
         return 0
 
-    render = render_lambda_poly if symbolic else render_rational
-    values = [[render(cell) for cell in row] for row in rows]
     if args.format == "json":
+        # symbolic cells go to the writer as they are, each written as its coefficient array
+        values = [list(row) if symbolic else [render_rational(cell) for cell in row] for row in rows]
         doc = {
             "family": family,
             "parameters": {
@@ -297,6 +308,8 @@ def cmd_table(args, out) -> int:
         _emit_json(doc, out)
         return 0
 
+    render = render_lambda_poly if symbolic else render_rational
+    values = [[render(cell) for cell in row] for row in rows]
     # No field can hold a comma, a quote or a line break, so each row is
     # written as csv.writer would write it, unquoted.
     out.write("family,n,k,value\n")

@@ -44,21 +44,23 @@ fails midway leaves nothing partial behind.
 
 Every builder but one works on int numerators and builds one LambdaPoly
 (or one XLPoly of them) per value, over 1 or over one known denominator.
-Most sum numerator lists with ``algebra._add_linear``: the ``recursion``
-and ``explicit`` Eulerian routes, the ``basis-conversion`` route of
-``stirling1`` (a Newton division by x, x - λ, x - 2λ, ...), both
-``stirling2`` routes and ``eulerian_from_stirling2``, the three power-sum
-routes and ``bernoulli_polynomial`` (a Horner scheme in the falling basis
-with ``algebra._times_x_minus_lambda``). Two pack each value into one int
-instead (``algebra._pack``), because there each value enters many sums:
-the ``gf-recursion`` route, a nested Horner scheme in (x-1) in which a
-row enters the scheme of every later row, and ``worpitzky_lhs``, in
-which an Eulerian number enters every x-coefficient. Packing a value
-costs two to three times as much as adding it to a list once, so the
-builders whose values each enter only a few sums stay on lists: the
-``recursion`` route (two parents per cell), ``eulerian_explicit`` (each
-falling factorial it reads enters one sum) and the ``explicit`` rows
-that share its body, and ``stirling2``'s ``explicit`` route. The
+Most sum numerator lists with ``algebra._add_linear``: the ``explicit``
+Eulerian route, the ``basis-conversion`` route of ``stirling1`` (a
+Newton division by x, x - λ, x - 2λ, ...), both ``stirling2`` routes and
+``eulerian_from_stirling2``, the three power-sum routes and
+``bernoulli_polynomial`` (a Horner scheme in the falling basis with
+``algebra._times_x_minus_lambda``). The ``recursion`` route takes each
+cell in one list comprehension over its two parents' numerators, padded
+once per row. Two pack each value into one int instead
+(``algebra._pack``), because there each value enters many sums: the
+``gf-recursion`` route, a nested Horner scheme in (x-1) in which a row
+enters the scheme of every later row, and ``worpitzky_lhs``, in which an
+Eulerian number enters every x-coefficient. Packing a value costs two to
+three times as much as adding it to a list once, so the builders whose
+values each enter only a few sums stay on lists: the ``recursion`` route
+(two parents per cell), ``eulerian_explicit`` (each falling factorial it
+reads enters one sum) and the ``explicit`` rows that share its body, and
+``stirling2``'s ``explicit`` route. The
 ``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
 ``XLPoly.eval_x``, itself an integer Horner scheme. Its ``bernoulli``
 route uses the ring operators on purpose: it exercises the λ -> λ/2
@@ -148,21 +150,25 @@ def _extend_recursion(rows: List[tuple], max_n: int) -> None:
         A(n,k) = ((n-k)+(n-1)λ)·A(n-1,k-1) + (k+1-(n-1)λ)·A(n-1,k)
 
     with A(0,0) = 1 and zero outside the triangle. Every entry lies in
-    Z[λ], so each cell is summed on the int numerators of its two parents.
+    Z[λ], so each cell is one pass over the int numerators of its parents
+    p = A(n-1,k-1) and q = A(n-1,k), in the form
+
+        A(n,k) = (n-k)·p + (k+1)·q + (n-1)λ·(p - q).
+
+    A(n,k) has λ-degree at most n-1, so each parent of row n is padded
+    once per row to n numerators, as it is and shifted up by one power.
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
     for n in range(len(rows), max_n + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            acc = []
-            if k >= 1:  # A(n-1,k-1)
-                _add_linear(acc, prev[k - 1]._num, n - k, n - 1)
-            if k <= n - 1:  # A(n-1,k)
-                _add_linear(acc, prev[k]._num, k + 1, 1 - n)
-            row.append(_make(acc, 1))
-        rows.append(tuple(row))
+        m, zeros = n - 1, (0,) * n
+        # A(n-1,-1) and A(n-1,n) are zero: one padded zero at either end
+        pads = [zeros] + [c._num + zeros[len(c._num):] for c in rows[-1]] + [zeros]
+        ups = [(0,) + p[:-1] for p in pads]
+        rows.append(tuple(
+            _make([(n - k) * a + (k + 1) * b + m * (c - d)
+                   for a, b, c, d in zip(pads[k], pads[k + 1], ups[k], ups[k + 1])], 1)
+            for k in range(n + 1)))
 
 
 def _extend_explicit(rows: List[tuple], max_n: int) -> None:

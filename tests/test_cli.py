@@ -18,7 +18,7 @@ from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degenpoly
@@ -750,6 +750,39 @@ def test_emitted_json_is_the_encoder_layout(doc):
     assert _emitted(doc) == LAYOUT.encode(doc) + "\n"
 
 
+#: λ-polynomial cells: the zero polynomial, int numerators of either sign
+#: and any size, and rational coefficients over a denominator ≠ 1.
+lambda_cells = st.one_of(
+    st.just(LambdaPoly()),
+    st.lists(st.integers(), max_size=5).map(LambdaPoly),
+    st.lists(small_fractions, max_size=5).map(LambdaPoly),
+)
+#: Documents that also hold LambdaPoly cells, as a symbolic table does.
+json_values_with_cells = st.recursive(
+    st.none() | st.integers() | json_text | lambda_cells,
+    lambda children: st.lists(children) | st.lists(lambda_cells) | st.dictionaries(json_text, children),
+    max_leaves=20,
+)
+
+
+def _rendered(value):
+    """``value`` with each LambdaPoly cell replaced by its coefficient array."""
+    if isinstance(value, LambdaPoly):
+        return render_lambda_poly(value)
+    if isinstance(value, list):
+        return [_rendered(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _rendered(item) for key, item in value.items()}
+    return value
+
+
+@given(json_values_with_cells)
+@example({"values": [[LambdaPoly(), LambdaPoly((-3, 0, -10**40))], [LambdaPoly((F(-1, 2), 0, F(5, 3)))]]})
+@example([LambdaPoly()])
+def test_emitted_lambda_poly_cells_are_their_coefficient_arrays(doc):
+    assert _emitted(doc) == LAYOUT.encode(_rendered(doc)) + "\n"
+
+
 @pytest.mark.parametrize("value,name", [
     (1.5, "float"), (True, "bool"), ((), "tuple"), (("a", "b"), "tuple"), ({1, 2}, "set"),
     ({"a": 1, 2: "b"}, "int"), ({(1,): "a"}, "tuple"), (object(), "object"),
@@ -814,6 +847,15 @@ def test_every_memo_lives_in_the_one_store():
                                                   "powersum", "eulerian-at", "descents"}
     sequences._clear_memos()
     assert algebra._MEMOS == {}
+
+
+def test_the_largest_table_document_is_the_encoder_layout():
+    # the symbolic cells at the cap: the longest coefficient arrays and the
+    # widest numerators any table writes
+    code, text = run_cli("table", "eulerian-number", "--n-max", "64", "--route", "recursion",
+                         "--format", "json")
+    assert code == 0
+    assert text == LAYOUT.encode(json.loads(text)) + "\n"
 
 
 def test_a_table_document_is_written_in_small_batches():

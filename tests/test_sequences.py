@@ -181,7 +181,8 @@ def test_later_cli_commands_reuse_the_memos(monkeypatch):
 # Each case makes one step of a memoized builder raise halfway through the
 # command: the step module, the step's name, and the command.
 CRASH_CASES = {
-    "extend-recursion": (sequences, "_add_linear",
+    # each cell is one comprehension, interrupted as it is made into a LambdaPoly
+    "extend-recursion": (sequences, "_make",
                          ["table", "eulerian-number", "--n-max", "10", "--route", "recursion"]),
     "extend-explicit": (sequences, "_add_linear",
                         ["table", "eulerian-number", "--n-max", "10", "--route", "explicit"]),
@@ -653,6 +654,34 @@ def test_recursion_kernel_matches_the_ring():
     table = eulerian_table(20, "recursion")
     for n in range(21):
         assert [_stored(p) for p in table.row(n)] == [_stored(p) for p in rows[n]], n
+
+
+def _recursion_by_add_linear(max_n: int):
+    """Reference model: rows 0..max_n of the ``recursion`` route as it was
+    built before each cell became one pass, with two ``_add_linear`` steps
+    per cell, one per parent."""
+    rows = [(LambdaPoly((1,)),)]
+    for n in range(1, max_n + 1):
+        prev, row = rows[-1], []
+        for k in range(n + 1):
+            acc = []
+            if k >= 1:  # A(n-1,k-1)
+                algebra._add_linear(acc, prev[k - 1]._num, n - k, n - 1)
+            if k <= n - 1:  # A(n-1,k)
+                algebra._add_linear(acc, prev[k]._num, k + 1, 1 - n)
+            row.append(algebra._make(acc, 1))
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("steps", [(24,), (0, 1, 2, 5, 11, 12, 24), tuple(range(25))])
+def test_recursion_route_matches_the_two_step_model(steps):
+    # in one call or continued from the rows of earlier calls
+    model = [[_stored(p) for p in row] for row in _recursion_by_add_linear(24)]
+    sequences._clear_memos()
+    for max_n in steps:
+        rows = route_rows("eulerian", max_n, "recursion")
+        assert [[_stored(p) for p in row] for row in rows] == model[: max_n + 1], max_n
 
 
 def test_gf_recursion_kernel_matches_the_ring():
