@@ -49,17 +49,27 @@ denominator of the x-coefficients, like ``LambdaPoly.eval`` in λ.
 
 Packed values: where one value enters many sums, a builder packs its
 numerators c_0..c_d into one int Σ c_i·2^(S·i), in signed digits of a
-slot of S bits (``_pack``), and works on that int: a sum or an int
-multiple is one big-int operation, and the factor 1 + sλ is
-p + ((s·p) << S). ``_unpack`` returns the numerators once, when the
-value is stored. The slot must hold every numerator that is unpacked, so
-each packing site bounds them from its inputs' sup-norms before it packs
-and takes ``_slot`` of that bound. Three sites pack: the ``gf-recursion``
-route and the generating-function residual in ``egf`` (Horner schemes in
-(x - 1) whose step is (1 + sλ)(x - 1), on one packed int per
-x-coefficient) and ``sequences.worpitzky_lhs``. A value used in one sum
-only costs more to pack and unpack than to add as a list, so the other
-builders stay on lists.
+slot of S bits (``_pack``): the value at λ = 2^S. A sum or an int
+multiple is then one big-int operation, and the factor 1 + sλ is
+p + ((s·p) << S). ``_unpack`` returns the numerators once, when the value
+is stored. The slot must hold every numerator that is unpacked, so each
+kernel bounds them from its inputs' sup-norms (``_norm``) and takes
+``_slot`` of that bound. Their callers pack the inputs and unpack the
+results; the sums themselves are two kernels:
+
+  _horner_x_minus_one   the nested Horner scheme in (x - 1) whose step is
+                        acc·(1 + sλ)(x - 1) + C(n,i)·A_i, on one packed
+                        int per x-coefficient; its bound is
+                        ``_horner_bound``. The ``gf-recursion`` route of
+                        ``sequences`` and the generating-function residual
+                        of ``egf`` run on it.
+  _packed_sums          int linear combinations of packed values, one
+                        big-int dot product per sum, in the slot of the
+                        largest Σ_k |coefficient|·norm; it sums
+                        ``sequences.worpitzky_lhs``.
+
+A value used in one sum only costs more to pack and unpack than to add as
+a list, so the other builders stay on lists.
 
 Memos: every value a builder of the package memoizes, here and in
 ``egf``, ``sequences`` and ``oracles``, lives in the one store
@@ -76,7 +86,8 @@ Values are immutable after construction; all operations return new values.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -196,15 +207,11 @@ def _bias(S: int, d: int) -> int:
 
 def _pack(num, S: int) -> int:
     """The int numerators num as one int, Σ_i num[i]·2^(S·i), in signed
-    digits of a slot S from ``_slot``: every |num[i]| < 2^(S-1).
-
-    A packed value is its polynomial at λ = 2^S, so sums, int multiples
-    and the factor (1 + sλ), p + ((s·p) << S), act on it in one big-int
-    operation each instead of one step per coefficient. ``_unpack``
-    returns the numerators of a result whose own numerators, not just its
+    digits of a slot S from ``_slot``: every |num[i]| < 2^(S-1), and a
+    numerator outside the slot raises OverflowError. ``_unpack`` returns
+    the numerators of a result whose own numerators, not just its
     inputs', fit the slot; one that does not comes back wrong, silently,
-    so each packing site sizes S from a bound on what it unpacks. A
-    numerator outside the slot raises OverflowError here.
+    so each kernel sizes S from a bound on what it unpacks.
     """
     w, half = S // 8, 1 << (S - 1)
     digits = b"".join([(c + half).to_bytes(w, "little") for c in num])
@@ -220,6 +227,52 @@ def _unpack(v: int, S: int) -> list:
     d = (v.bit_length() + S + 1) // S
     b = (v + _bias(S, d)).to_bytes(w * d, "little")
     return [digit(b[i:i + w], "little") - half for i in range(0, w * d, w)]
+
+
+def _norm(values, den: int = 1) -> int:
+    """The largest |numerator| of the LambdaPoly ``values`` written over the
+    common denominator den, a multiple of each one's; 0 if there is none."""
+    return max((max(map(abs, v._num), default=0) * (den // v._den) for v in values), default=0)
+
+
+def _horner_x_minus_one(packed: list, n: int, top: int, S: int) -> list:
+    """The nested Horner scheme in (x - 1) on values packed in slot S,
+
+        acc <- acc·(1 + (n-i)λ)·(x-1) + C(n,i)·A_i(x),   i = 1 .. top,
+
+    from acc = A_0, where packed[i] holds the packed x-coefficients of
+    A_i, at least i + 1 of them. x-coefficient m of a step is
+    d + ((s·d) << S) + C(n,i)·A(i,m) with d = c_{m-1} - c_m and s = n - i.
+    Returns the top + 1 packed x-coefficients of acc, whose numerators
+    ``_horner_bound`` bounds."""
+    acc = packed[0][:1]
+    for i in range(1, top + 1):
+        s, c = n - i, comb(n, i)
+        acc = [d + ((s * d) << S) + c * a for d, a in zip(map(sub, [0] + acc, acc + [0]), packed[i])]
+    return acc
+
+
+def _horner_bound(norms, n: int, top: int) -> int:
+    """A bound on every numerator of ``_horner_x_minus_one`` for n and top
+    when norms[i] bounds those of A_i: a step takes a difference of two
+    neighbours (at most twice the bound), times 1 + sλ (at most 1 + s
+    times that), plus C(n,i)·norms[i]."""
+    bound = norms[0]
+    for i in range(1, top + 1):
+        bound = 2 * (1 + n - i) * bound + comb(n, i) * norms[i]
+    return bound
+
+
+def _packed_sums(columns, nums) -> list:
+    """The int numerators of Σ_k columns[j][k]·nums[k] for each j, for int
+    coefficients columns[j] and int numerator lists nums. Each value is
+    packed once, in the slot of max_j Σ_k |columns[j][k]|·max|nums[k]|, a
+    bound on every numerator of every sum, or of max|nums[k]| if that is
+    larger; each sum is one big-int dot product, unpacked once."""
+    norms = [max(map(abs, num), default=0) for num in nums]
+    S = _slot(max([sum(map(mul, map(abs, column), norms)) for column in columns] + norms, default=0))
+    packed = [_pack(num, S) for num in nums]
+    return [_unpack(sum(map(mul, column, packed)), S) for column in columns]
 
 
 def _times_x_minus_lambda(acc: list, j: int) -> list:

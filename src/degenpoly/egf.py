@@ -11,18 +11,18 @@ residual S(t)·(x - e_{-λ}((x-1)t)) - (x-1), where the taps of S are the
 degenerate Eulerian polynomials and e_{-λ}((x-1)t) has taps
 (1)_{n,-λ}·(x-1)^n. Each tap of the residual is computed directly, as a
 nested Horner scheme in (x-1), and must vanish. Every Eulerian number
-enters the scheme of each later tap, so each is packed into one int once
-(``algebra._pack``) and every step is a few big-int operations per
-x-coefficient; each tap is unpacked once.
+enters the scheme of each later tap, so the scheme runs on the packed
+kernel ``algebra._horner_x_minus_one``, each number packed once and each
+tap unpacked once.
 """
 
 from __future__ import annotations
 
 from math import comb, lcm
-from operator import sub
 from typing import List, Sequence, Tuple
 
-from .algebra import LambdaPoly, XLPoly, _add_linear, _grown, _make, _pack, _slot, _unpack, _xl
+from .algebra import (LambdaPoly, XLPoly, _add_linear, _grown, _horner_bound, _horner_x_minus_one, _make,
+                      _norm, _pack, _slot, _unpack, _xl)
 
 __all__ = [
     "bernoulli_taps",
@@ -81,27 +81,24 @@ def _residual_taps(rows: Sequence[Sequence[LambdaPoly]]) -> Tuple[XLPoly, ...]:
         acc <- acc·(1 + (n-k)λ)·(x-1) + C(n,k)·A_k(x),   k = 1 .. n,
 
     from acc = A_0, over the lcm D of the row denominators, one canonical
-    XLPoly per tap. acc holds one packed int per x-coefficient
-    (``algebra._pack``), as in the ``gf-recursion`` route: the step is
-    d + ((s·d) << S) + C(n,k)·A(k,m) with d = c_{m-1} - c_m. Every entry
-    A(k,m), m ≤ k, is packed once per call, in one slot that holds every
-    tap's numerators before ``_make`` reduces them; each tap is unpacked
-    once.
+    XLPoly per tap: ``algebra._horner_x_minus_one`` with top = n, as in
+    the ``gf-recursion`` route. Every entry A(k,m), m ≤ k, is packed once
+    per call, in one slot that holds every tap's numerators before
+    ``_make`` reduces them, from ``algebra._horner_bound`` plus what x·A_n
+    and x - 1 add; each tap is unpacked once.
     """
     den = lcm(*[c._den for row in rows for c in row])
     # row k enters as its entries 0..k, each over D
-    scaled = [[(c._num, den // c._den) for c in row[:k + 1]] for k, row in enumerate(rows)]
-    norms = [max((max(map(abs, num), default=0) * f for num, f in row), default=0) for row in scaled]
-    S = _slot(max((_residual_bound(norms, n, den) for n in range(len(rows))), default=0))
-    packed = [[_pack(num, S) * f for num, f in row] + [0] * (k + 1 - len(row))
-              for k, row in enumerate(scaled)]
+    rows = [row[:k + 1] for k, row in enumerate(rows)]
+    norms = [_norm(row, den) for row in rows]
+    # x·A_n and, at n = 0, x - 1 are added to the scheme's sum
+    S = _slot(max((_horner_bound(norms, n, n) + norms[n] + (den if n == 0 else 0) for n in range(len(rows))),
+                  default=0))
+    packed = [[_pack(c._num, S) * (den // c._den) for c in row] + [0] * (k + 1 - len(row))
+              for k, row in enumerate(rows)]
     taps = []
     for n in range(len(rows)):
-        acc = packed[0][:1]
-        for k in range(1, n + 1):
-            s, c = n - k, comb(n, k)
-            acc = [d + ((s * d) << S) + c * a for d, a in zip(map(sub, [0] + acc, acc + [0]), packed[k])]
-        out = [-a for a in acc] + [0]
+        out = [-a for a in _horner_x_minus_one(packed, n, n, S)] + [0]
         for m, a in enumerate(packed[n], 1):  # x·A_n
             out[m] += a
         if not n:  # -(x - 1)
@@ -109,18 +106,6 @@ def _residual_taps(rows: Sequence[Sequence[LambdaPoly]]) -> Tuple[XLPoly, ...]:
             out[1] -= den
         taps.append(_xl([_make(_unpack(a, S), den) for a in out]))
     return tuple(taps)
-
-
-def _residual_bound(norms: Sequence[int], n: int, den: int) -> int:
-    """A bound on every numerator of residual tap n over D = den, when
-    norms[k] bounds those of entries 0..k of row k over D: a Horner step
-    takes a difference of two neighbours (at most twice the bound), times
-    1 + sλ (at most 1 + s times that), plus C(n,k)·norms[k]; then x·A_n
-    and, at n = 0, x - 1 are added."""
-    bound = norms[0]
-    for k in range(1, n + 1):
-        bound = 2 * (1 + n - k) * bound + comb(n, k) * norms[k]
-    return bound + norms[n] + (den if n == 0 else 0)
 
 
 def gf_residual(n_max: int) -> Tuple[XLPoly, ...]:

@@ -51,11 +51,12 @@ Newton division by x, x - λ, x - 2λ, ...), both ``stirling2`` routes and
 ``bernoulli_polynomial`` (a Horner scheme in the falling basis with
 ``algebra._times_x_minus_lambda``). The ``recursion`` route takes each
 cell in one list comprehension over its two parents' numerators, padded
-once per row. Two pack each value into one int instead
-(``algebra._pack``), because there each value enters many sums: the
-``gf-recursion`` route, a nested Horner scheme in (x-1) in which a row
-enters the scheme of every later row, and ``worpitzky_lhs``, in which an
-Eulerian number enters every x-coefficient. Packing a value costs two to
+once per row. Two run on the packed kernels of ``algebra`` instead,
+because there each value enters many sums: the ``gf-recursion`` route, a
+nested Horner scheme in (x-1) in which a row enters the scheme of every
+later row (``algebra._horner_x_minus_one``), and ``worpitzky_lhs``, in
+which an Eulerian number enters every x-coefficient
+(``algebra._packed_sums``). Packing a value costs two to
 three times as much as adding it to a list once, so the builders whose
 values each enter only a few sums stay on lists: the ``recursion`` route
 (two parents per cell), ``eulerian_explicit`` (each falling factorial it
@@ -71,7 +72,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from operator import mul, sub
 from typing import List, NamedTuple, Tuple
 
 from .algebra import (
@@ -79,9 +79,13 @@ from .algebra import (
     _add_linear,
     _built,
     _grown,
+    _horner_bound,
+    _horner_x_minus_one,
     _make,
     _negate_lambda,
+    _norm,
     _pack,
+    _packed_sums,
     _slot,
     _times_x_minus_lambda,
     _unpack,
@@ -188,43 +192,27 @@ def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
 
         acc <- acc·(1 + (n-i)λ)·(x-1) + C(n,i)·A_i(x),   i = 1 .. n-1,
 
-    from acc = A_0 = 1, with no λ-polynomial product. Every entry lies in
-    Z[λ], and acc holds one packed int per x-coefficient (``algebra._pack``),
-    so x-coefficient m of a step is d + ((s·d) << S) + C(n,i)·A(i,m) with
-    d = c_{m-1} - c_m: a few big-int operations where a numerator list
-    takes one step per coefficient. One slot S serves every row of a call:
-    the rows already built are packed once, a new row's packed sums are
-    kept as they are, and each row is unpacked once, when it is stored.
-    The sum has x-degree n-1, so row n ends in a zero A(n,n).
+    from acc = A_0 = 1, with no λ-polynomial product: the packed kernel
+    ``algebra._horner_x_minus_one`` with top = n-1. One slot S serves
+    every row of a call, from ``algebra._horner_bound``: the rows already
+    built are packed once, a new row's packed sums are kept as they are,
+    and each row is unpacked once, when it is stored. The sum has
+    x-degree n-1, so row n ends in a zero A(n,n).
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
     start = len(rows)
     # the rows of this call count with their bounds, the others with their norms
-    norms = [max((max(map(abs, c._num), default=0) for c in row), default=0) for row in rows]
+    norms = [_norm(row) for row in rows]
     for n in range(start, max_n + 1):
-        norms.append(_gf_bound(norms, n))
+        norms.append(_horner_bound(norms, n, n - 1))
     S = _slot(max(norms[start:], default=0))
     packed = [[_pack(c._num, S) for c in row] for row in rows]
     zero = _make([], 1)
     for n in range(start, max_n + 1):
-        acc = [1]
-        for i in range(1, n):
-            s, c = n - i, comb(n, i)
-            acc = [d + ((s * d) << S) + c * a for d, a in zip(map(sub, [0] + acc, acc + [0]), packed[i])]
+        acc = _horner_x_minus_one(packed, n, n - 1, S)
         packed.append(acc + [0])
         rows.append(tuple(_make(_unpack(a, S), 1) for a in acc) + (zero,))
-
-
-def _gf_bound(norms: list, n: int) -> int:
-    """A bound on every numerator of the Horner scheme for row n of the
-    ``gf-recursion`` route when norms[i] bounds those of row i: a step
-    takes a difference of two neighbours (at most twice the bound), times
-    1 + sλ (at most 1 + s times that), plus C(n,i)·norms[i]."""
-    bound = 1
-    for i in range(1, n):
-        bound = 2 * (1 + n - i) * bound + comb(n, i) * norms[i]
-    return bound
 
 
 def _extend_bernoulli(rows: List[tuple], max_n: int) -> None:
@@ -540,9 +528,9 @@ def worpitzky_lhs(n: int) -> XLPoly:
         Σ_{k=0}^{n} C(x+k, n)·A_{-λ}(n,k)
 
     which the identity suite compares against (x)_{n,λ}. Each A(n,k)
-    enters every x-coefficient, so it is packed once (``algebra._pack``):
-    x-coefficient j is one sum of int multiples of the packed row,
-    unpacked once, λ-negated and divided by n!.
+    enters every x-coefficient, so the row is summed by
+    ``algebra._packed_sums``: x-coefficient j is one sum of int multiples
+    of the packed row, λ-negated and divided by n!.
     """
     _check_nonneg(n=n)
     row = eulerian_table(n).row(n)
@@ -555,17 +543,6 @@ def worpitzky_lhs(n: int) -> XLPoly:
                 carry = q[j - 1] = cs[j] - (k - n) * carry
             cs = _add_linear([], q, k, 1)
         polys.append(cs)
-    columns = list(zip(*polys))
-    S = _slot(_worpitzky_bound(columns, row))
-    packed = [_pack(entry._num, S) for entry in row]
+    sums = _packed_sums(list(zip(*polys)), [entry._num for entry in row])
     den = factorial(n)
-    return _xl([_make(_negate_lambda(_unpack(sum(map(mul, column, packed)), S)), den)
-                for column in columns])
-
-
-def _worpitzky_bound(columns: list, row) -> int:
-    """max_j Σ_k |c_{k,j}|·max|A(n,k)|, with columns[j][k] = c_{k,j} the
-    coefficient of x^j in (x+k)_n: a bound on every numerator
-    ``worpitzky_lhs`` unpacks."""
-    norms = [max(map(abs, entry._num), default=0) for entry in row]
-    return max(sum(map(mul, map(abs, column), norms)) for column in columns)
+    return _xl([_make(_negate_lambda(num), den) for num in sums])

@@ -1,8 +1,7 @@
 """Ring contracts: canonical form, exact arithmetic, basis constructors."""
 
 from fractions import Fraction as F
-from math import factorial, gcd
-from operator import sub
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +12,12 @@ from degenpoly.algebra import (
     LambdaPoly,
     X,
     XLPoly,
+    _add_linear,
+    _horner_bound,
+    _horner_x_minus_one,
     _make,
     _pack,
+    _packed_sums,
     _slot,
     _unpack,
     _xl,
@@ -463,31 +466,51 @@ def test_pack_round_trips(num, extra):
     assert _make(_unpack(v, S), 1)._num == _make(list(num), 1)._num
 
 
-def _packed_step(packed: list, s: int, S: int) -> list:
-    """(1 + sλ)(x - 1)·acc with one packed int per x-coefficient:
-    x-coefficient m is d + ((s·d) << S), d = c_{m-1} - c_m."""
-    return [d + ((s * d) << S) for d in map(sub, [0] + packed, packed + [0])]
+def _horner_rows(cells: list, top: int) -> list:
+    """Rows A_0..A_top of a Horner scheme out of 21 numerator lists, row i
+    with its i + 1 x-coefficients."""
+    return [cells[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(top + 1)]
 
 
-@given(st.lists(st.lists(st.integers(-10**12, 10**12), max_size=5), max_size=6), st.integers(-70, 70))
+@given(st.lists(st.lists(st.integers(-10**12, 10**12), max_size=5), min_size=21, max_size=21),
+       st.integers(0, 5), st.integers(0, 65))
 @settings(max_examples=200)
 # empty x-coefficients first, in the middle and last, with and without λ
-@example([[], [3, -1], [], [], [7, 0, 2], []], 0)
-@example([[], [3, -1], [], [], [7, 0, 2], []], -5)
-@example([[5], [], [-2, 4]], 0)
-@example([[5], [], [-2, 4]], 9)
-@example([[]], 1)
-@example([], 4)
-def test_packed_step_is_the_ring_product(acc, s):
-    # the step of the gf-recursion and residual Horner schemes, in a slot
-    # sized as they size theirs: a difference at most doubles, 1 + sλ
-    # multiplies by at most 1 + |s|
-    norm = max((abs(c) for a in acc for c in a), default=0)
-    S = _slot(2 * (1 + abs(s)) * norm)
-    out = _packed_step([_pack(a, S) for a in acc], s, S)
-    p = _xl([_make(list(a), 1) for a in acc])
-    expected = p * (X - 1) * LambdaPoly((1, s))
+@example([[5], [], [3, -1], [], [7, 0, 2], []] + [[1, 1]] * 15, 2, 0)
+@example([[5], [], [3, -1], [], [7, 0, 2], []] + [[1, 1]] * 15, 2, 9)
+@example([[]] * 21, 5, 0)
+@example([[-2, 4]] + [[]] * 20, 0, 3)
+def test_packed_step_is_the_ring_product(cells, top, extra):
+    # the Horner kernel of the gf-recursion and residual schemes, in the
+    # slot of its own bound, equals the scheme in ring operators: each step
+    # multiplies by (1 + (n-i)λ)(x - 1), s = n - i from extra + top - 1 down
+    # to extra, and adds C(n,i)·A_i
+    rows, n = _horner_rows(cells, top), top + extra
+    norms = [max((abs(c) for a in row for c in a), default=0) for row in rows]
+    S = _slot(_horner_bound(norms, n, top))
+    out = _horner_x_minus_one([[_pack(a, S) for a in row] for row in rows], n, top, S)
+    polys = [_xl([_make(list(a), 1) for a in row]) for row in rows]
+    expected = polys[0]
+    for i in range(1, top + 1):
+        expected = expected * LambdaPoly((1, n - i)) * (X - 1) + comb(n, i) * polys[i]
+    assert len(out) == top + 1
     assert _stored(_xl([_make(_unpack(v, S), 1) for v in out])) == _stored(expected)
+
+
+@given(st.lists(st.lists(st.integers(-10**20, 10**20), max_size=6), max_size=6),
+       st.lists(st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=6), max_size=5))
+@example([], [[1] * 6])
+@example([[], [0, 0, 3], [-1]], [[2, -3, 5, 0, 0, 0], [0] * 6])
+def test_packed_sums_are_the_int_sums(nums, columns):
+    # each output is Σ_k columns[j][k]·nums[k] on numerator lists
+    columns = [column[:len(nums)] for column in columns]
+    expected = []
+    for column in columns:
+        acc = []
+        for c, num in zip(column, nums):
+            _add_linear(acc, num, c)
+        expected.append(_make(acc, 1)._num)
+    assert [_make(num, 1)._num for num in _packed_sums(columns, nums)] == expected
 
 
 def test_falling_memo_hit_builds_no_polynomial(monkeypatch):

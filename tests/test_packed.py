@@ -1,25 +1,30 @@
 """Packed kernels: each packing site against the list code it replaced.
 
 Three builders hold their Z[λ] values packed, one int per value
-(``algebra._pack``): the ``gf-recursion`` Eulerian route, the residual
-taps of the generating-function check and ``worpitzky_lhs``. Each sizes
-its slot from a bound, and a slot too small for what is unpacked corrupts
-values silently. So each site is compared with its former list code, kept
-here as the reference model, each bound is checked against what the
-models and the sites actually reach, and a slot a byte short of the
-unpacked values is shown to change them.
+(``algebra._pack``): the ``gf-recursion`` Eulerian route and the residual
+taps of the generating-function check, both on the Horner kernel
+``algebra._horner_x_minus_one``, and ``worpitzky_lhs``, on
+``algebra._packed_sums``. Each slot is sized from a bound, and a slot too
+small for what is unpacked corrupts values silently. So each site is
+compared with its former list code, kept here as the reference model,
+each kernel's bound is checked against what the models and the sites
+actually reach, and a slot a byte short of the unpacked values is shown
+to change them.
 """
 
 from fractions import Fraction as F
 from itertools import zip_longest
 from math import comb, factorial, lcm
+from operator import sub
 
 import pytest
 
 from degenpoly import algebra, egf, sequences
-from degenpoly.algebra import LAM, LambdaPoly, _add_linear, _make, _negate_lambda, _x_falling, _xl
-from degenpoly.egf import _residual_bound, _residual_taps
-from degenpoly.sequences import _gf_bound, _worpitzky_bound, eulerian_table, worpitzky_lhs
+from degenpoly.algebra import (LAM, LambdaPoly, _add_linear, _horner_bound, _make, _negate_lambda, _norm,
+                               _x_falling, _xl)
+from degenpoly.egf import _residual_taps
+from degenpoly.sequences import eulerian_table, worpitzky_lhs
+from degenpoly.verify import run_suite
 
 
 #: A perturbation over a denominator, with a λ^3 term and a large constant.
@@ -66,9 +71,11 @@ def _gf_rows_by_lists(max_n: int):
 
 def _residual_by_lists(rows):
     """The residual taps on numerator lists over the lcm D of the row
-    denominators, D, and per tap the largest |numerator| any step reaches."""
+    denominators, D, per tap the largest |numerator| any step of its
+    Horner scheme reaches, and per tap the largest |numerator| of the tap
+    before ``_make`` reduces it."""
     den = lcm(*[c._den for row in rows for c in row])
-    taps, peaks = [], []
+    taps, peaks, tap_peaks = [], [], []
     for n, row in enumerate(rows):
         acc, peak = [[]], 0
         for k in range(n + 1):
@@ -86,8 +93,9 @@ def _residual_by_lists(rows):
             _add_linear(out[0], (1,), den)
             _add_linear(out[1], (1,), -den)
         taps.append(_xl([_make(a, den) for a in out]))
-        peaks.append(max(peak, _peak(out)))
-    return taps, den, peaks
+        peaks.append(peak)
+        tap_peaks.append(_peak(out))
+    return taps, den, peaks, tap_peaks
 
 
 def _worpitzky_by_lists(n: int):
@@ -115,10 +123,6 @@ def _xl_stored(taps):
     return [[(c._num, c._den) for c in tap.coeffs] for tap in taps]
 
 
-def _norm(row) -> int:
-    return max((max(map(abs, c._num), default=0) for c in row), default=0)
-
-
 def _perturbed_rows(max_n: int, perturbation):
     rows = [list(row) for row in eulerian_table(max_n).rows]
     rows[5][2] = rows[5][2] + perturbation
@@ -126,8 +130,18 @@ def _perturbed_rows(max_n: int, perturbation):
 
 
 def _scaled_norms(rows, den: int) -> list:
-    return [max((max(map(abs, c._num), default=0) * (den // c._den) for c in row[:k + 1]), default=0)
-            for k, row in enumerate(rows)]
+    return [_norm(row[:k + 1], den) for k, row in enumerate(rows)]
+
+
+_SLOT = algebra._slot
+
+
+def _slot_bounds(monkeypatch, module, build) -> list:
+    """The bounds ``build()`` sizes its slots from, at ``module._slot``."""
+    bounds = []
+    monkeypatch.setattr(module, "_slot", lambda bound: bounds.append(bound) or _SLOT(bound))
+    build()
+    return bounds
 
 
 def _unpacked(value, den: int) -> list:
@@ -153,7 +167,7 @@ def test_gf_recursion_matches_the_list_model():
 @pytest.mark.parametrize("perturbation", [0, 1, F(1, 3) * LAM, BIG])
 def test_residual_taps_match_the_list_model(perturbation):
     rows = _perturbed_rows(24, perturbation)
-    model, _, _ = _residual_by_lists(rows)
+    model, _, _, _ = _residual_by_lists(rows)
     assert _xl_stored(_residual_taps(rows)) == _xl_stored(model)
 
 
@@ -162,7 +176,7 @@ def test_residual_taps_of_short_and_long_rows_match_the_list_model():
     rows = [list(row) for row in eulerian_table(8).rows]
     rows[3] = rows[3][:2]
     rows[6] = rows[6] + [LambdaPoly((5, 1))]
-    model, _, _ = _residual_by_lists(rows)
+    model, _, _, _ = _residual_by_lists(rows)
     assert _xl_stored(_residual_taps(rows)) == _xl_stored(model)
 
 
@@ -177,43 +191,43 @@ def test_worpitzky_matches_the_list_model():
 # ---------------------------------------------------------------------------
 
 
-def test_each_bound_covers_every_step_of_the_list_model():
+def test_each_bound_covers_every_step_of_the_list_model(monkeypatch):
+    # the Horner kernel's bound covers every step of both of its schemes
     rows, peaks = _gf_rows_by_lists(24)
     norms = [_norm(row) for row in rows]
     for n in range(1, 25):
-        assert _gf_bound(norms, n) >= peaks[n], n
+        assert _horner_bound(norms, n, n - 1) >= peaks[n], n
     for perturbation in (0, BIG):
         rows = _perturbed_rows(24, perturbation)
-        _, den, peaks = _residual_by_lists(rows)
+        _, den, peaks, _ = _residual_by_lists(rows)
         norms = _scaled_norms(rows, den)
         for n in range(25):
-            assert _residual_bound(norms, n, den) >= peaks[n], (perturbation, n)
+            assert _horner_bound(norms, n, n) >= peaks[n], (perturbation, n)
+    # the packed sums size their slot from a bound on every sum
     for n in range(25):
         _, peak = _worpitzky_by_lists(n)
-        row = eulerian_table(n).row(n)
-        columns = list(zip(*[_x_falling(k, n) for k in range(n + 1)]))
-        assert _worpitzky_bound(columns, row) >= peak, n
+        [bound] = _slot_bounds(monkeypatch, algebra, lambda: worpitzky_lhs(n))
+        assert bound >= peak, n
 
 
-def test_each_bound_covers_what_its_site_unpacks_up_to_the_cap():
+def test_each_bound_covers_what_its_site_unpacks_up_to_the_cap(monkeypatch):
     rows = eulerian_table(64, "gf-recursion").rows
     norms = [_norm(row) for row in rows]
     for n in range(1, 65):
-        bound, true = _gf_bound(norms, n), norms[n]
+        bound, true = _horner_bound(norms, n, n - 1), norms[n]
         # from the rows' own norms the bound is a few bits above the values
         assert true <= bound and bound.bit_length() <= true.bit_length() + 8, n
     rows = _perturbed_rows(64, BIG)
     den = lcm(*[c._den for row in rows for c in row])
-    norms = _scaled_norms(rows, den)
+    [bound] = _slot_bounds(monkeypatch, egf, lambda: _residual_taps(rows))
     for n, tap in enumerate(_residual_taps(rows)):
         unpacked = max((abs(c) for v in tap.coeffs for c in _unpacked(v, den)), default=0)
         assert (unpacked > 0) == (n >= 5), n  # the perturbation enters from tap 5 on
-        assert _residual_bound(norms, n, den) >= unpacked, n
+        assert bound >= unpacked, n
     for n in range(65):
-        row = eulerian_table(n).row(n)
-        columns = list(zip(*[_x_falling(k, n) for k in range(n + 1)]))
         unpacked = max(abs(c) for v in worpitzky_lhs(n).coeffs for c in _unpacked(v, factorial(n)))
-        assert _worpitzky_bound(columns, row) >= unpacked, n
+        [bound] = _slot_bounds(monkeypatch, algebra, lambda: worpitzky_lhs(n))
+        assert bound >= unpacked, n
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +235,34 @@ def test_each_bound_covers_what_its_site_unpacks_up_to_the_cap():
 # ---------------------------------------------------------------------------
 
 
-def _short_by_a_byte(bound: int) -> int:
-    return algebra._slot(bound) - 8
+def _slot_of(true: int, short: int = 0):
+    """A slot function that ignores its bound and holds |numerators| up to
+    ``true``, less ``short`` bits."""
+    return lambda bound: _SLOT(true) - short
 
 
 def test_an_undersized_slot_changes_the_gf_recursion_rows(monkeypatch):
     model, _ = _gf_rows_by_lists(24)
-    true = [_norm(row) for row in model]
+    true = max(_norm(row) for row in model)
     # sized from the values themselves, the slot still holds them
-    monkeypatch.setattr(sequences, "_gf_bound", lambda norms, n: true[n])
+    monkeypatch.setattr(sequences, "_slot", _slot_of(true))
     assert _stored(eulerian_table(24, "gf-recursion").rows) == _stored(model)
     sequences._clear_memos()
-    monkeypatch.setattr(sequences, "_slot", _short_by_a_byte)
+    monkeypatch.setattr(sequences, "_slot", _slot_of(true, 8))
     assert _stored(eulerian_table(24, "gf-recursion").rows) != _stored(model)
 
 
 def test_an_undersized_slot_changes_the_residual_taps(monkeypatch):
     # a perturbed row makes the taps nonzero and far larger than the rows
     rows = _perturbed_rows(24, BIG)
-    model, den, _ = _residual_by_lists(rows)
-    true = [max((abs(c) for v in tap.coeffs for c in _unpacked(v, den)), default=0) for tap in model]
+    model, den, _, tap_peaks = _residual_by_lists(rows)
+    true = max(abs(c) for tap in model for v in tap.coeffs for c in _unpacked(v, den))
+    assert true == max(tap_peaks)
     inputs = max(_scaled_norms(rows, den))
-    assert algebra._slot(max(true)) - 8 > inputs.bit_length()  # the rows still pack
-    monkeypatch.setattr(egf, "_residual_bound", lambda norms, n, den: true[n])
+    assert _SLOT(true) - 8 > inputs.bit_length()  # the rows still pack
+    monkeypatch.setattr(egf, "_slot", _slot_of(true))
     assert _xl_stored(_residual_taps(rows)) == _xl_stored(model)
-    monkeypatch.setattr(egf, "_slot", _short_by_a_byte)
+    monkeypatch.setattr(egf, "_slot", _slot_of(true, 8))
     assert _xl_stored(_residual_taps(rows)) != _xl_stored(model)
 
 
@@ -254,8 +271,46 @@ def test_an_undersized_slot_changes_the_worpitzky_sum(monkeypatch):
     model, peak = _worpitzky_by_lists(n)
     true = max(abs(c) for v in model.coeffs for c in _unpacked(v, factorial(n)))
     assert true == peak
-    assert algebra._slot(true) - 8 > _norm(eulerian_table(n).row(n)).bit_length()
-    monkeypatch.setattr(sequences, "_worpitzky_bound", lambda columns, row: true)
+    assert _SLOT(true) - 8 > _norm(eulerian_table(n).row(n)).bit_length()
+    # the packed sums take their slot in algebra
+    monkeypatch.setattr(algebra, "_slot", _slot_of(true))
     assert _xl_stored([worpitzky_lhs(n)]) == _xl_stored([model])
-    monkeypatch.setattr(sequences, "_slot", _short_by_a_byte)
+    monkeypatch.setattr(algebra, "_slot", _slot_of(true, 8))
     assert _xl_stored([worpitzky_lhs(n)]) != _xl_stored([model])
+
+
+# ---------------------------------------------------------------------------
+# the suite guards each kernel at each binding its callers use
+# ---------------------------------------------------------------------------
+
+
+def _horner_with_one_wrong_s(packed, n, top, S):
+    """``algebra._horner_x_minus_one`` with s one too large at step i = 1;
+    a packed value is its polynomial at λ = 2^S."""
+    lam, acc = 2 ** S, packed[0][:1]
+    for i in range(1, top + 1):
+        s, c = n - i + (i == 1), comb(n, i)
+        acc = [d + s * d * lam + c * a for d, a in zip(map(sub, [0] + acc, acc + [0]), packed[i])]
+    return acc
+
+
+def _sums_with_the_first_value_twice(columns, nums):
+    """``algebra._packed_sums`` with the first value counted twice in every sum."""
+    return algebra._packed_sums([(column[0] + 1, *column[1:]) for column in columns], nums)
+
+
+def _failing_checks() -> set:
+    sequences._clear_memos()
+    return {spec.id for spec in run_suite() if spec.status != "pass"}
+
+
+def test_the_suite_fails_a_faulty_kernel_at_each_binding(monkeypatch):
+    assert _failing_checks() == set()
+    monkeypatch.setattr(sequences, "_horner_x_minus_one", _horner_with_one_wrong_s)
+    assert _failing_checks() == {"thm-2.3-poly-recursion"}
+    monkeypatch.undo()
+    monkeypatch.setattr(egf, "_horner_x_minus_one", _horner_with_one_wrong_s)
+    assert _failing_checks() == {"prop-2.1-gf-residual"}
+    monkeypatch.undo()
+    monkeypatch.setattr(sequences, "_packed_sums", _sums_with_the_first_value_twice)
+    assert _failing_checks() == {"thm-2.7-worpitzky"}

@@ -240,8 +240,9 @@ def test_a_failed_command_leaves_only_complete_memos(monkeypatch, case):
 # ---------------------------------------------------------------------------
 
 #: The store keys each route creates from an empty store: tables at n = 8,
-#: power_sum(5, 6) and A_6(-1), with ("falling",) for any ("falling", j). A
-#: route that reads another route's memo names that bridge in its row.
+#: power_sum(5, 6) and A_6(-1), with ("falling",) for any ("falling", j) of
+#: an int j. A route that reads another route's memo names that bridge in
+#: its row.
 ROUTE_FOOTPRINTS = {
     ("eulerian", "recursion"): {("eulerian", "recursion")},
     ("eulerian", "explicit"): {("eulerian", "explicit"), ("falling",)},
@@ -260,6 +261,24 @@ ROUTE_FOOTPRINTS = {
 
 #: The two sides of each check that compares two routes, built small.
 CHECK_SIDES = {
+    "thm-2.3-poly-recursion": (lambda: eulerian_table(8, "gf-recursion"),
+                               lambda: eulerian_table(8, "recursion")),
+    "thm-2.4-at-minus-one": (lambda: eulerian_at_minus_one(6, "direct"),
+                             lambda: eulerian_at_minus_one(6, "bernoulli")),
+    "cor-2.5-alternating-sum": (lambda: eulerian_table(6),
+                                lambda: eulerian_at_minus_one(6, "bernoulli")),
+    "thm-2.6-recursion": (lambda: eulerian_table(8, "explicit"),
+                          lambda: eulerian_table(8, "recursion")),
+    "thm-2.7-worpitzky": (lambda: worpitzky_lhs(6),
+                          lambda: falling_factorial_degenerate(X, 6)),
+    "thm-2.8-stirling2-from-eulerian": (
+        lambda: [stirling2_from_eulerian(6, k) for k in range(7)],
+        lambda: [stirling2_degenerate(6, k) for k in range(7)]),
+    "eq-19-coefficient-relation": (lambda: eulerian_table(6),
+                                   lambda: [falling_factorial_degenerate(k + 1, 6) for k in range(9)]),
+    "eq-38-stirling2-binomial-expansion": (
+        lambda: [stirling2_degenerate(6, k) for k in range(7)],
+        lambda: falling_factorial_degenerate(X, 6)),
     "thm-2.9-power-sum-eulerian": (lambda: power_sum(5, 6, "direct"),
                                    lambda: power_sum(5, 6, "eulerian")),
     "eq-43-power-sum-bernoulli": (lambda: power_sum(5, 6, "direct"),
@@ -278,10 +297,11 @@ SHARED_INPUTS = {"thm-2.11-eulerian-from-stirling2": {("falling",)}}
 
 
 def _footprint(build):
-    """The store keys ``build()`` creates from an empty store."""
+    """The store keys ``build()`` creates from an empty store, the falling
+    factorials of every int base as one key and those of x as another."""
     sequences._clear_memos()
     build()
-    return {key[:1] if key[0] == "falling" else key for key in algebra._MEMOS}
+    return {key[:1] if key[0] == "falling" and key[1] != "x" else key for key in algebra._MEMOS}
 
 
 def _build_route(family, route):
