@@ -54,8 +54,7 @@ multiple is then one big-int operation, and the factor 1 + sλ is
 p + ((s·p) << S). ``_unpack`` returns the numerators once, when the value
 is stored. The slot must hold every numerator that is unpacked, so each
 kernel bounds them from its inputs' sup-norms (``_norm``) and takes
-``_slot`` of that bound. Their callers pack the inputs and unpack the
-results; the sums themselves are two kernels:
+``_slot`` of that bound. The sums are three kernels:
 
   _horner_x_minus_one   the nested Horner scheme in (x - 1) whose step is
                         acc·(1 + sλ)(x - 1) + C(n,i)·A_i, on one packed
@@ -67,9 +66,21 @@ results; the sums themselves are two kernels:
                         big-int dot product per sum, in the slot of the
                         largest Σ_k |coefficient|·norm; it sums
                         ``sequences.worpitzky_lhs``.
+  _falling_sums         int linear combinations of the falling factorials
+                        (j)_{n,λ}, j = 0..top, for each n of a range. It
+                        packs nothing: the row is built packed, from
+                        (j)_{0,λ} = 1, and carried from n to n + 1 by one
+                        step F <- j·F - ((n·F) << S) per j, so only the
+                        sums are unpacked, in the slot of the largest
+                        Σ_j |coefficient|·j(j+1)···(j+n-1). The ``explicit``
+                        Eulerian and Stirling rows of ``sequences`` run
+                        on it.
 
-A value used in one sum only costs more to pack and unpack than to add as
-a list, so the other builders stay on lists.
+The callers of ``_horner_x_minus_one`` pack its inputs and unpack its
+results; the other two kernels unpack their own sums. A value used in one
+sum only costs more to pack and unpack than to add as a list, so the
+other builders stay on lists, ``sequences.eulerian_explicit`` (one cell)
+among them.
 
 Memos: every value a builder of the package memoizes, here and in
 ``egf``, ``sequences`` and ``oracles``, lives in the one store
@@ -273,6 +284,36 @@ def _packed_sums(columns, nums) -> list:
     S = _slot(max([sum(map(mul, map(abs, column), norms)) for column in columns] + norms, default=0))
     packed = [_pack(num, S) for num in nums]
     return [_unpack(sum(map(mul, column, packed)), S) for column in columns]
+
+
+def _falling_sums(start: int, columns: list, top: int) -> list:
+    """For n = start, start + 1, ..., one n per entry of ``columns``, the
+    int numerators of Σ_j c[j]·(j)_{n,λ} for each int coefficient list c
+    in columns[n - start], c[j] for j = 0..top at most.
+
+    The row (j)_{n,λ}, j = 0..top, is carried packed from n to n + 1 by
+    one big-int step per j, (j)_{n+1,λ} = (j)_{n,λ}·(j - nλ), that is
+    F <- j·F - ((n·F) << S), from (j)_{0,λ} = 1; the rows before start
+    are stepped through and not summed. The numerators of (j)_{n,λ} have
+    signs alternating with the power of λ, so their magnitudes sum to its
+    value at λ = -1, j(j+1)···(j+n-1), and Σ_j |c[j]|·j(j+1)···(j+n-1)
+    bounds every numerator of a sum: one slot S holds the largest such
+    bound of the call. The rows themselves are never unpacked, so they
+    may overflow it. Each sum is one big-int dot product, unpacked once."""
+    stop, norms, bound = start + len(columns), [1] * (top + 1), 0
+    for n in range(stop):
+        if n:  # norms[j] = j(j+1)···(j+n-1)
+            norms = list(map(mul, norms, range(n - 1, n + top)))
+        if n >= start:
+            bound = max([bound] + [sum(map(mul, map(abs, c), norms)) for c in columns[n - start]])
+    S, packed, sums = _slot(bound), [1] * (top + 1), []
+    for n in range(stop):
+        if n:  # (j)_{n,λ} = (j)_{n-1,λ}·(j - (n-1)λ)
+            s = n - 1
+            packed = [j * f - ((s * f) << S) for j, f in enumerate(packed)]
+        if n >= start:
+            sums.append([_unpack(sum(map(mul, c, packed)), S) for c in columns[n - start]])
+    return sums
 
 
 def _times_x_minus_lambda(acc: list, j: int) -> list:

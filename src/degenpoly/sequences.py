@@ -44,24 +44,28 @@ fails midway leaves nothing partial behind.
 
 Every builder but one works on int numerators and builds one LambdaPoly
 (or one XLPoly of them) per value, over 1 or over one known denominator.
-Most sum numerator lists with ``algebra._add_linear``: the ``explicit``
-Eulerian route, the ``basis-conversion`` route of ``stirling1`` (a
-Newton division by x, x - λ, x - 2λ, ...), both ``stirling2`` routes and
-``eulerian_from_stirling2``, the three power-sum routes and
-``bernoulli_polynomial`` (a Horner scheme in the falling basis with
-``algebra._times_x_minus_lambda``). The ``recursion`` route takes each
-cell in one list comprehension over its two parents' numerators, padded
-once per row. Two run on the packed kernels of ``algebra`` instead,
-because there each value enters many sums: the ``gf-recursion`` route, a
-nested Horner scheme in (x-1) in which a row enters the scheme of every
-later row (``algebra._horner_x_minus_one``), and ``worpitzky_lhs``, in
-which an Eulerian number enters every x-coefficient
-(``algebra._packed_sums``). Packing a value costs two to
-three times as much as adding it to a list once, so the builders whose
-values each enter only a few sums stay on lists: the ``recursion`` route
-(two parents per cell), ``eulerian_explicit`` (each falling factorial it
-reads enters one sum) and the ``explicit`` rows that share its body, and
-``stirling2``'s ``explicit`` route. The
+Most sum numerator lists with ``algebra._add_linear``: the
+``basis-conversion`` route of ``stirling1`` (a Newton division by x,
+x - λ, x - 2λ, ...), the ``eulerian`` route of ``stirling2``,
+``eulerian_explicit`` and ``eulerian_from_stirling2`` (one cell each, the
+latter over the memoized ``explicit`` Stirling row n), the three
+power-sum routes and ``bernoulli_polynomial`` (a Horner scheme in the
+falling basis with ``algebra._times_x_minus_lambda``). The ``recursion``
+route takes each cell in one list comprehension over its two parents'
+numerators, padded once per row. Four run on the packed kernels of
+``algebra`` instead, because there each value enters many sums: the
+``gf-recursion`` route, a nested Horner scheme in (x-1) in which a row
+enters the scheme of every later row (``algebra._horner_x_minus_one``),
+``worpitzky_lhs``, in which an Eulerian number enters every
+x-coefficient (``algebra._packed_sums``), and the ``explicit`` routes of
+``eulerian`` and ``stirling2``, in which a falling factorial (j)_{n,λ}
+enters every cell of row n (``algebra._falling_sums``, which carries the
+row of falling factorials packed from one n to the next, so these routes
+read no memoized falling factorial). Packing a value costs two to three
+times as much as adding it to a list once, so the builders whose values
+each enter only a few sums stay on lists: the ``recursion`` route (two
+parents per cell) and ``eulerian_explicit`` (each falling factorial it
+reads enters one sum). The
 ``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
 ``XLPoly.eval_x``, itself an integer Horner scheme. Its ``bernoulli``
 route uses the ring operators on purpose: it exercises the λ -> λ/2
@@ -78,6 +82,7 @@ from .algebra import (
     _MEMOS,
     _add_linear,
     _built,
+    _falling_sums,
     _grown,
     _horner_bound,
     _horner_x_minus_one,
@@ -121,20 +126,6 @@ def _check_nonneg(**kwargs):
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def _falling_numerators(n: int, top: int) -> list:
-    """The numerators of (j)_{n,λ} for j = 0..top, fetched once for a row."""
-    return [falling_factorial_degenerate(j, n)._num for j in range(top + 1)]
-
-
-def _explicit_sum(n: int, k: int, falling: list) -> LambdaPoly:
-    """A(n,k) by the explicit sum, with falling[j] the numerators of (j)_{n,λ}."""
-    acc = []
-    for i in range(k + 1):
-        c = comb(n + 1, i)
-        _add_linear(acc, falling[k - i + 1], -c if i % 2 else c)
-    return _make(acc, 1)
-
-
 def eulerian_explicit(n: int, k: int) -> LambdaPoly:
     """Degenerate Eulerian number by the explicit alternating sum
 
@@ -143,9 +134,15 @@ def eulerian_explicit(n: int, k: int) -> LambdaPoly:
     Total in (n,k): for k > n the sum itself collapses to the zero
     polynomial (an n-th degree sequence differenced more than n times),
     which is asserted by the verification suite rather than special-cased.
+    One cell sums the memoized falling factorials on lists; the rows of the
+    ``explicit`` route sum the same formula on the packed kernel.
     """
     _check_nonneg(n=n, k=k)
-    return _explicit_sum(n, k, _falling_numerators(n, k + 1))
+    acc = []
+    for i in range(k + 1):
+        c = comb(n + 1, i)
+        _add_linear(acc, falling_factorial_degenerate(k - i + 1, n)._num, -c if i % 2 else c)
+    return _make(acc, 1)
 
 
 def _extend_recursion(rows: List[tuple], max_n: int) -> None:
@@ -176,9 +173,15 @@ def _extend_recursion(rows: List[tuple], max_n: int) -> None:
 
 
 def _extend_explicit(rows: List[tuple], max_n: int) -> None:
-    for n in range(len(rows), max_n + 1):
-        falling = _falling_numerators(n, n + 1)
-        rows.append(tuple(_explicit_sum(n, k, falling) for k in range(n + 1)))
+    """Eulerian rows by the explicit sum of ``eulerian_explicit``, on the
+    packed kernel ``algebra._falling_sums``: the coefficient of (j)_{n,λ}
+    in A(n,k) is (-1)^i·C(n+1,i) with i = k+1-j, for j = 1..k+1."""
+    start, columns = len(rows), []
+    for n in range(start, max_n + 1):
+        signed = [(-1) ** i * comb(n + 1, i) for i in range(n + 2)]
+        columns.append([[0] + signed[k::-1] for k in range(n + 1)])
+    for row in _falling_sums(start, columns, max_n + 1):
+        rows.append(tuple(_make(num, 1) for num in row))
 
 
 def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
@@ -243,16 +246,15 @@ def _extend_stirling2(rows: List[tuple], max_n: int) -> None:
     """Rows {n 0}..{n n} by the explicit sum
 
         {n k} = ((-1)^k/k!)·Σ_{j=0}^{k} (-1)^j·C(k,j)·(j)_{n,λ}
+
+    Row n sums k!·{n k} on the packed kernel ``algebra._falling_sums``;
+    the coefficients of a k do not depend on n.
     """
-    for n in range(len(rows), max_n + 1):
-        falling, row = _falling_numerators(n, n), []
-        for k in range(n + 1):
-            acc = []
-            for j in range(k + 1):
-                c = comb(k, j)
-                _add_linear(acc, falling[j], -c if (k - j) % 2 else c)
-            row.append(_make(acc, factorial(k)))
-        rows.append(tuple(row))
+    start = len(rows)
+    signed = [[(-1) ** (k - j) * comb(k, j) for j in range(k + 1)] for k in range(max_n + 1)]
+    sums = _falling_sums(start, [signed[:n + 1] for n in range(start, max_n + 1)], max_n)
+    for row in sums:
+        rows.append(tuple(_make(num, factorial(k)) for k, num in enumerate(row)))
 
 
 def _extend_stirling2_eulerian(rows: List[tuple], max_n: int) -> None:
@@ -493,10 +495,13 @@ def eulerian_from_stirling2(n: int, k: int) -> LambdaPoly:
     """A(n,k-1) as a finite sum over second-kind Stirling numbers:
 
         A(n,k-1) = (-1)^k·Σ_{j=0}^{k} (-1)^j·C(n-j, n-k)·j!·{n j}
+
+    summed on lists over row n of the ``explicit`` Stirling route, read
+    once per call.
     """
     if n < 1 or not 1 <= k <= n:
         raise ValueError("requires n >= 1 and 1 <= k <= n")
-    values = [stirling2_degenerate(n, j) for j in range(k + 1)]
+    values = _rows("stirling2", "explicit", n)[n][:k + 1]
     den = lcm(*[v._den for v in values])
     acc = []
     for j, v in enumerate(values):

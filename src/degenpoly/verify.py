@@ -50,8 +50,8 @@ from .sequences import (
     eulerian_from_stirling2,
     eulerian_table,
     power_sum,
+    route_rows,
     stirling1_row,
-    stirling2_degenerate,
     stirling2_from_eulerian,
     worpitzky_lhs,
 )
@@ -208,9 +208,10 @@ def _cases_worpitzky(r) -> Cases:
 
 
 def _cases_stirling2_from_eulerian(r) -> Cases:
+    explicit = route_rows("stirling2", r["n_max"], "explicit")
     for n in range(r["n_max"] + 1):
         for k in range(n + 1):
-            yield {"n": n, "k": k}, stirling2_from_eulerian(n, k), stirling2_degenerate(n, k)
+            yield {"n": n, "k": k}, stirling2_from_eulerian(n, k), explicit[n][k]
 
 
 def _cases_power_sum(route_a: str, route_b: str):
@@ -224,6 +225,7 @@ def _cases_power_sum(route_a: str, route_b: str):
 
 def _cases_eulerian_from_stirling2(r) -> Cases:
     explicit = eulerian_table(r["n_max"], "explicit")
+    route_rows("stirling2", r["n_max"], "explicit")  # the rows the left side sums, in one call
     for n in range(1, r["n_max"] + 1):
         for k in range(1, n + 1):
             yield {"n": n, "k": k}, eulerian_from_stirling2(n, k), explicit.entry(n, k - 1)
@@ -242,11 +244,11 @@ def _cases_coefficient_relation(r) -> Cases:
 
 def _cases_stirling2_binomial_expansion(r) -> Cases:
     # (x)_{n,λ} = Σ_k k!·{n k}·C(x,k) = Σ_k {n k}·(x)_k, summed over n!
+    explicit = route_rows("stirling2", r["n_max"], "explicit")
     for n in range(r["n_max"] + 1):
         den = factorial(n)
         accs = [[] for _ in range(n + 1)]
-        for k in range(n + 1):
-            value = stirling2_degenerate(n, k)
+        for k, value in enumerate(explicit[n]):
             scale = den // value._den
             for acc, c in zip(accs, _x_falling(0, k)):
                 _add_linear(acc, value._num, scale * c)
@@ -264,12 +266,13 @@ def _cases_lambda0_eulerian(r) -> Cases:
 
 def _cases_lambda0_stirling(r) -> Cases:
     classical = classical_triangles(r["n_max"])
+    explicit = route_rows("stirling2", r["n_max"], "explicit")
     for n in range(r["n_max"] + 1):
         row1 = stirling1_row(n)
         for k in range(n + 1):
             yield {"n": n, "k": k, "kind": 1}, row1[k].eval(0), Fraction(classical.stirling1[n][k])
         for k in range(n + 1):
-            lhs = stirling2_degenerate(n, k).eval(0)
+            lhs = explicit[n][k].eval(0)
             yield {"n": n, "k": k, "kind": 2}, lhs, Fraction(classical.stirling2[n][k])
 
 

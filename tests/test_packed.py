@@ -1,15 +1,17 @@
 """Packed kernels: each packing site against the list code it replaced.
 
-Three builders hold their Z[λ] values packed, one int per value
+Five builders hold their Z[λ] values packed, one int per value
 (``algebra._pack``): the ``gf-recursion`` Eulerian route and the residual
 taps of the generating-function check, both on the Horner kernel
-``algebra._horner_x_minus_one``, and ``worpitzky_lhs``, on
-``algebra._packed_sums``. Each slot is sized from a bound, and a slot too
-small for what is unpacked corrupts values silently. So each site is
-compared with its former list code, kept here as the reference model,
-each kernel's bound is checked against what the models and the sites
-actually reach, and a slot a byte short of the unpacked values is shown
-to change them.
+``algebra._horner_x_minus_one``, ``worpitzky_lhs``, on
+``algebra._packed_sums``, and the ``explicit`` routes of ``eulerian`` and
+``stirling2``, on ``algebra._falling_sums``, which carries the falling
+factorials packed from row to row. Each slot is sized from a bound, and a
+slot too small for what is unpacked corrupts values silently. So each
+site is compared with its former list code, kept here as the reference
+model, each kernel's bound is checked against what the models and the
+sites actually reach, and a slot a byte short of the unpacked values is
+shown to change them.
 """
 
 from fractions import Fraction as F
@@ -21,9 +23,9 @@ import pytest
 
 from degenpoly import algebra, egf, sequences
 from degenpoly.algebra import (LAM, LambdaPoly, _add_linear, _horner_bound, _make, _negate_lambda, _norm,
-                               _x_falling, _xl)
+                               _x_falling, _xl, falling_factorial_degenerate)
 from degenpoly.egf import _residual_taps
-from degenpoly.sequences import eulerian_table, worpitzky_lhs
+from degenpoly.sequences import eulerian_explicit, eulerian_table, route_rows, worpitzky_lhs
 from degenpoly.verify import run_suite
 
 
@@ -115,6 +117,47 @@ def _worpitzky_by_lists(n: int):
     return _xl([_make(_negate_lambda(acc), factorial(n)) for acc in accs]), _peak(accs)
 
 
+def _eulerian_explicit_by_lists(max_n: int):
+    """Rows 0..max_n of the eulerian ``explicit`` route on numerator lists,
+    over the memoized falling factorials, and the largest |numerator| of
+    any of its sums."""
+    rows, peak = [], 0
+    for n in range(max_n + 1):
+        falling, row = [falling_factorial_degenerate(j, n)._num for j in range(n + 2)], []
+        for k in range(n + 1):
+            acc = []
+            for i in range(k + 1):
+                c = comb(n + 1, i)
+                _add_linear(acc, falling[k - i + 1], -c if i % 2 else c)
+            peak = max(peak, _peak([acc]))
+            row.append(_make(acc, 1))
+        rows.append(tuple(row))
+    return rows, peak
+
+
+def _stirling2_explicit_by_lists(max_n: int):
+    """Rows 0..max_n of the stirling2 ``explicit`` route on numerator lists,
+    over the memoized falling factorials, and the largest |numerator| of
+    any of its sums k!·{n k}."""
+    rows, peak = [], 0
+    for n in range(max_n + 1):
+        falling, row = [falling_factorial_degenerate(j, n)._num for j in range(n + 1)], []
+        for k in range(n + 1):
+            acc = []
+            for j in range(k + 1):
+                c = comb(k, j)
+                _add_linear(acc, falling[j], -c if (k - j) % 2 else c)
+            peak = max(peak, _peak([acc]))
+            row.append(_make(acc, factorial(k)))
+        rows.append(tuple(row))
+    return rows, peak
+
+
+#: The families whose ``explicit`` route sums on ``algebra._falling_sums``,
+#: with their list models.
+EXPLICIT_MODELS = {"eulerian": _eulerian_explicit_by_lists, "stirling2": _stirling2_explicit_by_lists}
+
+
 def _stored(rows):
     return [[(c._num, c._den) for c in row] for row in rows]
 
@@ -180,6 +223,37 @@ def test_residual_taps_of_short_and_long_rows_match_the_list_model():
     assert _xl_stored(_residual_taps(rows)) == _xl_stored(model)
 
 
+@pytest.mark.parametrize("family", EXPLICIT_MODELS)
+def test_explicit_routes_match_the_list_models(family):
+    model, _ = EXPLICIT_MODELS[family](24)
+    sequences._clear_memos()
+    assert _stored(route_rows(family, 24, "explicit")) == _stored(model)
+
+
+@pytest.mark.parametrize("family", EXPLICIT_MODELS)
+def test_explicit_rows_continued_equal_the_rows_of_one_call(family):
+    # rows 0..a, then a..b, equal rows 0..b built in one call, each call
+    # stepping the falling factorials up from (j)_{0,λ} = 1 in its own slot
+    model, _ = EXPLICIT_MODELS[family](24)
+    for a, b in ((0, 1), (0, 24), (3, 4), (7, 24), (11, 17), (23, 24)):
+        sequences._clear_memos()
+        route_rows(family, a, "explicit")
+        assert _stored(route_rows(family, b, "explicit")) == _stored(model[:b + 1]), (a, b)
+    sequences._clear_memos()
+    for n in range(25):  # one row per call
+        route_rows(family, n, "explicit")
+    assert _stored(route_rows(family, 24, "explicit")) == _stored(model)
+
+
+def test_one_eulerian_cell_equals_its_explicit_row():
+    # eulerian_explicit(n, k) sums the same formula on lists, for one cell
+    sequences._clear_memos()
+    rows = route_rows("eulerian", 24, "explicit")
+    for n in range(25):
+        for k in range(n + 1):
+            assert _stored([[eulerian_explicit(n, k)]]) == _stored([[rows[n][k]]]), (n, k)
+
+
 def test_worpitzky_matches_the_list_model():
     for n in range(25):
         model, _ = _worpitzky_by_lists(n)
@@ -210,6 +284,20 @@ def test_each_bound_covers_every_step_of_the_list_model(monkeypatch):
         assert bound >= peak, n
 
 
+@pytest.mark.parametrize("family", EXPLICIT_MODELS)
+def test_the_falling_sums_bound_covers_every_sum_of_the_list_model(monkeypatch, family):
+    # one slot per call, from one bound over every sum it returns
+    for max_n in (0, 1, 5, 24):
+        _, peak = EXPLICIT_MODELS[family](max_n)
+        sequences._clear_memos()
+        [bound] = _slot_bounds(monkeypatch, algebra, lambda: route_rows(family, max_n, "explicit"))
+        assert bound >= peak, max_n
+    # a call that continues the rows bounds the sums of its own rows
+    _, peak = EXPLICIT_MODELS[family](30)
+    [bound] = _slot_bounds(monkeypatch, algebra, lambda: route_rows(family, 30, "explicit"))
+    assert bound >= peak
+
+
 def test_each_bound_covers_what_its_site_unpacks_up_to_the_cap(monkeypatch):
     rows = eulerian_table(64, "gf-recursion").rows
     norms = [_norm(row) for row in rows]
@@ -228,6 +316,13 @@ def test_each_bound_covers_what_its_site_unpacks_up_to_the_cap(monkeypatch):
         unpacked = max(abs(c) for v in worpitzky_lhs(n).coeffs for c in _unpacked(v, factorial(n)))
         [bound] = _slot_bounds(monkeypatch, algebra, lambda: worpitzky_lhs(n))
         assert bound >= unpacked, n
+    for family, den in (("eulerian", lambda k: 1), ("stirling2", factorial)):
+        sequences._clear_memos()
+        [bound] = _slot_bounds(monkeypatch, algebra, lambda: route_rows(family, 64, "explicit"))
+        rows = route_rows(family, 64, "explicit")
+        unpacked = max(abs(c) for row in rows for k, v in enumerate(row) for c in _unpacked(v, den(k)))
+        # the bound ignores the cancellation of the alternating sums, ~100 bits at n = 64
+        assert unpacked <= bound and bound.bit_length() <= unpacked.bit_length() + 128, family
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +374,18 @@ def test_an_undersized_slot_changes_the_worpitzky_sum(monkeypatch):
     assert _xl_stored([worpitzky_lhs(n)]) != _xl_stored([model])
 
 
+@pytest.mark.parametrize("family", EXPLICIT_MODELS)
+def test_an_undersized_slot_changes_the_explicit_rows(monkeypatch, family):
+    model, true = EXPLICIT_MODELS[family](24)
+    # sized from the sums themselves, the slot still holds them
+    monkeypatch.setattr(algebra, "_slot", _slot_of(true))
+    sequences._clear_memos()
+    assert _stored(route_rows(family, 24, "explicit")) == _stored(model)
+    monkeypatch.setattr(algebra, "_slot", _slot_of(true, 8))
+    sequences._clear_memos()
+    assert _stored(route_rows(family, 24, "explicit")) != _stored(model)
+
+
 # ---------------------------------------------------------------------------
 # the suite guards each kernel at each binding its callers use
 # ---------------------------------------------------------------------------
@@ -299,6 +406,24 @@ def _sums_with_the_first_value_twice(columns, nums):
     return algebra._packed_sums([(column[0] + 1, *column[1:]) for column in columns], nums)
 
 
+def _falling_sums_with_one_wrong_step(start, columns, top):
+    """``algebra._falling_sums`` on numerator lists, with the factor j - 0·λ
+    of the step to n = 1 taken as j - λ."""
+    falling, sums = [[1]] * (top + 1), []
+    for n in range(start + len(columns)):
+        if n:
+            falling = [_add_linear([], f, j, -max(n - 1, 1)) for j, f in enumerate(falling)]
+        if n >= start:
+            row = []
+            for column in columns[n - start]:
+                acc = []
+                for c, f in zip(column, falling):
+                    _add_linear(acc, f, c)
+                row.append(acc)
+            sums.append(row)
+    return sums
+
+
 def _failing_checks() -> set:
     sequences._clear_memos()
     return {spec.id for spec in run_suite() if spec.status != "pass"}
@@ -314,3 +439,8 @@ def test_the_suite_fails_a_faulty_kernel_at_each_binding(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(sequences, "_packed_sums", _sums_with_the_first_value_twice)
     assert _failing_checks() == {"thm-2.7-worpitzky"}
+    monkeypatch.undo()
+    # both explicit routes: each check that reads one of them against another route
+    monkeypatch.setattr(sequences, "_falling_sums", _falling_sums_with_one_wrong_step)
+    assert _failing_checks() == {"thm-2.6-recursion", "thm-2.8-stirling2-from-eulerian",
+                                 "thm-2.11-eulerian-from-stirling2", "eq-38-stirling2-binomial-expansion"}
