@@ -56,31 +56,33 @@ is stored. The slot must hold every numerator that is unpacked, so each
 kernel bounds them from its inputs' sup-norms (``_norm``) and takes
 ``_slot`` of that bound. The sums are three kernels:
 
-  _horner_x_minus_one   the nested Horner scheme in (x - 1) whose step is
-                        acc·(1 + sλ)(x - 1) + C(n,i)·A_i, on one packed
+  _horner_x_minus_one   G_n = Σ_{i<n} C(n,i)·A_i·(1)_{n-i,-λ}·(x-1)^{n-i-1}
+                        as the nested Horner scheme in (x - 1) whose step
+                        is acc·(1 + sλ)(x - 1) + C(n,i)·A_i, on one packed
                         int per x-coefficient; its bound is
                         ``_horner_bound``. The ``gf-recursion`` route of
-                        ``sequences`` and the generating-function residual
-                        of ``egf`` run on it.
+                        ``sequences`` (A_n = G_n) and the generating-
+                        function residual of ``egf``, (x - 1)·(A_n - G_n)
+                        at n ≥ 1, make the same call.
   _packed_sums          int linear combinations of packed values, one
                         big-int dot product per sum, in the slot of the
                         largest Σ_k |coefficient|·norm; it sums
                         ``sequences.worpitzky_lhs``.
   _falling_sums         int linear combinations of the falling factorials
-                        (j)_{n,λ}, j = 0..top, for each n of a range. It
-                        packs nothing: the row is built packed, from
-                        (j)_{0,λ} = 1, and carried from n to n + 1 by one
-                        step F <- j·F - ((n·F) << S) per j, so only the
-                        sums are unpacked, in the slot of the largest
-                        Σ_j |coefficient|·j(j+1)···(j+n-1). The ``explicit``
-                        Eulerian and Stirling rows of ``sequences`` run
-                        on it.
+                        (j)_{n,λ}, j up to the longest coefficient list,
+                        for each n of a range. It packs nothing: the row
+                        is built packed, from (j)_{0,λ} = 1, and carried
+                        from n to n + 1 by one step F <- j·F - ((n·F) << S)
+                        per j, so only the sums are unpacked, in the slot
+                        of the largest Σ_j |coefficient|·j(j+1)···(j+n-1).
+                        The ``explicit`` Eulerian and Stirling rows of
+                        ``sequences`` run on it.
 
-The callers of ``_horner_x_minus_one`` pack its inputs and unpack its
-results; the other two kernels unpack their own sums. A value used in one
-sum only costs more to pack and unpack than to add as a list, so the
-other builders stay on lists, ``sequences.eulerian_explicit`` (one cell)
-among them.
+The callers of ``_horner_x_minus_one`` pack its inputs and unpack what
+they form from its results; the other two kernels unpack their own sums.
+A value used in one sum only costs more to pack and unpack than to add
+as a list, so the other builders stay on lists,
+``sequences.eulerian_explicit`` (one cell) among them.
 
 Memos: every value a builder of the package memoizes, here and in
 ``egf``, ``sequences`` and ``oracles``, lives in the one store
@@ -246,30 +248,30 @@ def _norm(values, den: int = 1) -> int:
     return max((max(map(abs, v._num), default=0) * (den // v._den) for v in values), default=0)
 
 
-def _horner_x_minus_one(packed: list, n: int, top: int, S: int) -> list:
+def _horner_x_minus_one(packed: list, n: int, S: int) -> list:
     """The nested Horner scheme in (x - 1) on values packed in slot S,
 
-        acc <- acc·(1 + (n-i)λ)·(x-1) + C(n,i)·A_i(x),   i = 1 .. top,
+        acc <- acc·(1 + (n-i)λ)·(x-1) + C(n,i)·A_i(x),   i = 0 .. n-1,
 
-    from acc = A_0, where packed[i] holds the packed x-coefficients of
-    A_i, at least i + 1 of them. x-coefficient m of a step is
-    d + ((s·d) << S) + C(n,i)·A(i,m) with d = c_{m-1} - c_m and s = n - i.
-    Returns the top + 1 packed x-coefficients of acc, whose numerators
-    ``_horner_bound`` bounds."""
-    acc = packed[0][:1]
-    for i in range(1, top + 1):
+    from acc = 0, that is Σ_{i<n} C(n,i)·A_i(x)·(1)_{n-i,-λ}·(x-1)^{n-i-1},
+    where packed[i] holds the packed x-coefficients of A_i, at least i + 1
+    of them. x-coefficient m of a step is d + ((s·d) << S) + C(n,i)·A(i,m)
+    with d = c_{m-1} - c_m and s = n - i. Returns the n packed
+    x-coefficients of acc, whose numerators ``_horner_bound`` bounds."""
+    acc = packed[0][:1] if n else []  # the step i = 0 gives C(n,0)·A_0
+    for i in range(1, n):
         s, c = n - i, comb(n, i)
         acc = [d + ((s * d) << S) + c * a for d, a in zip(map(sub, [0] + acc, acc + [0]), packed[i])]
     return acc
 
 
-def _horner_bound(norms, n: int, top: int) -> int:
-    """A bound on every numerator of ``_horner_x_minus_one`` for n and top
-    when norms[i] bounds those of A_i: a step takes a difference of two
+def _horner_bound(norms, n: int) -> int:
+    """A bound on every numerator of ``_horner_x_minus_one`` for n when
+    norms[i] bounds those of A_i: a step takes a difference of two
     neighbours (at most twice the bound), times 1 + sλ (at most 1 + s
     times that), plus C(n,i)·norms[i]."""
-    bound = norms[0]
-    for i in range(1, top + 1):
+    bound = 0
+    for i in range(n):
         bound = 2 * (1 + n - i) * bound + comb(n, i) * norms[i]
     return bound
 
@@ -286,27 +288,29 @@ def _packed_sums(columns, nums) -> list:
     return [_unpack(sum(map(mul, column, packed)), S) for column in columns]
 
 
-def _falling_sums(start: int, columns: list, top: int) -> list:
+def _falling_sums(start: int, columns: list) -> list:
     """For n = start, start + 1, ..., one n per entry of ``columns``, the
     int numerators of Σ_j c[j]·(j)_{n,λ} for each int coefficient list c
-    in columns[n - start], c[j] for j = 0..top at most.
+    in columns[n - start], j = 0 .. len(c) - 1.
 
-    The row (j)_{n,λ}, j = 0..top, is carried packed from n to n + 1 by
-    one big-int step per j, (j)_{n+1,λ} = (j)_{n,λ}·(j - nλ), that is
-    F <- j·F - ((n·F) << S), from (j)_{0,λ} = 1; the rows before start
-    are stepped through and not summed. The numerators of (j)_{n,λ} have
-    signs alternating with the power of λ, so their magnitudes sum to its
-    value at λ = -1, j(j+1)···(j+n-1), and Σ_j |c[j]|·j(j+1)···(j+n-1)
-    bounds every numerator of a sum: one slot S holds the largest such
-    bound of the call. The rows themselves are never unpacked, so they
-    may overflow it. Each sum is one big-int dot product, unpacked once."""
-    stop, norms, bound = start + len(columns), [1] * (top + 1), 0
+    The row (j)_{n,λ}, j below the length of the longest c, is carried
+    packed from n to n + 1 by one big-int step per j,
+    (j)_{n+1,λ} = (j)_{n,λ}·(j - nλ), that is F <- j·F - ((n·F) << S),
+    from (j)_{0,λ} = 1; the rows before start are stepped through and not
+    summed. The numerators of (j)_{n,λ} have signs alternating with the
+    power of λ, so their magnitudes sum to its value at λ = -1,
+    j(j+1)···(j+n-1), and Σ_j |c[j]|·j(j+1)···(j+n-1) bounds every
+    numerator of a sum: one slot S holds the largest such bound of the
+    call. The rows themselves are never unpacked, so they may overflow
+    it. Each sum is one big-int dot product, unpacked once."""
+    width = max((len(c) for row in columns for c in row), default=0)
+    stop, norms, bound = start + len(columns), [1] * width, 0
     for n in range(stop):
         if n:  # norms[j] = j(j+1)···(j+n-1)
-            norms = list(map(mul, norms, range(n - 1, n + top)))
+            norms = list(map(mul, norms, range(n - 1, n - 1 + width)))
         if n >= start:
             bound = max([bound] + [sum(map(mul, map(abs, c), norms)) for c in columns[n - start]])
-    S, packed, sums = _slot(bound), [1] * (top + 1), []
+    S, packed, sums = _slot(bound), [1] * width, []
     for n in range(stop):
         if n:  # (j)_{n,λ} = (j)_{n-1,λ}·(j - (n-1)λ)
             s = n - 1

@@ -9,16 +9,21 @@ on int numerator lists over one common denominator
 The Eulerian generating function (Prop. 2.1) is verified through the
 residual S(t)·(x - e_{-λ}((x-1)t)) - (x-1), where the taps of S are the
 degenerate Eulerian polynomials and e_{-λ}((x-1)t) has taps
-(1)_{n,-λ}·(x-1)^n. Each tap of the residual is computed directly, as a
-nested Horner scheme in (x-1), and must vanish. Every Eulerian number
-enters the scheme of each later tap, so the scheme runs on the packed
-kernel ``algebra._horner_x_minus_one``, each number packed once and each
-tap unpacked once.
+(1)_{n,-λ}·(x-1)^n. Each tap of the residual is computed directly and
+must vanish. Tap n is (x-1)·(A_n - G_n - [n=0]), where G_n is the sum
+of the recursion that Thm. 2.3 draws from the generating function: all
+of its terms but A_n itself hold a factor x - 1. So the two statements
+are checked through one nested Horner scheme in (x-1), the packed kernel
+``algebra._horner_x_minus_one``, in the call that the ``gf-recursion``
+route makes, on the rows of the ``recursion`` route. Every Eulerian
+number enters the scheme of each later tap; each is packed once and
+each tap unpacked once.
 """
 
 from __future__ import annotations
 
 from math import comb, lcm
+from operator import sub
 from typing import List, Sequence, Tuple
 
 from .algebra import (LambdaPoly, XLPoly, _add_linear, _grown, _horner_bound, _horner_x_minus_one, _make,
@@ -75,36 +80,32 @@ def _residual_taps(rows: Sequence[Sequence[LambdaPoly]]) -> Tuple[XLPoly, ...]:
 
         tap_n = x·A_n(x) - Σ_{k≤n} C(n,k)·(1)_{n-k,-λ}·A_k(x)·(x-1)^{n-k} - [n=0]·(x-1)
 
-    From term k+1 to term k the factor (1)_{n-k,-λ}·(x-1)^{n-k} gains one
-    factor (1 + (n-k-1)λ)(x-1), so the sum is a nested Horner scheme,
+    The term k = n of the sum is A_n and each other term holds a factor
+    x - 1, so tap_n = (x-1)·(A_n - G_n - [n=0]) with
 
-        acc <- acc·(1 + (n-k)λ)·(x-1) + C(n,k)·A_k(x),   k = 1 .. n,
+        G_n(x) = Σ_{k<n} C(n,k)·A_k(x)·(1)_{n-k,-λ}·(x-1)^{n-k-1},
 
-    from acc = A_0, over the lcm D of the row denominators, one canonical
-    XLPoly per tap: ``algebra._horner_x_minus_one`` with top = n, as in
-    the ``gf-recursion`` route. Every entry A(k,m), m ≤ k, is packed once
-    per call, in one slot that holds every tap's numerators before
-    ``_make`` reduces them, from ``algebra._horner_bound`` plus what x·A_n
-    and x - 1 add; each tap is unpacked once.
+    the sum of the ``gf-recursion`` route, taken by the same call of
+    ``algebra._horner_x_minus_one``. It runs over the lcm D of the row
+    denominators, one canonical XLPoly per tap. Every entry A(k,m), m ≤ k,
+    is packed once per call; d = A_n - G_n - [n=0] is formed packed, and
+    each coefficient d_{m-1} - d_m of (x-1)·d is unpacked once. The slot
+    holds 2·(``algebra._horner_bound`` + ‖A_n‖ + D·[n=0]), a bound on
+    every such coefficient.
     """
     den = lcm(*[c._den for row in rows for c in row])
     # row k enters as its entries 0..k, each over D
     rows = [row[:k + 1] for k, row in enumerate(rows)]
     norms = [_norm(row, den) for row in rows]
-    # x·A_n and, at n = 0, x - 1 are added to the scheme's sum
-    S = _slot(max((_horner_bound(norms, n, n) + norms[n] + (den if n == 0 else 0) for n in range(len(rows))),
-                  default=0))
+    S = _slot(2 * max((_horner_bound(norms, n) + norms[n] + (den if n == 0 else 0) for n in range(len(rows))),
+                      default=0))
     packed = [[_pack(c._num, S) * (den // c._den) for c in row] + [0] * (k + 1 - len(row))
               for k, row in enumerate(rows)]
     taps = []
-    for n in range(len(rows)):
-        out = [-a for a in _horner_x_minus_one(packed, n, n, S)] + [0]
-        for m, a in enumerate(packed[n], 1):  # x·A_n
-            out[m] += a
-        if not n:  # -(x - 1)
-            out[0] += den
-            out[1] -= den
-        taps.append(_xl([_make(_unpack(a, S), den) for a in out]))
+    for n, a in enumerate(packed):
+        # G_n has x-degree n - 1; its x-coefficient n is 0, less D at n = 0
+        d = list(map(sub, a, _horner_x_minus_one(packed, n, S) + [den if n == 0 else 0]))
+        taps.append(_xl([_make(_unpack(c, S), den) for c in map(sub, [0] + d, d + [0])]))
     return tuple(taps)
 
 

@@ -48,14 +48,17 @@ Most sum numerator lists with ``algebra._add_linear``: the
 ``basis-conversion`` route of ``stirling1`` (a Newton division by x,
 x - λ, x - 2λ, ...), the ``eulerian`` route of ``stirling2``,
 ``eulerian_explicit`` and ``eulerian_from_stirling2`` (one cell each, the
-latter over the memoized ``explicit`` Stirling row n), the three
+latter over the memoized ``explicit`` Stirling row n, as int multiples
+of the j!·{n j} in Z[λ]), the three
 power-sum routes and ``bernoulli_polynomial`` (a Horner scheme in the
 falling basis with ``algebra._times_x_minus_lambda``). The ``recursion``
 route takes each cell in one list comprehension over its two parents'
 numerators, padded once per row. Four run on the packed kernels of
 ``algebra`` instead, because there each value enters many sums: the
 ``gf-recursion`` route, a nested Horner scheme in (x-1) in which a row
-enters the scheme of every later row (``algebra._horner_x_minus_one``),
+enters the scheme of every later row (``algebra._horner_x_minus_one``,
+in the call that the generating-function residual of ``egf`` makes for
+the same sum),
 ``worpitzky_lhs``, in which an Eulerian number enters every
 x-coefficient (``algebra._packed_sums``), and the ``explicit`` routes of
 ``eulerian`` and ``stirling2``, in which a falling factorial (j)_{n,λ}
@@ -180,7 +183,7 @@ def _extend_explicit(rows: List[tuple], max_n: int) -> None:
     for n in range(start, max_n + 1):
         signed = [(-1) ** i * comb(n + 1, i) for i in range(n + 2)]
         columns.append([[0] + signed[k::-1] for k in range(n + 1)])
-    for row in _falling_sums(start, columns, max_n + 1):
+    for row in _falling_sums(start, columns):
         rows.append(tuple(_make(num, 1) for num in row))
 
 
@@ -193,14 +196,15 @@ def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
     From term i+1 to term i the factor (1)_{n-i,-λ}·(x-1)^{n-i-1} gains one
     factor (1 + (n-i-1)λ)(x-1), so the sum is a nested Horner scheme,
 
-        acc <- acc·(1 + (n-i)λ)·(x-1) + C(n,i)·A_i(x),   i = 1 .. n-1,
+        acc <- acc·(1 + (n-i)λ)·(x-1) + C(n,i)·A_i(x),   i = 0 .. n-1,
 
-    from acc = A_0 = 1, with no λ-polynomial product: the packed kernel
-    ``algebra._horner_x_minus_one`` with top = n-1. One slot S serves
-    every row of a call, from ``algebra._horner_bound``: the rows already
-    built are packed once, a new row's packed sums are kept as they are,
-    and each row is unpacked once, when it is stored. The sum has
-    x-degree n-1, so row n ends in a zero A(n,n).
+    from acc = 0, with no λ-polynomial product: the packed kernel
+    ``algebra._horner_x_minus_one``, in the same call by which the
+    generating-function residual of ``egf`` takes this sum. One slot S
+    serves every row of a call, from ``algebra._horner_bound``: the rows
+    already built are packed once, a new row's packed sums are kept as
+    they are, and each row is unpacked once, when it is stored. The sum
+    has x-degree n-1, so row n ends in a zero A(n,n).
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
@@ -208,12 +212,12 @@ def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
     # the rows of this call count with their bounds, the others with their norms
     norms = [_norm(row) for row in rows]
     for n in range(start, max_n + 1):
-        norms.append(_horner_bound(norms, n, n - 1))
+        norms.append(_horner_bound(norms, n))
     S = _slot(max(norms[start:], default=0))
     packed = [[_pack(c._num, S) for c in row] for row in rows]
     zero = _make([], 1)
     for n in range(start, max_n + 1):
-        acc = _horner_x_minus_one(packed, n, n - 1, S)
+        acc = _horner_x_minus_one(packed, n, S)
         packed.append(acc + [0])
         rows.append(tuple(_make(_unpack(a, S), 1) for a in acc) + (zero,))
 
@@ -252,7 +256,7 @@ def _extend_stirling2(rows: List[tuple], max_n: int) -> None:
     """
     start = len(rows)
     signed = [[(-1) ** (k - j) * comb(k, j) for j in range(k + 1)] for k in range(max_n + 1)]
-    sums = _falling_sums(start, [signed[:n + 1] for n in range(start, max_n + 1)], max_n)
+    sums = _falling_sums(start, [signed[:n + 1] for n in range(start, max_n + 1)])
     for row in sums:
         rows.append(tuple(_make(num, factorial(k)) for k, num in enumerate(row)))
 
@@ -497,17 +501,16 @@ def eulerian_from_stirling2(n: int, k: int) -> LambdaPoly:
         A(n,k-1) = (-1)^k·Σ_{j=0}^{k} (-1)^j·C(n-j, n-k)·j!·{n j}
 
     summed on lists over row n of the ``explicit`` Stirling route, read
-    once per call.
+    once per call, with int coefficients over 1.
     """
     if n < 1 or not 1 <= k <= n:
         raise ValueError("requires n >= 1 and 1 <= k <= n")
-    values = _rows("stirling2", "explicit", n)[n][:k + 1]
-    den = lcm(*[v._den for v in values])
     acc = []
-    for j, v in enumerate(values):
-        c = comb(n - j, n - k) * factorial(j) * (den // v._den)
+    for j, v in enumerate(_rows("stirling2", "explicit", n)[n][:k + 1]):
+        # j!·{n j} lies in Z[λ]: the row stores it over j!, so v._den divides j!
+        c = comb(n - j, n - k) * (factorial(j) // v._den)
         _add_linear(acc, v._num, c if (k - j) % 2 == 0 else -c)
-    return _make(acc, den)
+    return _make(acc, 1)
 
 
 def power_sum(m: int, n: int, route: str = _default("powersum")) -> LambdaPoly:

@@ -466,34 +466,39 @@ def test_pack_round_trips(num, extra):
     assert _make(_unpack(v, S), 1)._num == _make(list(num), 1)._num
 
 
-def _horner_rows(cells: list, top: int) -> list:
-    """Rows A_0..A_top of a Horner scheme out of 21 numerator lists, row i
-    with its i + 1 x-coefficients."""
-    return [cells[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(top + 1)]
+def _horner_rows(cells: list, terms: int) -> list:
+    """Rows A_0..A_{terms-1} of a Horner scheme out of 21 numerator lists,
+    row i with its i + 1 x-coefficients."""
+    return [cells[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(terms)]
 
 
 @given(st.lists(st.lists(st.integers(-10**12, 10**12), max_size=5), min_size=21, max_size=21),
-       st.integers(0, 5), st.integers(0, 65))
+       st.integers(0, 6), st.integers(0, 65))
 @settings(max_examples=200)
 # empty x-coefficients first, in the middle and last, with and without λ
-@example([[5], [], [3, -1], [], [7, 0, 2], []] + [[1, 1]] * 15, 2, 0)
-@example([[5], [], [3, -1], [], [7, 0, 2], []] + [[1, 1]] * 15, 2, 9)
-@example([[]] * 21, 5, 0)
-@example([[-2, 4]] + [[]] * 20, 0, 3)
-def test_packed_step_is_the_ring_product(cells, top, extra):
+@example([[5], [], [3, -1], [], [7, 0, 2], []] + [[1, 1]] * 15, 3, 0)
+@example([[5], [], [3, -1], [], [7, 0, 2], []] + [[1, 1]] * 15, 3, 9)
+@example([[]] * 21, 6, 0)
+@example([[-2, 4]] + [[]] * 20, 1, 3)
+@example([[-2, 4]] + [[]] * 20, 0, 0)
+def test_packed_step_is_the_ring_product(cells, terms, extra):
     # the Horner kernel of the gf-recursion and residual schemes, in the
-    # slot of its own bound, equals the scheme in ring operators: each step
-    # multiplies by (1 + (n-i)λ)(x - 1), s = n - i from extra + top - 1 down
-    # to extra, and adds C(n,i)·A_i
-    rows, n = _horner_rows(cells, top), top + extra
+    # slot of its own bound, equals in ring operators the sum it stands for,
+    # Σ_{i<n} C(n,i)·A_i(x)·(1)_{n-i,-λ}·(x-1)^{n-i-1}: A_0..A_{terms-1}
+    # come from the cells and the extra rows after them are zero, so s = n - i
+    # runs up to n = terms + extra
+    n = terms + extra
+    rows = _horner_rows(cells, terms) + [[[]] * (i + 1) for i in range(terms, n)]
     norms = [max((abs(c) for a in row for c in a), default=0) for row in rows]
-    S = _slot(_horner_bound(norms, n, top))
-    out = _horner_x_minus_one([[_pack(a, S) for a in row] for row in rows], n, top, S)
-    polys = [_xl([_make(list(a), 1) for a in row]) for row in rows]
-    expected = polys[0]
-    for i in range(1, top + 1):
-        expected = expected * LambdaPoly((1, n - i)) * (X - 1) + comb(n, i) * polys[i]
-    assert len(out) == top + 1
+    S = _slot(_horner_bound(norms, n))
+    out = _horner_x_minus_one([[_pack(a, S) for a in row] for row in rows], n, S)
+    expected = XLPoly()
+    for i in range(terms):
+        m = n - i - 1  # (x - 1)^m
+        power = XLPoly([(-1) ** (m - j) * comb(m, j) for j in range(m + 1)])
+        rising = falling_factorial_degenerate(1, n - i).scale_lambda(-1)
+        expected = expected + comb(n, i) * _xl([_make(list(a), 1) for a in rows[i]]) * power * rising
+    assert len(out) == n
     assert _stored(_xl([_make(_unpack(v, S), 1) for v in out])) == _stored(expected)
 
 

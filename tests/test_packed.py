@@ -53,41 +53,46 @@ def _peak(lists) -> int:
     return max((abs(c) for num in lists for c in num), default=0)
 
 
+def _horner_by_lists(rows, n: int, stop: int, den: int = 1):
+    """Σ_{k<stop} C(n,k)·(1)_{n-k,-λ}·A_k(x)·(x-1)^{stop-1-k}, for stop = n
+    or n + 1, as a Horner scheme on numerator lists over den, row k
+    entering with its entries 0..k, and the largest |numerator| any step
+    of it reaches."""
+    acc, peak = [[]], 0
+    for k in range(stop):
+        if k:
+            acc = _times_x_minus_one(acc, n - k)
+            peak = max(peak, _peak(acc))
+        c = comb(n, k)
+        for a, entry in zip(acc, rows[k]):
+            _add_linear(a, entry._num, c * (den // entry._den))
+        peak = max(peak, _peak(acc))
+    return acc, peak
+
+
 def _gf_rows_by_lists(max_n: int):
     """Rows 0..max_n of the gf-recursion route on numerator lists, and per
     row the largest |numerator| any step of its Horner scheme reaches."""
     rows, peaks = [(LambdaPoly((1,)),)], [1]
     for n in range(1, max_n + 1):
-        acc, peak = [[1]], 1
-        for i in range(1, n):
-            acc = _times_x_minus_one(acc, n - i)
-            peak = max(peak, _peak(acc))
-            c = comb(n, i)
-            for a, entry in zip(acc, rows[i]):
-                _add_linear(a, entry._num, c)
-            peak = max(peak, _peak(acc))
+        acc, peak = _horner_by_lists(rows, n, n)
         rows.append(tuple(_make(a, 1) for a in acc) + (_make([], 1),))
         peaks.append(peak)
     return rows, peaks
 
 
 def _residual_by_lists(rows):
-    """The residual taps on numerator lists over the lcm D of the row
-    denominators, D, per tap the largest |numerator| any step of its
-    Horner scheme reaches, and per tap the largest |numerator| of the tap
+    """The residual taps in the paper's form,
+
+        x·A_n(x) - Σ_{k≤n} C(n,k)·(1)_{n-k,-λ}·A_k(x)·(x-1)^{n-k} - [n=0]·(x-1),
+
+    the sum a Horner scheme to term n on numerator lists over the lcm D of
+    the row denominators; D; and per tap the largest |numerator| of the tap
     before ``_make`` reduces it."""
     den = lcm(*[c._den for row in rows for c in row])
-    taps, peaks, tap_peaks = [], [], []
+    taps, tap_peaks = [], []
     for n, row in enumerate(rows):
-        acc, peak = [[]], 0
-        for k in range(n + 1):
-            if k:
-                acc = _times_x_minus_one(acc, n - k)
-                peak = max(peak, _peak(acc))
-            c = comb(n, k)
-            for a, entry in zip(acc, rows[k]):
-                _add_linear(a, entry._num, c * (den // entry._den))
-            peak = max(peak, _peak(acc))
+        acc, _ = _horner_by_lists(rows, n, n + 1, den)
         out = [[-v for v in a] for a in acc] + [[]]
         for a, entry in zip(out[1:], row):  # x·A_n
             _add_linear(a, entry._num, den // entry._den)
@@ -95,9 +100,8 @@ def _residual_by_lists(rows):
             _add_linear(out[0], (1,), den)
             _add_linear(out[1], (1,), -den)
         taps.append(_xl([_make(a, den) for a in out]))
-        peaks.append(peak)
         tap_peaks.append(_peak(out))
-    return taps, den, peaks, tap_peaks
+    return taps, den, tap_peaks
 
 
 def _worpitzky_by_lists(n: int):
@@ -210,7 +214,7 @@ def test_gf_recursion_matches_the_list_model():
 @pytest.mark.parametrize("perturbation", [0, 1, F(1, 3) * LAM, BIG])
 def test_residual_taps_match_the_list_model(perturbation):
     rows = _perturbed_rows(24, perturbation)
-    model, _, _, _ = _residual_by_lists(rows)
+    model, _, _ = _residual_by_lists(rows)
     assert _xl_stored(_residual_taps(rows)) == _xl_stored(model)
 
 
@@ -219,7 +223,7 @@ def test_residual_taps_of_short_and_long_rows_match_the_list_model():
     rows = [list(row) for row in eulerian_table(8).rows]
     rows[3] = rows[3][:2]
     rows[6] = rows[6] + [LambdaPoly((5, 1))]
-    model, _, _, _ = _residual_by_lists(rows)
+    model, _, _ = _residual_by_lists(rows)
     assert _xl_stored(_residual_taps(rows)) == _xl_stored(model)
 
 
@@ -245,6 +249,24 @@ def test_explicit_rows_continued_equal_the_rows_of_one_call(family):
     assert _stored(route_rows(family, 24, "explicit")) == _stored(model)
 
 
+def test_falling_sums_over_columns_of_different_lengths_equal_the_list_sums():
+    # the kernel carries the falling factorials as far as its longest
+    # column reaches, here one of the last n, and sums each column as long
+    # as it is, an empty one to zero
+    start, columns = 3, [[[1], [0, 2, -3], [5, 0, 0, 0, 7]],
+                         [[], [1, -1]],
+                         [[4, -1, 2, 0, 0, 0, 0, 9], [0, 0, 1]]]
+    sums = algebra._falling_sums(start, columns)
+    assert len(sums) == len(columns)
+    for n, (row, got) in enumerate(zip(columns, sums), start):
+        assert len(got) == len(row), n
+        for column, num in zip(row, got):
+            acc = []
+            for j, c in enumerate(column):
+                _add_linear(acc, falling_factorial_degenerate(j, n)._num, c)
+            assert _make(num, 1)._num == _make(acc, 1)._num, (n, column)
+
+
 def test_one_eulerian_cell_equals_its_explicit_row():
     # eulerian_explicit(n, k) sums the same formula on lists, for one cell
     sequences._clear_memos()
@@ -266,17 +288,22 @@ def test_worpitzky_matches_the_list_model():
 
 
 def test_each_bound_covers_every_step_of_the_list_model(monkeypatch):
-    # the Horner kernel's bound covers every step of both of its schemes
+    # the Horner kernel's bound covers every step of its scheme, on the
+    # route's rows and on perturbed rows over their common denominator
     rows, peaks = _gf_rows_by_lists(24)
     norms = [_norm(row) for row in rows]
     for n in range(1, 25):
-        assert _horner_bound(norms, n, n - 1) >= peaks[n], n
+        assert _horner_bound(norms, n) >= peaks[n], n
     for perturbation in (0, BIG):
         rows = _perturbed_rows(24, perturbation)
-        _, den, peaks, _ = _residual_by_lists(rows)
+        _, den, tap_peaks = _residual_by_lists(rows)
         norms = _scaled_norms(rows, den)
         for n in range(25):
-            assert _horner_bound(norms, n, n) >= peaks[n], (perturbation, n)
+            _, peak = _horner_by_lists(rows, n, n, den)
+            assert _horner_bound(norms, n) >= peak, (perturbation, n)
+        # the residual's slot covers every numerator of every tap
+        [bound] = _slot_bounds(monkeypatch, egf, lambda: _residual_taps(rows))
+        assert bound >= max(tap_peaks), perturbation
     # the packed sums size their slot from a bound on every sum
     for n in range(25):
         _, peak = _worpitzky_by_lists(n)
@@ -302,16 +329,19 @@ def test_each_bound_covers_what_its_site_unpacks_up_to_the_cap(monkeypatch):
     rows = eulerian_table(64, "gf-recursion").rows
     norms = [_norm(row) for row in rows]
     for n in range(1, 65):
-        bound, true = _horner_bound(norms, n, n - 1), norms[n]
+        bound, true = _horner_bound(norms, n), norms[n]
         # from the rows' own norms the bound is a few bits above the values
         assert true <= bound and bound.bit_length() <= true.bit_length() + 8, n
     rows = _perturbed_rows(64, BIG)
     den = lcm(*[c._den for row in rows for c in row])
     [bound] = _slot_bounds(monkeypatch, egf, lambda: _residual_taps(rows))
+    peaks = []
     for n, tap in enumerate(_residual_taps(rows)):
-        unpacked = max((abs(c) for v in tap.coeffs for c in _unpacked(v, den)), default=0)
-        assert (unpacked > 0) == (n >= 5), n  # the perturbation enters from tap 5 on
-        assert bound >= unpacked, n
+        peaks.append(max((abs(c) for v in tap.coeffs for c in _unpacked(v, den)), default=0))
+        assert (peaks[n] > 0) == (n >= 5), n  # the perturbation enters from tap 5 on
+        assert bound >= peaks[n], n
+    # 2·(G_n's bound + ‖A_n‖) is a few bits above the largest tap
+    assert bound.bit_length() <= max(peaks).bit_length() + 8
     for n in range(65):
         unpacked = max(abs(c) for v in worpitzky_lhs(n).coeffs for c in _unpacked(v, factorial(n)))
         [bound] = _slot_bounds(monkeypatch, algebra, lambda: worpitzky_lhs(n))
@@ -350,7 +380,7 @@ def test_an_undersized_slot_changes_the_gf_recursion_rows(monkeypatch):
 def test_an_undersized_slot_changes_the_residual_taps(monkeypatch):
     # a perturbed row makes the taps nonzero and far larger than the rows
     rows = _perturbed_rows(24, BIG)
-    model, den, _, tap_peaks = _residual_by_lists(rows)
+    model, den, tap_peaks = _residual_by_lists(rows)
     true = max(abs(c) for tap in model for v in tap.coeffs for c in _unpacked(v, den))
     assert true == max(tap_peaks)
     inputs = max(_scaled_norms(rows, den))
@@ -391,11 +421,11 @@ def test_an_undersized_slot_changes_the_explicit_rows(monkeypatch, family):
 # ---------------------------------------------------------------------------
 
 
-def _horner_with_one_wrong_s(packed, n, top, S):
+def _horner_with_one_wrong_s(packed, n, S):
     """``algebra._horner_x_minus_one`` with s one too large at step i = 1;
     a packed value is its polynomial at λ = 2^S."""
-    lam, acc = 2 ** S, packed[0][:1]
-    for i in range(1, top + 1):
+    lam, acc = 2 ** S, []
+    for i in range(n):
         s, c = n - i + (i == 1), comb(n, i)
         acc = [d + s * d * lam + c * a for d, a in zip(map(sub, [0] + acc, acc + [0]), packed[i])]
     return acc
@@ -406,10 +436,10 @@ def _sums_with_the_first_value_twice(columns, nums):
     return algebra._packed_sums([(column[0] + 1, *column[1:]) for column in columns], nums)
 
 
-def _falling_sums_with_one_wrong_step(start, columns, top):
+def _falling_sums_with_one_wrong_step(start, columns):
     """``algebra._falling_sums`` on numerator lists, with the factor j - 0·λ
     of the step to n = 1 taken as j - λ."""
-    falling, sums = [[1]] * (top + 1), []
+    falling, sums = [[1]] * max(len(c) for row in columns for c in row), []
     for n in range(start + len(columns)):
         if n:
             falling = [_add_linear([], f, j, -max(n - 1, 1)) for j, f in enumerate(falling)]
