@@ -87,8 +87,8 @@ as a list, so the other builders stay on lists,
 Memos: every value a builder of the package memoizes, here and in
 ``egf``, ``sequences`` and ``oracles``, lives in the one store
 ``_MEMOS``, under a key of names and ints: the falling factorials per
-base, the Bernoulli taps, the rows of each table route, the ``direct``
-power-sum columns, the ``eulerian`` and ``bernoulli`` power sums per n
+base, the rows of each table route (the Bernoulli taps are the rows of
+the ``bernoulli`` route), the ``direct`` power-sum columns, the ``eulerian`` and ``bernoulli`` power sums per n
 and m, β_n(x), A_n(-1), the descent distributions and the classical
 triangles.
 ``sequences._clear_memos`` empties it.
@@ -242,10 +242,10 @@ def _unpack(v: int, S: int) -> list:
     return [digit(b[i:i + w], "little") - half for i in range(0, w * d, w)]
 
 
-def _norm(values, den: int = 1) -> int:
-    """The largest |numerator| of the LambdaPoly ``values`` written over the
-    common denominator den, a multiple of each one's; 0 if there is none."""
-    return max((max(map(abs, v._num), default=0) * (den // v._den) for v in values), default=0)
+def _norm(values) -> int:
+    """The largest |numerator| of the LambdaPoly ``values``; 0 if there is
+    none."""
+    return max((max(map(abs, v._num), default=0) for v in values), default=0)
 
 
 def _horner_x_minus_one(packed: list, n: int, S: int) -> list:

@@ -27,9 +27,11 @@ memoized value lives per process in the one store ``algebra._MEMOS``,
 and ``_clear_memos`` empties it. The rows of every table route are kept
 under the key (family, route): a builder appends complete rows by its
 route's own formula from the first row not yet built, so a smaller n is
-sliced, a larger one continues the route and nothing is rebuilt. A route
-reads another route's rows only where its formula is stated over them
-(``stirling2`` by ``eulerian`` sums the ``recursion`` triangle). The
+sliced, a larger one continues the route and nothing is rebuilt. The
+builder of the ``bernoulli`` route is the triangular solve of ``egf``,
+whose rows (β_n,) are the taps that ``egf.bernoulli_taps`` returns. A
+route reads another route's rows only where its formula is stated over
+them (``stirling2`` by ``eulerian`` sums the ``recursion`` triangle). The
 store also keeps β_n(x) per n, A_n(-1) per (route, n) (a memo only ever
 keys on a route ``_route`` has accepted), and the ``direct`` power-sum
 route's column per n: the prefix sums Σ_{k≤m}(k)_{n,λ} for m = 0, 1,
@@ -39,7 +41,7 @@ the column and a smaller one is a lookup. The ``eulerian`` and
 ("powersum", route, n, m); each call, memo hit or not, still reads the
 memoized Eulerian row n or β_{n+1}(x) it is built from. The memos
 outlive a CLI command, so later commands in the process reuse them; as
-only complete rows, taps, sums and values are stored, a command that
+only complete rows, sums and values are stored, a command that
 fails midway leaves nothing partial behind.
 
 Every builder but one works on int numerators and builds one LambdaPoly
@@ -103,7 +105,7 @@ from .algebra import (
     XLPoly,
     falling_factorial_degenerate,
 )
-from .egf import bernoulli_taps
+from .egf import _extend_taps, bernoulli_taps
 
 __all__ = [
     "ROUTES",
@@ -222,11 +224,6 @@ def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
         rows.append(tuple(_make(_unpack(a, S), 1) for a in acc) + (zero,))
 
 
-def _extend_bernoulli(rows: List[tuple], max_n: int) -> None:
-    """Rows (β_n,) of one cell each, the taps of the egf triangular solve."""
-    rows.extend((b,) for b in bernoulli_taps(max_n)[len(rows):])
-
-
 def _extend_stirling1(rows: List[tuple], max_n: int) -> None:
     """Rows S1(n,0)..S1(n,n), the coefficients of (x)_n in the basis (x)_{k,λ}.
 
@@ -339,7 +336,7 @@ def _at_minus_one_bernoulli(n: int) -> LambdaPoly:
 ROUTES = {
     "eulerian": {"recursion": _extend_recursion, "explicit": _extend_explicit,
                  "gf-recursion": _extend_gf_recursion},
-    "bernoulli": {"egf-triangular": _extend_bernoulli},
+    "bernoulli": {"egf-triangular": _extend_taps},
     "stirling1": {"basis-conversion": _extend_stirling1},
     "stirling2": {"explicit": _extend_stirling2, "eulerian": _extend_stirling2_eulerian},
     "powersum": {"direct": _power_sum_direct, "eulerian": _power_sum_eulerian,

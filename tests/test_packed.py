@@ -14,9 +14,8 @@ sites actually reach, and a slot a byte short of the unpacked values is
 shown to change them.
 """
 
-from fractions import Fraction as F
 from itertools import zip_longest
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import sub
 
 import pytest
@@ -29,8 +28,8 @@ from degenpoly.sequences import eulerian_explicit, eulerian_table, route_rows, w
 from degenpoly.verify import run_suite
 
 
-#: A perturbation over a denominator, with a λ^3 term and a large constant.
-BIG = LambdaPoly((10**30, 0, 0, F(-7, 12)))
+#: A perturbation with a λ^3 term and a large constant.
+BIG = LambdaPoly((10**30, 0, 0, -7))
 
 
 def _times_x_minus_one(acc: list, s: int) -> list:
@@ -53,11 +52,10 @@ def _peak(lists) -> int:
     return max((abs(c) for num in lists for c in num), default=0)
 
 
-def _horner_by_lists(rows, n: int, stop: int, den: int = 1):
+def _horner_by_lists(rows, n: int, stop: int):
     """Σ_{k<stop} C(n,k)·(1)_{n-k,-λ}·A_k(x)·(x-1)^{stop-1-k}, for stop = n
-    or n + 1, as a Horner scheme on numerator lists over den, row k
-    entering with its entries 0..k, and the largest |numerator| any step
-    of it reaches."""
+    or n + 1, as a Horner scheme on numerator lists, and the largest
+    |numerator| any step of it reaches."""
     acc, peak = [[]], 0
     for k in range(stop):
         if k:
@@ -65,7 +63,7 @@ def _horner_by_lists(rows, n: int, stop: int, den: int = 1):
             peak = max(peak, _peak(acc))
         c = comb(n, k)
         for a, entry in zip(acc, rows[k]):
-            _add_linear(a, entry._num, c * (den // entry._den))
+            _add_linear(a, entry._num, c)
         peak = max(peak, _peak(acc))
     return acc, peak
 
@@ -86,22 +84,20 @@ def _residual_by_lists(rows):
 
         x·A_n(x) - Σ_{k≤n} C(n,k)·(1)_{n-k,-λ}·A_k(x)·(x-1)^{n-k} - [n=0]·(x-1),
 
-    the sum a Horner scheme to term n on numerator lists over the lcm D of
-    the row denominators; D; and per tap the largest |numerator| of the tap
-    before ``_make`` reduces it."""
-    den = lcm(*[c._den for row in rows for c in row])
+    the sum a Horner scheme to term n on numerator lists, and per tap its
+    largest |numerator|."""
     taps, tap_peaks = [], []
     for n, row in enumerate(rows):
-        acc, _ = _horner_by_lists(rows, n, n + 1, den)
+        acc, _ = _horner_by_lists(rows, n, n + 1)
         out = [[-v for v in a] for a in acc] + [[]]
         for a, entry in zip(out[1:], row):  # x·A_n
-            _add_linear(a, entry._num, den // entry._den)
+            _add_linear(a, entry._num, 1)
         if not n:  # -(x - 1)
-            _add_linear(out[0], (1,), den)
-            _add_linear(out[1], (1,), -den)
-        taps.append(_xl([_make(a, den) for a in out]))
+            _add_linear(out[0], (1,), 1)
+            _add_linear(out[1], (1,), -1)
+        taps.append(_xl([_make(a, 1) for a in out]))
         tap_peaks.append(_peak(out))
-    return taps, den, tap_peaks
+    return taps, tap_peaks
 
 
 def _worpitzky_by_lists(n: int):
@@ -176,10 +172,6 @@ def _perturbed_rows(max_n: int, perturbation):
     return rows
 
 
-def _scaled_norms(rows, den: int) -> list:
-    return [_norm(row[:k + 1], den) for k, row in enumerate(rows)]
-
-
 _SLOT = algebra._slot
 
 
@@ -211,19 +203,10 @@ def test_gf_recursion_matches_the_list_model():
         assert _stored(eulerian_table(n, "gf-recursion").rows) == _stored(model[:n + 1]), n
 
 
-@pytest.mark.parametrize("perturbation", [0, 1, F(1, 3) * LAM, BIG])
+@pytest.mark.parametrize("perturbation", [0, 1, LAM, BIG])
 def test_residual_taps_match_the_list_model(perturbation):
     rows = _perturbed_rows(24, perturbation)
-    model, _, _ = _residual_by_lists(rows)
-    assert _xl_stored(_residual_taps(rows)) == _xl_stored(model)
-
-
-def test_residual_taps_of_short_and_long_rows_match_the_list_model():
-    # a row enters with its entries 0..k only, as in the list code
-    rows = [list(row) for row in eulerian_table(8).rows]
-    rows[3] = rows[3][:2]
-    rows[6] = rows[6] + [LambdaPoly((5, 1))]
-    model, _, _ = _residual_by_lists(rows)
+    model, _ = _residual_by_lists(rows)
     assert _xl_stored(_residual_taps(rows)) == _xl_stored(model)
 
 
@@ -289,17 +272,17 @@ def test_worpitzky_matches_the_list_model():
 
 def test_each_bound_covers_every_step_of_the_list_model(monkeypatch):
     # the Horner kernel's bound covers every step of its scheme, on the
-    # route's rows and on perturbed rows over their common denominator
+    # route's rows and on perturbed rows
     rows, peaks = _gf_rows_by_lists(24)
     norms = [_norm(row) for row in rows]
     for n in range(1, 25):
         assert _horner_bound(norms, n) >= peaks[n], n
     for perturbation in (0, BIG):
         rows = _perturbed_rows(24, perturbation)
-        _, den, tap_peaks = _residual_by_lists(rows)
-        norms = _scaled_norms(rows, den)
+        _, tap_peaks = _residual_by_lists(rows)
+        norms = [_norm(row) for row in rows]
         for n in range(25):
-            _, peak = _horner_by_lists(rows, n, n, den)
+            _, peak = _horner_by_lists(rows, n, n)
             assert _horner_bound(norms, n) >= peak, (perturbation, n)
         # the residual's slot covers every numerator of every tap
         [bound] = _slot_bounds(monkeypatch, egf, lambda: _residual_taps(rows))
@@ -333,11 +316,10 @@ def test_each_bound_covers_what_its_site_unpacks_up_to_the_cap(monkeypatch):
         # from the rows' own norms the bound is a few bits above the values
         assert true <= bound and bound.bit_length() <= true.bit_length() + 8, n
     rows = _perturbed_rows(64, BIG)
-    den = lcm(*[c._den for row in rows for c in row])
     [bound] = _slot_bounds(monkeypatch, egf, lambda: _residual_taps(rows))
     peaks = []
     for n, tap in enumerate(_residual_taps(rows)):
-        peaks.append(max((abs(c) for v in tap.coeffs for c in _unpacked(v, den)), default=0))
+        peaks.append(max((abs(c) for v in tap.coeffs for c in v._num), default=0))
         assert (peaks[n] > 0) == (n >= 5), n  # the perturbation enters from tap 5 on
         assert bound >= peaks[n], n
     # 2·(G_n's bound + ‖A_n‖) is a few bits above the largest tap
@@ -380,10 +362,10 @@ def test_an_undersized_slot_changes_the_gf_recursion_rows(monkeypatch):
 def test_an_undersized_slot_changes_the_residual_taps(monkeypatch):
     # a perturbed row makes the taps nonzero and far larger than the rows
     rows = _perturbed_rows(24, BIG)
-    model, den, tap_peaks = _residual_by_lists(rows)
-    true = max(abs(c) for tap in model for v in tap.coeffs for c in _unpacked(v, den))
+    model, tap_peaks = _residual_by_lists(rows)
+    true = max(abs(c) for tap in model for v in tap.coeffs for c in v._num)
     assert true == max(tap_peaks)
-    inputs = max(_scaled_norms(rows, den))
+    inputs = max(_norm(row) for row in rows)
     assert _SLOT(true) - 8 > inputs.bit_length()  # the rows still pack
     monkeypatch.setattr(egf, "_slot", _slot_of(true))
     assert _xl_stored(_residual_taps(rows)) == _xl_stored(model)

@@ -248,16 +248,16 @@ ROUTE_FOOTPRINTS = {
     ("eulerian", "recursion"): {("eulerian", "recursion")},
     ("eulerian", "explicit"): {("eulerian", "explicit")},
     ("eulerian", "gf-recursion"): {("eulerian", "gf-recursion")},
-    ("bernoulli", "egf-triangular"): {("bernoulli", "egf-triangular"), ("bernoulli-taps",)},
+    ("bernoulli", "egf-triangular"): {("bernoulli", "egf-triangular")},
     ("stirling1", "basis-conversion"): {("stirling1", "basis-conversion")},
     ("stirling2", "explicit"): {("stirling2", "explicit")},
     ("stirling2", "eulerian"): {("stirling2", "eulerian"), ("eulerian", "recursion")},
     ("powersum", "direct"): {("powersum", "direct", 6), ("falling",)},
     ("powersum", "eulerian"): {("powersum", "eulerian", 6, 5), ("eulerian", "recursion")},
     ("powersum", "bernoulli"): {("powersum", "bernoulli", 6, 5), ("bernoulli-poly", 7),
-                                ("bernoulli-taps",)},
+                                ("bernoulli", "egf-triangular")},
     ("eulerian-at", "direct"): {("eulerian-at", "direct", 6), ("eulerian", "recursion")},
-    ("eulerian-at", "bernoulli"): {("eulerian-at", "bernoulli", 6), ("bernoulli-taps",)},
+    ("eulerian-at", "bernoulli"): {("eulerian-at", "bernoulli", 6), ("bernoulli", "egf-triangular")},
 }
 
 #: The two sides of each check that compares two routes, built small.
