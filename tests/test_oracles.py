@@ -9,6 +9,7 @@ import pytest
 from degenpoly import sequences
 from degenpoly.oracles import (
     MAX_ENUMERATION_N,
+    _distribution,
     classical_triangles,
     descent_distribution,
     excedance_distribution,
@@ -46,6 +47,28 @@ def test_counts_match_a_per_permutation_enumeration(n):
     descents, excedances = _reference_counts(n)
     assert descent_distribution(n).counts == descents
     assert excedance_distribution(n).counts == excedances
+
+
+def test_counts_at_the_largest_enumeration_match_the_classical_triangle():
+    # n = 9 is the widest lane count of the byte-lane kernel: 9! lanes per column
+    n = MAX_ENUMERATION_N
+    row = classical_triangles(n).eulerian[n][:n]
+    assert descent_distribution(n).counts == row
+    assert excedance_distribution(n).counts == row
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_the_lane_kernel_counts_strictly_greater(n):
+    # the Eulerian rows are symmetric, so a kernel that counted σ(i) <= bound
+    # (ascents for descents) would pass every test on the public counts
+    m = factorial(n)
+    at_zero, at_top = (m,) + (0,) * (n - 1), (0,) * (n - 1) + (m,)
+    assert _distribution(n, lambda columns, i, ones: n * ones).counts == at_zero
+    assert _distribution(n, lambda columns, i, ones: columns[i]).counts == at_zero
+    assert _distribution(n, lambda columns, i, ones: 0).counts == at_top
+    # σ(i) > 1 at every i < n but where σ(i) = 1
+    above_one = _distribution(n, lambda columns, i, ones: ones).counts
+    assert above_one == (0,) * (n - 2) + ((n - 1) * factorial(n - 1), factorial(n - 1))
 
 
 def test_excedance_small_cases():
