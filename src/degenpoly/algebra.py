@@ -76,13 +76,14 @@ kernel bounds them from its inputs' sup-norms (``_norm``) and takes
                         per j, so only the sums are unpacked, in the slot
                         of the largest Σ_j |coefficient|·j(j+1)···(j+n-1).
                         The ``explicit`` Eulerian and Stirling rows of
-                        ``sequences`` run on it.
+                        ``sequences`` run on it, and so do one explicit
+                        Eulerian number and the vanishing cells beyond
+                        the triangle, on the rows' column rule.
 
 The callers of ``_horner_x_minus_one`` pack its inputs and unpack what
 they form from its results; the other two kernels unpack their own sums.
 A value used in one sum only costs more to pack and unpack than to add
-as a list, so the other builders stay on lists,
-``sequences.eulerian_explicit`` (one cell) among them.
+as a list, so the other builders stay on lists.
 
 Memos: every value a builder of the package memoizes, here and in
 ``egf``, ``sequences`` and ``oracles``, lives in the one store
@@ -349,20 +350,9 @@ def _x_falling(offset: int, n: int) -> list:
 
 def _sum(p: "LambdaPoly", q: "LambdaPoly", sign: int) -> "LambdaPoly":
     """p + sign·q over the least common denominator of p and q."""
-    a, b = p._num, q._num
     g = gcd(p._den, q._den)
     fa, fb = q._den // g, p._den // g
-    den = p._den * fa
-    fb *= sign
-    if len(a) >= len(b):
-        out = [c * fa for c in a]
-        for i, c in enumerate(b):
-            out[i] += fb * c
-    else:
-        out = [c * fb for c in b]
-        for i, c in enumerate(a):
-            out[i] += fa * c
-    return _make(out, den)
+    return _make(_add_linear([c * fa for c in p._num], q._num, sign * fb), p._den * fa)
 
 
 class LambdaPoly:

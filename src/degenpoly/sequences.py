@@ -49,9 +49,8 @@ Every builder but one works on int numerators and builds one LambdaPoly
 Most sum numerator lists with ``algebra._add_linear``: the
 ``basis-conversion`` route of ``stirling1`` (a Newton division by x,
 x - λ, x - 2λ, ...), the ``eulerian`` route of ``stirling2``,
-``eulerian_explicit`` and ``eulerian_from_stirling2`` (one cell each, the
-latter over the memoized ``explicit`` Stirling row n, as int multiples
-of the j!·{n j} in Z[λ]), the three
+``eulerian_from_stirling2`` (one cell, over the memoized ``explicit``
+Stirling row n, as int multiples of the j!·{n j} in Z[λ]), the three
 power-sum routes and ``bernoulli_polynomial`` (a Horner scheme in the
 falling basis with ``algebra._times_x_minus_lambda``). The ``recursion``
 route takes each cell in one list comprehension over its two parents'
@@ -66,11 +65,14 @@ x-coefficient (``algebra._packed_sums``), and the ``explicit`` routes of
 ``eulerian`` and ``stirling2``, in which a falling factorial (j)_{n,λ}
 enters every cell of row n (``algebra._falling_sums``, which carries the
 row of falling factorials packed from one n to the next, so these routes
-read no memoized falling factorial). Packing a value costs two to three
-times as much as adding it to a list once, so the builders whose values
-each enter only a few sums stay on lists: the ``recursion`` route (two
-parents per cell) and ``eulerian_explicit`` (each falling factorial it
-reads enters one sum). The
+read no memoized falling factorial). The explicit sum of the Eulerian
+numbers has one body, ``_explicit_sums``: the ``explicit`` rows, one
+cell ``eulerian_explicit(n, k)`` and the cells beyond the triangle that
+the verification suite asks for are each one ``_falling_sums`` call on
+its column rule. Packing a value costs two to three times as much as
+adding it to a list once, so the builders whose values each enter only
+a few sums stay on lists, such as the ``recursion`` route (two parents
+per cell). The
 ``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
 ``XLPoly.eval_x``, itself an integer Horner scheme. Its ``bernoulli``
 route uses the ring operators on purpose: it exercises the λ -> λ/2
@@ -139,15 +141,25 @@ def eulerian_explicit(n: int, k: int) -> LambdaPoly:
     Total in (n,k): for k > n the sum itself collapses to the zero
     polynomial (an n-th degree sequence differenced more than n times),
     which is asserted by the verification suite rather than special-cased.
-    One cell sums the memoized falling factorials on lists; the rows of the
-    ``explicit`` route sum the same formula on the packed kernel.
+    One cell is one ``_explicit_sums`` call, the body of the ``explicit``
+    rows, and reads no memo.
     """
     _check_nonneg(n=n, k=k)
-    acc = []
-    for i in range(k + 1):
-        c = comb(n + 1, i)
-        _add_linear(acc, falling_factorial_degenerate(k - i + 1, n)._num, -c if i % 2 else c)
-    return _make(acc, 1)
+    return _make(_explicit_sums(n, [[k]])[0][0], 1)
+
+
+def _explicit_sums(start: int, ks: list) -> list:
+    """The int numerators of A(n,k) by the explicit sum of
+    ``eulerian_explicit``, for each n from start and each k in
+    ks[n - start] (none empty), in one ``algebra._falling_sums`` call: the
+    coefficient of (j)_{n,λ} is (-1)^i·C(n+1,i) with i = k+1-j, for
+    j = 1..k+1. C(n+1,i) is 0 for i > n+1, so a cell beyond the triangle
+    needs no case of its own."""
+    columns = []
+    for n, row in enumerate(ks, start):
+        signed = [(-1) ** i * comb(n + 1, i) for i in range(max(row) + 2)]
+        columns.append([[0] + signed[k::-1] for k in row])
+    return _falling_sums(start, columns)
 
 
 def _extend_recursion(rows: List[tuple], max_n: int) -> None:
@@ -178,14 +190,10 @@ def _extend_recursion(rows: List[tuple], max_n: int) -> None:
 
 
 def _extend_explicit(rows: List[tuple], max_n: int) -> None:
-    """Eulerian rows by the explicit sum of ``eulerian_explicit``, on the
-    packed kernel ``algebra._falling_sums``: the coefficient of (j)_{n,λ}
-    in A(n,k) is (-1)^i·C(n+1,i) with i = k+1-j, for j = 1..k+1."""
-    start, columns = len(rows), []
-    for n in range(start, max_n + 1):
-        signed = [(-1) ** i * comb(n + 1, i) for i in range(n + 2)]
-        columns.append([[0] + signed[k::-1] for k in range(n + 1)])
-    for row in _falling_sums(start, columns):
+    """Eulerian rows by the explicit sum of ``eulerian_explicit``, k = 0..n
+    of each row n in one ``_explicit_sums`` call."""
+    start = len(rows)
+    for row in _explicit_sums(start, [range(n + 1) for n in range(start, max_n + 1)]):
         rows.append(tuple(_make(num, 1) for num in row))
 
 

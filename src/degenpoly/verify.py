@@ -45,8 +45,8 @@ from .oracles import (
     excedance_distribution,
 )
 from .sequences import (
+    _explicit_sums,
     eulerian_at_minus_one,
-    eulerian_explicit,
     eulerian_from_stirling2,
     eulerian_table,
     power_sum,
@@ -166,9 +166,10 @@ def _cases_gf_residual(r) -> Cases:
 
 def _cases_vanishing(r) -> Cases:
     zero = LambdaPoly()
-    for n in range(r["n_max"] + 1):
-        for k in range(n + 1, n + 4):
-            yield {"n": n, "k": k}, eulerian_explicit(n, k), zero
+    sums = _explicit_sums(0, [range(n + 1, n + 4) for n in range(r["n_max"] + 1)])
+    for n, row in enumerate(sums):
+        for k, num in enumerate(row, n + 1):
+            yield {"n": n, "k": k}, _make(num, 1), zero
 
 
 def _cases_number_recursion(r) -> Cases:
@@ -245,12 +246,13 @@ def _cases_coefficient_relation(r) -> Cases:
 def _cases_stirling2_binomial_expansion(r) -> Cases:
     # (x)_{n,λ} = Σ_k k!·{n k}·C(x,k) = Σ_k {n k}·(x)_k, summed over n!
     explicit = route_rows("stirling2", r["n_max"], "explicit")
+    x_falling = [_x_falling(0, k) for k in range(r["n_max"] + 1)]
     for n in range(r["n_max"] + 1):
         den = factorial(n)
         accs = [[] for _ in range(n + 1)]
         for k, value in enumerate(explicit[n]):
             scale = den // value._den
-            for acc, c in zip(accs, _x_falling(0, k)):
+            for acc, c in zip(accs, x_falling[k]):
                 _add_linear(acc, value._num, scale * c)
         yield {"n": n}, _xl([_make(acc, den) for acc in accs]), falling_factorial_degenerate(X, n)
 

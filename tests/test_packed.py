@@ -24,7 +24,7 @@ from degenpoly import algebra, egf, sequences
 from degenpoly.algebra import (LAM, LambdaPoly, _add_linear, _horner_bound, _make, _negate_lambda, _norm,
                                _x_falling, _xl, falling_factorial_degenerate)
 from degenpoly.egf import _residual_taps
-from degenpoly.sequences import eulerian_explicit, eulerian_table, route_rows, worpitzky_lhs
+from degenpoly.sequences import _explicit_sums, eulerian_explicit, eulerian_table, route_rows, worpitzky_lhs
 from degenpoly.verify import run_suite
 
 
@@ -250,8 +250,31 @@ def test_falling_sums_over_columns_of_different_lengths_equal_the_list_sums():
             assert _make(num, 1)._num == _make(acc, 1)._num, (n, column)
 
 
+def _eulerian_cell_by_lists(n: int, k: int) -> LambdaPoly:
+    """A(n,k) by the explicit sum on numerator lists, over the memoized
+    falling factorials, for any k (zero for k > n)."""
+    acc = []
+    for i in range(k + 1):
+        c = comb(n + 1, i)
+        _add_linear(acc, falling_factorial_degenerate(k - i + 1, n)._num, -c if i % 2 else c)
+    return _make(acc, 1)
+
+
+def test_explicit_cells_and_vanishing_cells_match_the_list_model():
+    # one cell and the vanishing check's cells beyond the triangle, all from
+    # the column rule of the rows
+    beyond = _explicit_sums(0, [range(n + 1, n + 5) for n in range(25)])
+    for n in range(25):
+        for k in range(n + 5):
+            model = _stored([[_eulerian_cell_by_lists(n, k)]])
+            assert _stored([[eulerian_explicit(n, k)]]) == model, (n, k)
+            if k > n:
+                assert _stored([[_make(beyond[n][k - n - 1], 1)]]) == model, (n, k)
+
+
 def test_one_eulerian_cell_equals_its_explicit_row():
-    # eulerian_explicit(n, k) sums the same formula on lists, for one cell
+    # eulerian_explicit(n, k) is one _explicit_sums call, stepping the
+    # falling factorials up to n in a slot of its own, not the rows' slot
     sequences._clear_memos()
     rows = route_rows("eulerian", 24, "explicit")
     for n in range(25):
@@ -452,7 +475,10 @@ def test_the_suite_fails_a_faulty_kernel_at_each_binding(monkeypatch):
     monkeypatch.setattr(sequences, "_packed_sums", _sums_with_the_first_value_twice)
     assert _failing_checks() == {"thm-2.7-worpitzky"}
     monkeypatch.undo()
-    # both explicit routes: each check that reads one of them against another route
+    # both explicit routes: each check that reads one of them against another
+    # route. thm-2.2-vanishing sums on the same kernel and still passes: each
+    # faulty (j)_{n,λ} is still of degree n in j, so its (n+1)-th differences
+    # beyond the triangle still vanish
     monkeypatch.setattr(sequences, "_falling_sums", _falling_sums_with_one_wrong_step)
     assert _failing_checks() == {"thm-2.6-recursion", "thm-2.8-stirling2-from-eulerian",
                                  "thm-2.11-eulerian-from-stirling2", "eq-38-stirling2-binomial-expansion"}

@@ -331,6 +331,17 @@ def _run_checks(*ids):
         assert verify.run_check(verify.get_check(check_id)).status == "pass", check_id
 
 
+def test_the_vanishing_check_alone_reads_no_memo():
+    # the explicit sum carries its own falling factorials, for every n at once
+    _run_checks("thm-2.2-vanishing")
+    assert algebra._MEMOS == {}
+
+
+def test_one_explicit_cell_reads_no_memo():
+    assert eulerian_explicit(6, 8).is_zero
+    assert algebra._MEMOS == {}
+
+
 def test_the_route_comparison_reads_the_power_sums_the_suite_built(monkeypatch):
     # thm-2.9 and eq-43 build every power sum thm-2.10 compares, so it
     # creates no store key and sums nothing
