@@ -99,12 +99,12 @@ Values are immutable after construction; all operations return new values.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import mul, sub
-from typing import Iterable, Tuple, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 __all__ = [
     "LambdaPoly",
@@ -154,7 +154,7 @@ def _format_terms(pairs) -> str:
     return "".join(out) if out else "0"
 
 
-def _canonical(num: list, den: int) -> Tuple[tuple, int]:
+def _canonical(num: list, den: int) -> tuple[tuple, int]:
     """Integer numerators over a positive denominator, trimmed and reduced."""
     while num and not num[-1]:
         num.pop()
@@ -375,7 +375,7 @@ class LambdaPoly:
         return cls((0, 1))
 
     @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, lowest power of λ first."""
         den = self._den
         if den == 1:

@@ -20,11 +20,13 @@ end to end.
 
 Each command's arguments are declared once, as data (``_COMMANDS``).
 ``build_parser`` adds them to argparse, which runs only for usage, help
-and errors; a command in plain forms (exact option strings and their
-values, ``--opt=value`` taken as it stands, flags, the positional) is
-read against the same table in one pass, without building the parser.
+and errors and is imported there, on that first use; a command in plain
+forms (exact option strings and their values, ``--opt=value`` taken as it
+stands, flags, the positional) is read against the same table in one
+pass, without argparse.
 
-Importing this module loads only what ``table`` and ``eval`` run. JSON
+Importing this module loads only what ``table`` and ``eval`` run: no
+``argparse`` (nor the ``gettext`` it loads) and no ``typing``. JSON
 is written by ``_emit_json`` with the C string quoting of ``_json``; a
 document holds only strings, ints, None, lists, dicts with string keys
 and LambdaPoly cells, and any other value raises TypeError. A cell is
@@ -42,13 +44,13 @@ that could not be written.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from typing import List, Optional, Sequence, Tuple, Union
+from types import SimpleNamespace
 
 from . import __version__
 from .algebra import LambdaPoly, XLPoly, _trim
@@ -66,11 +68,14 @@ TABLE_FAMILIES = ("eulerian-number", "eulerian-poly", "bernoulli", "stirling1", 
 #: The library family of each CLI family name that is not one itself.
 _FAMILY = {"eulerian-number": "eulerian", "eulerian-poly": "eulerian"}
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+#: An exact rational in ASCII digits, matched against the whole token, so
+#: neither another script's digits nor a line break after it pass.
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 #: Tokens argparse reads as values rather than options: its own negative
-#: numbers ("-3", "-0.5") plus negative rationals ("-2/3").
-_NEGATIVE_VALUE_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+#: numbers ("-3", "-0.5") plus negative rationals ("-2/3"). argparse calls
+#: ``match``, so each branch ends at the end of the token.
+_NEGATIVE_VALUE_RE = re.compile(r"-[0-9]+(/[0-9]+)?\Z|-[0-9]*\.[0-9]+\Z")
 
 
 class UsageError(Exception):
@@ -84,7 +89,7 @@ class UsageError(Exception):
 
 def parse_rational(token: str) -> Fraction:
     """Parse an exact rational token; floats are rejected, not rounded."""
-    match = _RATIONAL_RE.match(token)
+    match = _RATIONAL_RE.fullmatch(token)
     if not match:
         raise UsageError(
             f"invalid rational {token!r}: expected an exact value like -3 or 1/2 "
@@ -100,7 +105,7 @@ def render_rational(value) -> str:
     return str(Fraction(value))
 
 
-def render_lambda_poly(p: LambdaPoly) -> List[str]:
+def render_lambda_poly(p: LambdaPoly) -> list[str]:
     """Coefficient array of a λ-polynomial, lowest power first."""
     if p._den == 1:  # str(n) is str(Fraction(n)), without the reduction
         return list(map(str, p._num))
@@ -111,7 +116,7 @@ def parse_lambda_poly(values: Sequence[str]) -> LambdaPoly:
     return LambdaPoly(parse_rational(v) for v in values)
 
 
-def render_xl_poly(p: XLPoly) -> List[List[str]]:
+def render_xl_poly(p: XLPoly) -> list[list[str]]:
     """Nested coefficient array: outer index x-power, inner index λ-power."""
     return [render_lambda_poly(c) for c in p.coeffs]
 
@@ -147,7 +152,7 @@ def _n_cap() -> int:
     return cap
 
 
-def _check_caps(*named: Tuple[str, int]) -> None:
+def _check_caps(*named: tuple[str, int]) -> None:
     """Each (option, value) in turn against the cap, read once per command
     and only when there is a value to check."""
     if not named:
@@ -162,7 +167,7 @@ def _check_caps(*named: Tuple[str, int]) -> None:
             raise UsageError(f"{name} must be >= 0, got {value}")
 
 
-def _metadata(route: Optional[str] = None, mode: Optional[str] = None, timestamp: bool = False) -> dict:
+def _metadata(route: str | None = None, mode: str | None = None, timestamp: bool = False) -> dict:
     meta = {"tool": "degenpoly", "version": __version__}
     if route is not None:
         meta["route"] = route
@@ -185,13 +190,13 @@ def _emit_json(doc: dict, out) -> None:
     # indent: each key, list and string would be a pure-Python generator
     # step. The parts go out in small batches, since one string would hold
     # a second copy of a table document (~7 MB at the n = 64 cap).
-    parts: List[str] = []
+    parts: list[str] = []
     _write_json(doc, "\n", parts, out)
     parts.append("\n")
     out.write("".join(parts))
 
 
-def _write_json(value, newline: str, parts: List[str], out) -> None:
+def _write_json(value, newline: str, parts: list[str], out) -> None:
     """Append ``value`` in the document layout to ``parts``; ``newline`` is
     a line break followed by the indent of the line ``value`` starts on.
     A value that no document holds raises TypeError."""
@@ -257,7 +262,7 @@ def _write_json(value, newline: str, parts: List[str], out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_route(family: str, requested: Optional[str]) -> str:
+def _resolve_route(family: str, requested: str | None) -> str:
     routes = tuple(ROUTES[_FAMILY.get(family, family)])
     if requested is None:
         return routes[0]
@@ -430,15 +435,12 @@ def cmd_verify(args, out) -> int:
 
 
 def _rational_arg(*words: str):
-    """argparse type: an exact rational token, or one of ``words`` as given."""
+    """Argument type: an exact rational token, or one of ``words`` as given.
+    A malformed token raises UsageError; build_parser hands argparse the
+    same message as its own type error."""
 
-    def convert(token: str) -> Union[str, Fraction]:
-        if token in words:
-            return token
-        try:
-            return parse_rational(token)
-        except UsageError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+    def convert(token: str) -> str | Fraction:
+        return token if token in words else parse_rational(token)
 
     return convert
 
@@ -480,22 +482,38 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that takes "--lambda -2/3" as a value, like "--n -3"."""
+def build_parser():
+    """The full ``argparse.ArgumentParser``. argparse runs only for usage,
+    help and errors, so it is imported here, on that first use."""
+    import argparse
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_VALUE_RE
+    class _Parser(argparse.ArgumentParser):
+        """ArgumentParser that takes "--lambda -2/3" as a value, like "--n -3"."""
 
-    def _print_message(self, message, file=None):
-        # argparse drops an OSError of the write; one to stdout (the help or
-        # usage) is run()'s to report, so a help that cannot be written exits 2
-        if file is not sys.stdout:
-            return super()._print_message(message, file)
-        file.write(message)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_VALUE_RE
 
+        def _print_message(self, message, file=None):
+            # argparse drops an OSError of the write; one to stdout (the help or
+            # usage) is run()'s to report, so a help that cannot be written exits 2
+            if file is not sys.stdout:
+                return super()._print_message(message, file)
+            file.write(message)
 
-def build_parser() -> argparse.ArgumentParser:
+    def argument_type(convert):
+        """``convert`` with a UsageError raised as argparse's type error, and
+        with its name, which argparse reports as in "invalid int value"."""
+
+        def checked(token):
+            try:
+                return convert(token)
+            except UsageError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        checked.__name__ = convert.__name__
+        return checked
+
     parser = _Parser(
         prog="degenpoly",
         description="Exact tables, evaluation and identity checks for the "
@@ -505,13 +523,15 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (func, help_line, arguments) in _COMMANDS.items():
         p_command = sub.add_parser(command, help=help_line)
         for flag, keywords in arguments:
+            if "type" in keywords:
+                keywords = {**keywords, "type": argument_type(keywords["type"])}
             p_command.add_argument(flag, **keywords)
         p_command.set_defaults(func=globals()[func])
     return parser
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser, built on first use and shared by the later commands in the
     process; parse_args leaves it unchanged and returns a new namespace."""
     return build_parser()
@@ -541,7 +561,15 @@ def _command_forms(command: str):
     return options, positional, defaults, frozenset(required)
 
 
-def _read_plain(command: str, args: Sequence[str]) -> Optional[argparse.Namespace]:
+class _Namespace(SimpleNamespace):
+    """A command's arguments as _read_plain reads them: equal to the
+    ``argparse.Namespace`` that holds the same attributes."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if hasattr(other, "__dict__") else NotImplemented
+
+
+def _read_plain(command: str, args: Sequence[str]) -> _Namespace | None:
     """The namespace ``parse_args`` makes of ``args`` under ``command``,
     read in one pass; None where ``args`` hold anything but exact option
     strings with their values, ``--opt=value``, flags and the one
@@ -573,16 +601,16 @@ def _read_plain(command: str, args: Sequence[str]) -> Optional[argparse.Namespac
                     return None
         try:
             value = convert(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except (UsageError, TypeError, ValueError):
             return None
         if choices is not None and value not in choices:
             return None
         values[dest] = value
         seen.add(dest)
-    return argparse.Namespace(**values) if required <= seen else None
+    return _Namespace(**values) if required <= seen else None
 
 
-def _parse_args(argv: List[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]):
     """The namespace the full parser makes of ``argv``: read in one pass by
     _read_plain when ``argv`` is a known command in plain forms. Anything
     else (no command or an unknown one, -h, --, ``--check``, an abbreviated
@@ -597,7 +625,7 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     return _parser().parse_args(argv)
 
 
-def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # The builder memos live as long as the process, so a command reuses the

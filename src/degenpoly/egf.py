@@ -25,9 +25,9 @@ n + 1 entries in row n, so they are packed as they are.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import comb, lcm
 from operator import sub
-from typing import List, Sequence, Tuple
 
 from .algebra import (LambdaPoly, XLPoly, _add_linear, _grown, _horner_bound, _horner_x_minus_one, _make,
                       _norm, _pack, _slot, _unpack, _xl)
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-def bernoulli_taps(order: int) -> List[LambdaPoly]:
+def bernoulli_taps(order: int) -> list[LambdaPoly]:
     """Degenerate Bernoulli numbers β_{0,λ} .. β_{N,λ} by triangular solve.
 
     B(t)·(e_λ(t)-1)/t = 1, where (e_λ(t)-1)/t has tap_n = (1)_{n+1,λ}/(n+1),
@@ -63,7 +63,7 @@ def bernoulli_taps(order: int) -> List[LambdaPoly]:
     return [b for (b,) in _grown(("bernoulli", "egf-triangular"), order, _extend_taps)[: order + 1]]
 
 
-def _extend_taps(rows: List[tuple], order: int) -> None:
+def _extend_taps(rows: list[tuple], order: int) -> None:
     """Append the rows (β_n,) for n = len(rows) .. order, from β_0 = 1."""
     if not rows:
         rows.append((LambdaPoly((1,)),))
@@ -78,7 +78,7 @@ def _extend_taps(rows: List[tuple], order: int) -> None:
         rows.append((_make([-c for c in acc], den * (n + 1)),))
 
 
-def _residual_taps(rows: Sequence[Sequence[LambdaPoly]]) -> Tuple[XLPoly, ...]:
+def _residual_taps(rows: Sequence[Sequence[LambdaPoly]]) -> tuple[XLPoly, ...]:
     """The residual taps of the Eulerian polynomials whose coefficient rows
     are rows[0..N], row n the n + 1 entries A(n,0..n) in Z[λ]:
 
@@ -108,7 +108,7 @@ def _residual_taps(rows: Sequence[Sequence[LambdaPoly]]) -> Tuple[XLPoly, ...]:
     return tuple(taps)
 
 
-def gf_residual(n_max: int) -> Tuple[XLPoly, ...]:
+def gf_residual(n_max: int) -> tuple[XLPoly, ...]:
     """Taps 0..n_max of the Eulerian generating-function residual
 
         S(t)·(x - e_{-λ}((x-1)t)) - (x-1)

@@ -14,10 +14,10 @@ triangles per size.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, permutations
 from math import comb, factorial
-from typing import List, NamedTuple, Tuple
 
 from .algebra import _built
 
@@ -38,11 +38,10 @@ __all__ = [
 MAX_ENUMERATION_N = 9
 
 
-class PermStatDistribution(NamedTuple):
+class PermStatDistribution(namedtuple("PermStatDistribution", ("n", "counts"))):
     """counts[k] = number of permutations of {1..n} with statistic value k."""
 
-    n: int
-    counts: Tuple[int, ...]
+    __slots__ = ()
 
 
 def _distribution(n: int, bound) -> PermStatDistribution:
@@ -89,7 +88,8 @@ def excedance_distribution(n: int) -> PermStatDistribution:
     return _distribution(n, lambda columns, i, ones: (i + 1) * ones)
 
 
-class ClassicalTriangles(NamedTuple):
+class ClassicalTriangles(namedtuple("ClassicalTriangles",
+                                      ("max_n", "eulerian", "stirling1", "stirling2", "bernoulli"))):
     """Classical integer/rational reference tables, rows 0..max_n.
 
     eulerian[n][k] for 0 <= k <= n (top entry 0 for n >= 1), the signed
@@ -97,11 +97,7 @@ class ClassicalTriangles(NamedTuple):
     numbers in the B_1 = -1/2 convention.
     """
 
-    max_n: int
-    eulerian: Tuple[Tuple[int, ...], ...]
-    stirling1: Tuple[Tuple[int, ...], ...]
-    stirling2: Tuple[Tuple[int, ...], ...]
-    bernoulli: Tuple[Fraction, ...]
+    __slots__ = ()
 
 
 def classical_triangles(max_n: int) -> ClassicalTriangles:
@@ -126,7 +122,7 @@ def _classical(max_n: int) -> ClassicalTriangles:
     stirling1 = grow([(1,)], lambda n, k, a: a(k - 1) - (n - 1) * a(k))
     stirling2 = grow([(1,)], lambda n, k, a: a(k - 1) + k * a(k))
 
-    bernoulli: List[Fraction] = [Fraction(1)]
+    bernoulli: list[Fraction] = [Fraction(1)]
     for n in range(1, max_n + 1):
         # triangular solve of B(t)·(e^t - 1)/t = 1
         acc = Fraction(0)

@@ -81,9 +81,9 @@ substitution.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import List, NamedTuple, Tuple
 
 from .algebra import (
     _MEMOS,
@@ -162,7 +162,7 @@ def _explicit_sums(start: int, ks: list) -> list:
     return _falling_sums(start, columns)
 
 
-def _extend_recursion(rows: List[tuple], max_n: int) -> None:
+def _extend_recursion(rows: list[tuple], max_n: int) -> None:
     """Eulerian rows by the two-term recursion
 
         A(n,k) = ((n-k)+(n-1)λ)·A(n-1,k-1) + (k+1-(n-1)λ)·A(n-1,k)
@@ -189,7 +189,7 @@ def _extend_recursion(rows: List[tuple], max_n: int) -> None:
             for k in range(n + 1)))
 
 
-def _extend_explicit(rows: List[tuple], max_n: int) -> None:
+def _extend_explicit(rows: list[tuple], max_n: int) -> None:
     """Eulerian rows by the explicit sum of ``eulerian_explicit``, k = 0..n
     of each row n in one ``_explicit_sums`` call."""
     start = len(rows)
@@ -197,7 +197,7 @@ def _extend_explicit(rows: List[tuple], max_n: int) -> None:
         rows.append(tuple(_make(num, 1) for num in row))
 
 
-def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
+def _extend_gf_recursion(rows: list[tuple], max_n: int) -> None:
     """Eulerian rows as the coefficients of A_n(x), built by the
     generating-function recursion
 
@@ -232,7 +232,7 @@ def _extend_gf_recursion(rows: List[tuple], max_n: int) -> None:
         rows.append(tuple(_make(_unpack(a, S), 1) for a in acc) + (zero,))
 
 
-def _extend_stirling1(rows: List[tuple], max_n: int) -> None:
+def _extend_stirling1(rows: list[tuple], max_n: int) -> None:
     """Rows S1(n,0)..S1(n,n), the coefficients of (x)_n in the basis (x)_{k,λ}.
 
     Its Newton coefficients at the nodes 0, λ, 2λ, ...: as (x)_{k+1,λ} =
@@ -251,7 +251,7 @@ def _extend_stirling1(rows: List[tuple], max_n: int) -> None:
         rows.append(tuple(row))
 
 
-def _extend_stirling2(rows: List[tuple], max_n: int) -> None:
+def _extend_stirling2(rows: list[tuple], max_n: int) -> None:
     """Rows {n 0}..{n n} by the explicit sum
 
         {n k} = ((-1)^k/k!)·Σ_{j=0}^{k} (-1)^j·C(k,j)·(j)_{n,λ}
@@ -266,7 +266,7 @@ def _extend_stirling2(rows: List[tuple], max_n: int) -> None:
         rows.append(tuple(_make(num, factorial(k)) for k, num in enumerate(row)))
 
 
-def _extend_stirling2_eulerian(rows: List[tuple], max_n: int) -> None:
+def _extend_stirling2_eulerian(rows: list[tuple], max_n: int) -> None:
     """Rows {n 0}..{n n} out of the λ-negated rows of the ``recursion``
     Eulerian triangle:
 
@@ -283,7 +283,7 @@ def _extend_stirling2_eulerian(rows: List[tuple], max_n: int) -> None:
         rows.append(tuple(row))
 
 
-def _extend_power_sums(column: List[LambdaPoly], m: int, n: int) -> None:
+def _extend_power_sums(column: list[LambdaPoly], m: int, n: int) -> None:
     """The running sums Σ_{k≤j}(k)_{n,λ} for j = len(column) .. m, entry j
     entry j-1 plus (j)_{n,λ}, from the empty sum."""
     if not column:
@@ -302,7 +302,7 @@ def _power_sum_eulerian(m: int, n: int) -> LambdaPoly:
     return _built(("powersum", "eulerian", n, m), _eulerian_sum, m, n, eulerian_table(n).row(n))
 
 
-def _eulerian_sum(m: int, n: int, row: Tuple[LambdaPoly, ...]) -> LambdaPoly:
+def _eulerian_sum(m: int, n: int, row: tuple[LambdaPoly, ...]) -> LambdaPoly:
     acc = []
     for j in range(n + 1):
         _add_linear(acc, row[j]._num, comb(m + j + 1, n + 1))
@@ -367,7 +367,7 @@ def _route(family: str, route: str):
         raise ValueError(f"unknown route {route!r}, expected one of {tuple(routes)}") from None
 
 
-def _rows(family: str, route: str, max_n: int) -> List[tuple]:
+def _rows(family: str, route: str, max_n: int) -> list[tuple]:
     """The rows of a table route, extended to hold at least rows 0..max_n.
     A route only ever extends its own rows, so no route answers for another."""
     return _grown((family, route), max_n, _route(family, route))
@@ -378,7 +378,7 @@ def _clear_memos() -> None:
     _MEMOS.clear()
 
 
-def route_rows(family: str, max_n: int, route: str) -> Tuple[tuple, ...]:
+def route_rows(family: str, max_n: int, route: str) -> tuple[tuple, ...]:
     """Rows 0..max_n of a table family (``eulerian``, ``bernoulli``,
     ``stirling1``, ``stirling2``) by the chosen route, from the memo."""
     _check_nonneg(max_n=max_n)
@@ -387,12 +387,10 @@ def route_rows(family: str, max_n: int, route: str) -> Tuple[tuple, ...]:
     return tuple(_rows(family, route, max_n)[: max_n + 1])
 
 
-class EulerianTable(NamedTuple):
+class EulerianTable(namedtuple("EulerianTable", ("max_n", "route", "rows"))):
     """Triangular table of degenerate Eulerian numbers, tagged by route."""
 
-    max_n: int
-    route: str
-    rows: Tuple[Tuple[LambdaPoly, ...], ...]
+    __slots__ = ()
 
     def entry(self, n: int, k: int) -> LambdaPoly:
         """A(n,k); indices outside the triangle give the zero polynomial."""
@@ -402,7 +400,7 @@ class EulerianTable(NamedTuple):
             return self.rows[n][k]
         return LambdaPoly()
 
-    def row(self, n: int) -> Tuple[LambdaPoly, ...]:
+    def row(self, n: int) -> tuple[LambdaPoly, ...]:
         return self.rows[n]
 
 
@@ -459,7 +457,7 @@ def bernoulli_polynomial(n: int) -> XLPoly:
     return _built(("bernoulli-poly", n), _bernoulli_horner, n, bernoulli_taps(n))
 
 
-def _bernoulli_horner(n: int, beta: List[LambdaPoly]) -> XLPoly:
+def _bernoulli_horner(n: int, beta: list[LambdaPoly]) -> XLPoly:
     den = lcm(*[b._den for b in beta])
     acc = [[den]]  # β_0 = 1
     for j in range(n - 1, -1, -1):
@@ -493,7 +491,7 @@ def stirling2_from_eulerian(n: int, k: int) -> LambdaPoly:
     return _rows("stirling2", "eulerian", n)[n][k]
 
 
-def stirling1_row(n: int) -> List[LambdaPoly]:
+def stirling1_row(n: int) -> list[LambdaPoly]:
     """Coefficients S1(n,0)..S1(n,n) of (x)_n in the basis (x)_{k,λ}, from
     the rows of the ``basis-conversion`` route; each call returns a new list."""
     _check_nonneg(n=n)

@@ -22,10 +22,11 @@ running any selection in any order yields identical per-check results.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .algebra import (
     LambdaPoly,
@@ -68,35 +69,27 @@ __all__ = [
     "run_suite",
 ]
 
-class Counterexample(NamedTuple):
-    parameters: Dict[str, int]
-    lhs: str
-    rhs: str
+#: The smallest failing case: its parameters (dict[str, int]) and both
+#: sides as polynomial text (str).
+Counterexample = namedtuple("Counterexample", ("parameters", "lhs", "rhs"))
 
 
-class CheckSpec(NamedTuple):
+class CheckSpec(namedtuple("CheckSpec", ("id", "statement", "ranges", "status", "counterexample", "error"),
+                           defaults=(None, None))):
     """A named check's outcome once run: "pass", "fail" with the smallest
     counterexample, or "error" with what its cases raised, as "Type: message"."""
 
-    id: str
-    statement: str
-    ranges: Dict[str, int]
-    status: str  # pass | fail | error
-    counterexample: Optional[Counterexample] = None
-    error: Optional[str] = None
+    __slots__ = ()
 
 
 #: A case is (parameters, lhs, rhs); lhs/rhs are ring elements or rationals.
-Cases = Iterator[Tuple[Dict[str, int], object, object]]
+Cases = Iterator[tuple[dict[str, int], object, object]]
 
-
-class Check(NamedTuple):
-    id: str
-    statement: str
-    default_ranges: Dict[str, int]
-    cases: Callable[[Dict[str, int]], Cases]
-    max_ranges: Mapping[str, int] = MappingProxyType({})
-    min_ranges: Mapping[str, int] = MappingProxyType({})
+#: A named identity: ``cases`` maps the ranges (dict[str, int]) to its
+#: Cases; ``max_ranges`` and ``min_ranges`` (read-only mappings, empty by
+#: default) bound what an override may ask for.
+Check = namedtuple("Check", ("id", "statement", "default_ranges", "cases", "max_ranges", "min_ranges"),
+                   defaults=(MappingProxyType({}), MappingProxyType({})))
 
 
 class UnknownCheckError(ValueError):
@@ -115,7 +108,7 @@ class RangeOverrideError(ValueError):
     """Raised for a range override outside what a check supports."""
 
 
-def _effective_ranges(check: Check, ranges: Optional[Dict[str, int]]) -> Dict[str, int]:
+def _effective_ranges(check: Check, ranges: dict[str, int] | None) -> dict[str, int]:
     effective = dict(check.default_ranges)
     for key, value in (ranges or {}).items():
         if key in effective:
@@ -137,7 +130,7 @@ def _agree(lhs, rhs) -> bool:
     return lhs == rhs
 
 
-def run_check(check: Check, ranges: Optional[Dict[str, int]] = None) -> CheckSpec:
+def run_check(check: Check, ranges: dict[str, int] | None = None) -> CheckSpec:
     """Run one check over its (possibly overridden) ranges and return its
     finished spec: "fail" with the first (smallest) disagreeing case as the
     counterexample, "error" if computing a case raised, else "pass"."""
@@ -334,7 +327,7 @@ def _cases_lambda_degree(r) -> Cases:
             yield {"n": n, "k": k}, tail, zero
 
 
-REGISTRY: Tuple[Check, ...] = (
+REGISTRY: tuple[Check, ...] = (
     Check(
         "prop-2.1-gf-residual",
         "S(t)·(x - e_{-λ}((x-1)t)) = x - 1 for the Eulerian polynomial EGF, tap by tap",
@@ -489,7 +482,7 @@ REGISTRY: Tuple[Check, ...] = (
 _BY_ID = {check.id: check for check in REGISTRY}
 
 
-def check_ids() -> List[str]:
+def check_ids() -> list[str]:
     """All registered check ids, in registry order."""
     return [check.id for check in REGISTRY]
 
@@ -502,9 +495,9 @@ def get_check(check_id: str) -> Check:
 
 
 def run_suite(
-    selection: Optional[Iterable[str]] = None,
-    ranges: Optional[Dict[str, int]] = None,
-) -> List[CheckSpec]:
+    selection: Iterable[str] | None = None,
+    ranges: dict[str, int] | None = None,
+) -> list[CheckSpec]:
     """Run a selection of checks (default: all) and return their results.
 
     Results come back in registry order regardless of selection order, so

@@ -618,6 +618,112 @@ def test_usage_paths_match_the_full_parser(argv):
     assert (code, out, err) == _full_parser_outcome(argv)
 
 
+_EVAL_USAGE = (
+    "usage: degenpoly eval [-h] [--m M] --n N [--x X] --lambda LAM [--route ROUTE]\n"
+    "                      [--human] [--timestamp]\n"
+    "                      {powersum,eulerian-at}\n"
+)
+_TABLE_USAGE = (
+    "usage: degenpoly table [-h] --n-max N_MAX [--route ROUTE] [--lambda LAM]\n"
+    "                       [--format {json,csv}] [--human] [--timestamp]\n"
+    "                       {eulerian-number,eulerian-poly,bernoulli,stirling1,stirling2}\n"
+)
+_NOT_EXACT = ": expected an exact value like -3 or 1/2 (float literals are not accepted)\n"
+_POWERSUM = ["eval", "powersum", "--m", "2", "--n", "2"]
+_BAD_LAMBDA = _EVAL_USAGE + "degenpoly eval: error: argument --lambda: invalid rational '0.5'" + _NOT_EXACT
+
+
+def _choice_list(*choices):
+    """The choices as this interpreter's own argparse lists them in an
+    "invalid choice" error, which some patch releases write with repr and
+    later ones with str."""
+    import argparse
+
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("value", choices=choices)
+    with pytest.raises(argparse.ArgumentError) as excinfo:
+        probe.parse_args(["?"])
+    return re.search(r"\(choose from (.*)\)$", str(excinfo.value))[1]
+
+
+#: Exit status, stdout and stderr of usage errors and help at 80 columns,
+#: as the parser wrote them when argparse loaded with the module: a bad
+#: rational read in plain form and through an abbreviated option, a bad
+#: int, a bad choice, an unknown option, a missing required option and a
+#: command's help.
+PINNED_USAGE = {
+    "bad-rational": (_POWERSUM + ["--lambda", "0.5"], 2, "", _BAD_LAMBDA),
+    "bad-rational-abbreviated": (_POWERSUM + ["--lam", "0.5"], 2, "", _BAD_LAMBDA),
+    "bad-int": (["eval", "powersum", "--m", "x", "--n", "2", "--lambda", "0"], 2, "",
+                _EVAL_USAGE + "degenpoly eval: error: argument --m: invalid int value: 'x'\n"),
+    "bad-choice": (["table", "bernoulli", "--n-max", "3", "--format", "xml"], 2, "",
+                   _TABLE_USAGE + "degenpoly table: error: argument --format: invalid choice: "
+                   "'xml' (choose from {choices})\n"),
+    "unknown-option": (_POWERSUM + ["--lambda", "0", "--bogus"], 2, "",
+                       "usage: degenpoly [-h] {table,eval,verify} ...\n"
+                       "degenpoly: error: unrecognized arguments: --bogus\n"),
+    "missing-n": (["eval", "powersum", "--m", "2", "--lambda", "0"], 2, "",
+                  _EVAL_USAGE + "degenpoly eval: error: the following arguments are required: --n\n"),
+    "eval-help": (["eval", "-h"], 0,
+                  _EVAL_USAGE + "\npositional arguments:\n  {powersum,eulerian-at}\n\noptions:\n"
+                  "  -h, --help            show this help message and exit\n"
+                  "  --m M\n  --n N\n  --x X\n  --lambda LAM\n  --route ROUTE\n  --human\n"
+                  "  --timestamp\n", ""),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", PINNED_USAGE.values(), ids=PINNED_USAGE)
+def test_usage_errors_and_help_keep_their_bytes(monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    err = err.replace("{choices}", _choice_list("json", "csv"))
+    assert _outcome(argv) == (code, out, err)
+    assert _full_parser_outcome(argv) == (code, out, err)
+
+
+#: Tokens of exact rationals with a line break after them or in digits
+#: other than ASCII (Arabic-Indic here), each with its option.
+NOT_ASCII_RATIONALS = {
+    "line-break": ("--lambda", "1/2\n"),
+    "arabic-indic-x": ("--x", "٣"),
+    "arabic-indic-lambda": ("--lambda", "١/٢"),
+}
+
+
+@pytest.mark.parametrize("option, token", NOT_ASCII_RATIONALS.values(), ids=NOT_ASCII_RATIONALS)
+@pytest.mark.parametrize("joined", (False, True), ids=("separate", "joined"))
+def test_a_rational_token_is_ascii_digits_alone(monkeypatch, option, token, joined):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["eval", "eulerian-at", "--x", "2", "--n", "2", "--lambda", "0"]
+    at = argv.index(option)
+    argv[at:at + 2] = [f"{option}={token}"] if joined else [option, token]
+    assert cli._read_plain(argv[0], argv[1:]) is None
+    err = _EVAL_USAGE + f"degenpoly eval: error: argument {option}: invalid rational {token!r}" + _NOT_EXACT
+    with contextlib.redirect_stderr(io.StringIO()) as stderr, pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert (exc.value.code, stderr.getvalue()) == (2, err)
+    assert _outcome(argv) == (2, "", err)
+
+
+#: The token rule before it took ASCII digits alone and the whole token.
+_EARLIER_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+
+
+@given(st.one_of(st.from_regex(r"\A[+-]?[0-9]{1,4}(/[0-9]{1,3})?\Z"),
+                 st.text("0123456789+-/.e \n٣١", max_size=6)))
+@example("1/2\n")
+@example("٣")
+def test_every_ascii_rational_reads_as_before(token):
+    earlier = _EARLIER_RATIONAL_RE.match(token)
+    try:
+        value = parse_rational(token)
+    except cli.UsageError:
+        value = None
+    if earlier and token.isascii() and not token.endswith("\n"):
+        assert value == F(int(earlier[1]), int(earlier[2] or 1))
+    else:
+        assert value is None
+
+
 #: A command of each CLI family, which takes a --route.
 ROUTE_COMMANDS = {
     **{family: ["table", family, "--n-max", "3"] for family in cli.TABLE_FAMILIES},
@@ -999,8 +1105,11 @@ def test_commands_load_no_on_demand_module():
     assert json.loads(_run_fresh(code)) == []
 
 
-#: Modules that ``table`` and ``eval`` never load, nor ``verify`` the first two.
-COMMAND_PATH_MODULES = ("json", "csv", "degenpoly.verify", "degenpoly.oracles")
+#: Modules that ``table`` and ``eval`` never load, nor ``verify`` any but
+#: its own two: argparse (and the gettext it loads) runs only for usage,
+#: help and errors.
+COMMAND_PATH_MODULES = ("json", "csv", "argparse", "gettext", "typing", "degenpoly.verify",
+                        "degenpoly.oracles")
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -1017,6 +1126,20 @@ def test_each_command_loads_only_what_it_runs(argv, loaded):
         f"print(*[m for m in {COMMAND_PATH_MODULES!r} if m in sys.modules])\n"
     )
     assert _run_fresh(code).split() == loaded
+
+
+def test_a_usage_error_loads_argparse():
+    code = (
+        "import contextlib, io, sys\n"
+        "from degenpoly.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        main(['eval', 'powersum', '--m', '2', '--n', '2', '--lambda', '0.5'], io.StringIO())\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 2\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    assert _run_fresh(code) == "True\n"
 
 
 #: ``degenpoly.__all__`` before the package re-exported each module's own.

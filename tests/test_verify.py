@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from degenpoly import sequences
-from degenpoly.algebra import LambdaPoly
+from degenpoly import algebra, sequences
+from degenpoly.algebra import LAM, X, LambdaPoly, XLPoly
 from degenpoly.oracles import MAX_ENUMERATION_N
 from degenpoly.sequences import eulerian_explicit, eulerian_table
 from degenpoly.verify import (
@@ -154,3 +154,76 @@ def test_any_order_gives_the_per_check_results_of_empty_memos():
     reverse = [run_check(check) for check in reversed(REGISTRY)]
     assert {spec.id: spec for spec in reverse} == alone
     assert {spec.status for spec in reverse} == {"pass"}
+
+
+# ---------------------------------------------------------------------------
+# mutation probe: does some check see a wrong value in each store key?
+# ---------------------------------------------------------------------------
+
+#: Store keys whose values no check reads except at λ = 0, where the
+#: probe's change vanishes: stirling1 has one route, checked only against
+#: the classical triangle.
+UNGUARDED_KEYS = {("stirling1", "basis-conversion")}
+
+
+def _perturbed(value):
+    """``value`` changed where its readers look: a λ-polynomial by λ, a
+    polynomial in x and λ by λx (eq-43 reads β_n(x) − β_n(0), which no
+    constant term changes), an integer table by one."""
+    if isinstance(value, LambdaPoly):
+        return value + LAM
+    if isinstance(value, XLPoly):
+        return value + LAM * X
+    if hasattr(value, "counts"):  # a permutation statistic's distribution
+        return value._replace(counts=(value.counts[0] + 1, *value.counts[1:]))
+    row = value.eulerian[-1]  # the classical triangles
+    return value._replace(eulerian=(*value.eulerian[:-1], (row[0], row[1] + 1, *row[2:])))
+
+
+def _with_entry_perturbed(entries, n):
+    """A copy of the store list ``entries`` with entry n perturbed; in a
+    table row, its middle cell."""
+    entries = list(entries)
+    entry = entries[n]
+    if isinstance(entry, tuple):
+        k = len(entry) // 2
+        entries[n] = (*entry[:k], _perturbed(entry[k]), *entry[k + 1:])
+    else:
+        entries[n] = _perturbed(entry)
+    return entries
+
+
+def _probes(store):
+    """(key, perturbed value) per key kind and route: the kind's last key,
+    so its largest parameters, at the largest n it holds; for the rows of a
+    table route also its middle row."""
+    last = {}
+    for key in store:
+        last[key[:2] if isinstance(key[1], str) else key[:1]] = key
+    for key in last.values():
+        value = store[key]
+        if type(value) is not list:
+            yield key, _perturbed(value)
+            continue
+        yield key, _with_entry_perturbed(value, len(value) - 1)
+        if type(value[-1]) is tuple:
+            yield key, _with_entry_perturbed(value, len(value) // 2)
+
+
+def test_a_wrong_value_in_any_store_key_fails_a_check():
+    # Each key is built from an empty store. Only the perturbed key is put
+    # back, so nothing built from its true value can answer in its place.
+    try:
+        run_suite()
+        built = dict(algebra._MEMOS)
+        probes = list(_probes(built))
+        assert len(probes) >= 20
+        unguarded = set()
+        for key, value in probes:
+            sequences._clear_memos()
+            algebra._MEMOS[key] = value
+            if all(spec.status == "pass" for spec in run_suite()):
+                unguarded.add(key)
+        assert unguarded == UNGUARDED_KEYS
+    finally:
+        sequences._clear_memos()
