@@ -46,6 +46,10 @@ table route on these kernels (``stirling1`` divides (x)_n by x - jλ with
 row-sum and alternating-sum checks compare with them.
 ``XLPoly.eval_x`` is an integer Horner scheme over the common
 denominator of the x-coefficients, like ``LambdaPoly.eval`` in λ.
+``_point_value`` takes the value of such coefficients at one point
+(x, λ) as one Fraction, with no LambdaPoly in between: each coefficient
+is one dot product with the shared powers of λ's numerator and
+denominator, and the same Horner scheme in x sums them.
 
 Packed values: where one value enters many sums, a builder packs its
 numerators c_0..c_d into one int Σ c_i·2^(S·i), in signed digits of a
@@ -319,6 +323,40 @@ def _falling_sums(start: int, columns: list) -> list:
         if n >= start:
             sums.append([_unpack(sum(map(mul, c, packed)), S) for c in columns[n - start]])
     return sums
+
+
+def _point_value(cells, x: Scalar, lam: Scalar) -> Fraction:
+    """The value of Σ_j cells[j]·x^j at x = p/q and λ = r/t, for LambdaPoly
+    cells (lowest power of x first), with no LambdaPoly in between.
+
+    With d the largest λ-degree, the weights r^i·t^(d-i) are shared by
+    every cell, so cell j's value times t^d·den_j is one dot product of
+    its numerators with them. A Horner scheme in x over D = lcm of the
+    den_j, as in ``XLPoly.eval_x``, sums those, and the Fraction is built
+    once, over D·t^d·q^e for e = len(cells) - 1."""
+    if not cells:
+        return Fraction(0)
+    r, t = lam.numerator, lam.denominator
+    d = max([len(c._num) for c in cells]) - 1
+    weights, power = [1] * (d + 1), 1
+    for i in range(1, d + 1):
+        power *= r
+        weights[i] = power
+    power = 1
+    if t != 1:
+        for i in range(d - 1, -1, -1):
+            power *= t
+            weights[i] *= power
+    sums = [sum(map(mul, c._num, weights)) for c in cells]
+    den = lcm(*[c._den for c in cells])
+    if den != 1:
+        sums = [s * (den // c._den) for s, c in zip(sums, cells)]
+    p, q = x.numerator, x.denominator
+    acc, qpow = sums[-1], 1
+    for s in reversed(sums[:-1]):
+        qpow *= q
+        acc = acc * p + s * qpow
+    return Fraction(acc, den * power * qpow)
 
 
 def _times_x_minus_lambda(acc: list, j: int) -> list:

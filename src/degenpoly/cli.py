@@ -26,13 +26,18 @@ stands, flags, the positional) is read against the same table in one
 pass, without argparse.
 
 Importing this module loads only what ``table`` and ``eval`` run: no
-``argparse`` (nor the ``gettext`` it loads) and no ``typing``. JSON
-is written by ``_emit_json`` with the C string quoting of ``_json``; a
-document holds only strings, ints, None, lists, dicts with string keys
-and LambdaPoly cells, and any other value raises TypeError. A cell is
-written as its coefficient array (``render_lambda_poly``), joined in
-one string: digits, "-" and "/" need no escaping. So a symbolic
-``table`` hands its rows of cells to the writer as they are. The
+``argparse`` (nor the ``gettext`` it loads) and no ``typing``. The
+documents of ``table`` and ``verify`` are written by ``_emit_json`` with
+the C string quoting of ``_json``; a document holds only strings, ints,
+None, lists, dicts with string keys and LambdaPoly cells, and any other
+value raises TypeError. A cell is written as its coefficient array
+(``render_lambda_poly``), joined in one string: digits, "-" and "/"
+need no escaping. So a symbolic ``table`` hands its rows of cells to
+the writer as they are. ``eval``'s one-value document has a fixed
+shape, so ``cmd_eval`` writes it as one string in the same layout, each
+string through the same quoting. At x ≠ -1 ``eulerian-at`` takes A_n(x)
+at (x, λ) from the ``recursion`` row in one integer kernel
+(``algebra._point_value``), with no polynomial in between. The
 ``json`` package is imported only by ``output_schema()``. No CSV field
 can hold a comma, a quote or a line break, so rows are written directly,
 without the ``csv`` module. ``cmd_verify`` imports ``verify``, and with
@@ -53,8 +58,8 @@ from functools import cache
 from types import SimpleNamespace
 
 from . import __version__
-from .algebra import LambdaPoly, XLPoly, _trim
-from .sequences import ROUTES, eulerian_at_minus_one, eulerian_poly, power_sum, route_rows
+from .algebra import LambdaPoly, XLPoly, _point_value, _trim
+from .sequences import ROUTES, eulerian_at_minus_one, eulerian_table, power_sum, route_rows
 
 try:  # the C string quoting that json.encoder re-exports, without loading json
     from _json import encode_basestring as _quote
@@ -69,7 +74,8 @@ TABLE_FAMILIES = ("eulerian-number", "eulerian-poly", "bernoulli", "stirling1", 
 _FAMILY = {"eulerian-number": "eulerian", "eulerian-poly": "eulerian"}
 
 #: An exact rational in ASCII digits, matched against the whole token, so
-#: neither another script's digits nor a line break after it pass.
+#: neither another script's digits nor a line break after it pass. An int
+#: token is one without the denominator.
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 #: Tokens argparse reads as values rather than options: its own negative
@@ -167,6 +173,12 @@ def _check_caps(*named: tuple[str, int]) -> None:
             raise UsageError(f"{name} must be >= 0, got {value}")
 
 
+def _timestamp() -> str:
+    from datetime import datetime, timezone  # on demand: only --timestamp needs it
+
+    return datetime.now(timezone.utc).isoformat()
+
+
 def _metadata(route: str | None = None, mode: str | None = None, timestamp: bool = False) -> dict:
     meta = {"tool": "degenpoly", "version": __version__}
     if route is not None:
@@ -174,9 +186,7 @@ def _metadata(route: str | None = None, mode: str | None = None, timestamp: bool
     if mode is not None:
         meta["mode"] = mode
     if timestamp:
-        from datetime import datetime, timezone  # on demand: only --timestamp needs it
-
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+        meta["timestamp"] = _timestamp()
     return meta
 
 
@@ -341,7 +351,9 @@ def cmd_eval(args, out) -> int:
         _check_caps(("--m", args.m), ("--n", args.n))
         route = _resolve_route(args.expr, args.route)
         value = power_sum(args.m, args.n, route).eval(args.lam)
-        parameters = {"m": args.m, "n": args.n, "lambda": lam, "route": route}
+        head = f"powersum(m={args.m}, n={args.n}, λ={lam})"
+        parameters = (f'"lambda": {_quote(lam)},\n    "m": {args.m},\n    "n": {args.n},\n'
+                      f'    "route": {_quote(route)}')
     else:  # eulerian-at
         if args.x is None:
             raise UsageError("eulerian-at requires --x and --n")
@@ -351,24 +363,25 @@ def cmd_eval(args, out) -> int:
             value = eulerian_at_minus_one(args.n, route).eval(args.lam)
         elif route == "bernoulli":
             raise UsageError("the bernoulli route only applies at x = -1")
-        else:
-            value = eulerian_poly(args.n).eval_x(args.x).eval(args.lam)
-        parameters = {"x": render_rational(args.x), "n": args.n, "lambda": lam, "route": route}
+        else:  # A_n(x) at (x, λ) from the recursion row, with no polynomial in between
+            value = _point_value(eulerian_table(args.n).row(args.n), args.x, args.lam)
+        x = render_rational(args.x)
+        head = f"eulerian-poly(n={args.n})(x={x}, λ={lam})"
+        parameters = (f'"lambda": {_quote(lam)},\n    "n": {args.n},\n    "route": {_quote(route)},\n'
+                      f'    "x": {_quote(x)}')
     value = render_rational(value)
 
     if args.human:
-        if args.expr == "powersum":
-            out.write(f"powersum(m={args.m}, n={args.n}, λ={lam}) = {value}\n")
-        else:
-            out.write(f"eulerian-poly(n={args.n})(x={parameters['x']}, λ={lam}) = {value}\n")
+        out.write(f"{head} = {value}\n")
         return 0
-    doc = {
-        "family": args.expr,
-        "parameters": parameters,
-        "value": value,
-        "metadata": _metadata(route=route, timestamp=args.timestamp),
-    }
-    _emit_json(doc, out)
+    # The document has one shape, so it is written as one string in the
+    # layout of _emit_json: keys sorted, the timestamp in its sorted place.
+    stamp = f'    "timestamp": {_quote(_timestamp())},\n' if args.timestamp else ""
+    out.write(
+        f'{{\n  "family": {_quote(args.expr)},\n  "metadata": {{\n    "route": {_quote(route)},\n'
+        f'{stamp}    "tool": "degenpoly",\n    "version": {_quote(__version__)}\n  }},\n'
+        f'  "parameters": {{\n    {parameters}\n  }},\n  "value": {_quote(value)}\n}}\n'
+    )
     return 0
 
 
@@ -434,6 +447,19 @@ def cmd_verify(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_arg(token: str) -> int:
+    """Argument type: an int in ASCII digits, the whole token, read by the
+    rational pattern (no second pattern to compile at import). Anything else
+    raises ValueError, which argparse reports as an "invalid int value"."""
+    match = _RATIONAL_RE.fullmatch(token)
+    if match is None or match[2] is not None:
+        raise ValueError(f"invalid int {token!r}")
+    return int(token)
+
+
+_int_arg.__name__ = "int"  # the name argparse gives the type in its error
+
+
 def _rational_arg(*words: str):
     """Argument type: an exact rational token, or one of ``words`` as given.
     A malformed token raises UsageError; build_parser hands argparse the
@@ -452,7 +478,7 @@ def _rational_arg(*words: str):
 _COMMANDS = {
     "table": ("cmd_table", "emit a sequence family as JSON or CSV", (
         ("family", {"choices": TABLE_FAMILIES}),
-        ("--n-max", {"type": int, "required": True}),
+        ("--n-max", {"type": _int_arg, "required": True}),
         ("--route", {"help": "computation route (family-specific)"}),
         ("--lambda", {"dest": "lam", "type": _rational_arg("symbolic"), "default": "symbolic",
                       "help": '"symbolic" (default) or an exact rational like 1/2'}),
@@ -462,8 +488,8 @@ _COMMANDS = {
     )),
     "eval": ("cmd_eval", "evaluate one quantity at exact rational arguments", (
         ("expr", {"choices": ("powersum", "eulerian-at")}),
-        ("--m", {"type": int}),
-        ("--n", {"type": int, "required": True}),
+        ("--m", {"type": _int_arg}),
+        ("--n", {"type": _int_arg, "required": True}),
         ("--x", {"type": _rational_arg()}),
         ("--lambda", {"dest": "lam", "type": _rational_arg(), "required": True}),
         ("--route", {}),
@@ -473,9 +499,9 @@ _COMMANDS = {
     "verify": ("cmd_verify", "run the identity suite", (
         ("--suite", {"choices": ("all",)}),
         ("--check", {"action": "append", "help": "check id (repeatable)"}),
-        ("--n-max", {"type": int}),
-        ("--m-max", {"type": int}),
-        ("--k-max", {"type": int}),
+        ("--n-max", {"type": _int_arg}),
+        ("--m-max", {"type": _int_arg}),
+        ("--k-max", {"type": _int_arg}),
         ("--format", {"choices": ("text", "json"), "default": "text"}),
         ("--timestamp", {"action": "store_true"}),
     )),

@@ -18,6 +18,7 @@ from degenpoly.algebra import (
     _make,
     _pack,
     _packed_sums,
+    _point_value,
     _slot,
     _unpack,
     _xl,
@@ -30,6 +31,7 @@ from degenpoly.sequences import (
     bernoulli_polynomial,
     eulerian_at_minus_one,
     eulerian_poly,
+    eulerian_table,
 )
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -572,6 +574,34 @@ def test_eval_x_kernel_matches_the_ring():
 def test_eval_x_matches_the_ring_on_random_polys(rows, v):
     p = XLPoly(LambdaPoly(r) for r in rows)
     assert _stored(p.eval_x(v)) == _stored(_ring_eval_x(p, v))
+
+
+#: x and λ for the point kernel: 0, ±1, small rationals, any int and
+#: denominators up to 10^9.
+point_scalars = st.one_of(st.sampled_from(EVAL_POINTS), ring_scalars)
+
+
+@given(st.integers(0, 24), point_scalars, point_scalars)
+@example(0, 0, 0)
+@example(24, -1, 1)
+@example(7, F(1, 10**9 + 7), F(-10**9, 3))
+@settings(max_examples=100)
+def test_point_kernel_is_eval_x_then_eval_on_the_eulerian_rows(n, x, lam):
+    p = eulerian_poly(n)
+    expected = p.eval_x(x).eval(lam)
+    # the stored row, as the CLI passes it, and the trimmed coefficients
+    for cells in (eulerian_table(n).row(n), p.coeffs):
+        value = _point_value(cells, x, lam)
+        assert (type(value), value) == (F, expected), (n, x, lam)
+
+
+@given(xl_rows, point_scalars, point_scalars)
+@example([[F(1, 2), F(-2, 3)], [], [F(3, 4), 0, F(5, 6)], [0, 0]], F(-2, 3), F(7, 5))  # four denominators
+@example([], 3, 2)
+@settings(max_examples=200)
+def test_point_kernel_is_eval_x_then_eval(rows, x, lam):
+    cells = [LambdaPoly(r) for r in rows]
+    assert _point_value(cells, x, lam) == XLPoly(cells).eval_x(x).eval(lam)
 
 
 @pytest.mark.parametrize("factor", [0, 1, -1, 6, F(3, 4), F(-5, 2), LambdaPoly((F(2, 3),)), LambdaPoly()])

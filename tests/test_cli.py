@@ -326,6 +326,26 @@ def test_eval_validation():
     assert run_cli("eval", "powersum", "--m", "2", "--n", "2", "--lambda", "0", "--route", "warp")[0] == 2
 
 
+#: ``eval --human`` lines of both families, as the dict-built writer printed
+#: them: every route, x = -1, a negative x and λ with denominators, n = 0.
+PINNED_HUMAN_EVAL = {
+    ("powersum", "--m", "4", "--n", "5", "--lambda=-2/3"): "powersum(m=4, n=5, λ=-2/3) = 154100/27\n",
+    ("powersum", "--m", "20", "--n", "12", "--lambda=3/7", "--route", "bernoulli"):
+        "powersum(m=20, n=12, λ=3/7) = 66958190089696075596800/40353607\n",
+    ("eulerian-at", "--x=1/2", "--n", "5", "--lambda=3"): "eulerian-poly(n=5)(x=1/2, λ=3) = 35/2\n",
+    ("eulerian-at", "--x=-7/3", "--n", "9", "--lambda=-5/11"):
+        "eulerian-poly(n=9)(x=-7/3, λ=-5/11) = -2913800941358720/17363069361\n",
+    ("eulerian-at", "--x=0", "--n", "0", "--lambda=0"): "eulerian-poly(n=0)(x=0, λ=0) = 1\n",
+    ("eulerian-at", "--x=-1", "--n", "6", "--lambda=1/2", "--route", "bernoulli"):
+        "eulerian-poly(n=6)(x=-1, λ=1/2) = 90\n",
+}
+
+
+@pytest.mark.parametrize("argv, line", PINNED_HUMAN_EVAL.items(), ids=map(" ".join, PINNED_HUMAN_EVAL))
+def test_human_eval_lines_keep_their_bytes(argv, line):
+    assert run_cli("eval", *argv, "--human") == (0, line)
+
+
 def test_the_cap_is_read_once_per_command_and_only_to_check_a_value(monkeypatch):
     reads = []
 
@@ -724,6 +744,49 @@ def test_every_ascii_rational_reads_as_before(token):
         assert value is None
 
 
+#: Int tokens that Python's int() reads but that are not ASCII digits alone:
+#: surrounding space, another script's digit (Arabic-Indic), an underscore.
+NOT_ASCII_INTS = {"space": " 3", "arabic-indic": "٣", "underscore": "1_0"}
+
+
+@pytest.mark.parametrize("command, option", (("eval", "--n"), ("table", "--n-max")), ids=("eval", "table"))
+@pytest.mark.parametrize("token", NOT_ASCII_INTS.values(), ids=NOT_ASCII_INTS)
+@pytest.mark.parametrize("joined", (False, True), ids=("separate", "joined"))
+def test_an_int_token_is_ascii_digits_alone(monkeypatch, command, option, token, joined):
+    monkeypatch.setenv("COLUMNS", "80")
+    if command == "eval":
+        argv, usage = ["eval", "powersum", "--m", "2", "--n", "3", "--lambda", "0"], _EVAL_USAGE
+    else:
+        argv, usage = ["table", "bernoulli", "--n-max", "3"], _TABLE_USAGE
+    at = argv.index(option)
+    argv[at:at + 2] = [f"{option}={token}"] if joined else [option, token]
+    assert cli._read_plain(argv[0], argv[1:]) is None
+    err = usage + f"degenpoly {command}: error: argument {option}: invalid int value: {token!r}\n"
+    with contextlib.redirect_stderr(io.StringIO()) as stderr, pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert (exc.value.code, stderr.getvalue()) == (2, err)
+    assert _outcome(argv) == (2, "", err)
+
+
+@given(st.one_of(st.from_regex(r"\A[+-]?[0-9]{1,6}\Z"), st.text("0123456789+-_ \n\t٣", max_size=6)))
+@example(" 3")
+@example("٣")
+@example("1_0")
+@example("3\n")
+@example("-0")
+def test_every_ascii_int_reads_as_before(token):
+    try:
+        earlier = int(token)
+    except ValueError:
+        earlier = None
+    try:
+        value = cli._int_arg(token)
+    except ValueError:
+        value = None
+    plain = token.isascii() and token.strip() == token and "_" not in token
+    assert value == (earlier if plain else None)
+
+
 #: A command of each CLI family, which takes a --route.
 ROUTE_COMMANDS = {
     **{family: ["table", family, "--n-max", "3"] for family in cli.TABLE_FAMILIES},
@@ -750,7 +813,7 @@ def _sample(keywords):
     """A value that an argument declared with ``keywords`` accepts."""
     if "choices" in keywords:
         return keywords["choices"][-1]
-    return {int: "3", None: "direct"}.get(keywords.get("type"), "-2/3")
+    return {cli._int_arg: "3", None: "direct"}.get(keywords.get("type"), "-2/3")
 
 
 def _plain_argvs():
@@ -823,8 +886,9 @@ def test_main_without_argv_reads_sys_argv(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# JSON layout: every document is written by cli._emit_json, which must
-# match the encoder that defines the layout byte for byte
+# JSON layout: every document must match the encoder that defines the
+# layout byte for byte, those of table and verify written by cli._emit_json
+# and the one-value eval document as one string by cmd_eval
 # ---------------------------------------------------------------------------
 
 
@@ -918,6 +982,11 @@ def _json_commands():
     for route in sequences.ROUTES["eulerian-at"]:
         yield ("eval", "eulerian-at", "--x=-1", "--n", "5", "--lambda=-2/3", "--route", route)
     yield ("eval", "eulerian-at", "--x=1/2", "--n", "5", "--lambda=3")
+    yield ("eval", "eulerian-at", "--x=-7/3", "--n", "9", "--lambda=-5/11")
+    yield ("eval", "eulerian-at", "--x=0", "--n", "0", "--lambda=0")
+    yield ("eval", "powersum", "--m", "4", "--n", "5", "--lambda=-2/3", "--timestamp")
+    yield ("eval", "eulerian-at", "--x=1/2", "--n", "5", "--lambda=3", "--timestamp")
+    yield ("eval", "eulerian-at", "--x=-1", "--n", "5", "--lambda=3", "--route", "bernoulli", "--timestamp")
     yield ("verify", "--suite", "all", "--format", "json")
 
 
