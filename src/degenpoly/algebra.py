@@ -49,7 +49,8 @@ denominator of the x-coefficients, like ``LambdaPoly.eval`` in λ.
 ``_point_value`` takes the value of such coefficients at one point
 (x, λ) as one Fraction, with no LambdaPoly in between: each coefficient
 is one dot product with the shared powers of λ's numerator and
-denominator, and the same Horner scheme in x sums them.
+denominator (``_weights``, which the ``table`` rows at a rational λ
+share too), and the same Horner scheme in x sums them.
 
 Packed values: where one value enters many sums, a builder packs its
 numerators c_0..c_d into one int Σ c_i·2^(S·i), in signed digits of a
@@ -325,6 +326,25 @@ def _falling_sums(start: int, columns: list) -> list:
     return sums
 
 
+def _weights(lam: Scalar, d: int) -> tuple[list, int]:
+    """For λ = r/t, the weights r^i·t^(d-i), i = 0..d, and t^d.
+
+    A value with int numerators num of λ-degree at most d over den is
+    sum(map(mul, num, weights)) / (den·t^d) at λ: one C-level dot product
+    per value, on weights shared by every value of that degree bound."""
+    r, t = lam.numerator, lam.denominator
+    weights, power = [1] * (d + 1), 1
+    for i in range(1, d + 1):
+        power *= r
+        weights[i] = power
+    power = 1
+    if t != 1:
+        for i in range(d - 1, -1, -1):
+            power *= t
+            weights[i] *= power
+    return weights, power
+
+
 def _point_value(cells, x: Scalar, lam: Scalar) -> Fraction:
     """The value of Σ_j cells[j]·x^j at x = p/q and λ = r/t, for LambdaPoly
     cells (lowest power of x first), with no LambdaPoly in between.
@@ -336,17 +356,7 @@ def _point_value(cells, x: Scalar, lam: Scalar) -> Fraction:
     once, over D·t^d·q^e for e = len(cells) - 1."""
     if not cells:
         return Fraction(0)
-    r, t = lam.numerator, lam.denominator
-    d = max([len(c._num) for c in cells]) - 1
-    weights, power = [1] * (d + 1), 1
-    for i in range(1, d + 1):
-        power *= r
-        weights[i] = power
-    power = 1
-    if t != 1:
-        for i in range(d - 1, -1, -1):
-            power *= t
-            weights[i] *= power
+    weights, power = _weights(lam, max([len(c._num) for c in cells]) - 1)
     sums = [sum(map(mul, c._num, weights)) for c in cells]
     den = lcm(*[c._den for c in cells])
     if den != 1:

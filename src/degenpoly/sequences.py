@@ -53,8 +53,15 @@ x - λ, x - 2λ, ...), the ``eulerian`` route of ``stirling2``,
 Stirling row n, as int multiples of the j!·{n j} in Z[λ]), the three
 power-sum routes and ``bernoulli_polynomial`` (a Horner scheme in the
 falling basis with ``algebra._times_x_minus_lambda``). The ``recursion``
-route takes each cell in one list comprehension over its two parents'
-numerators, padded once per row. Four run on the packed kernels of
+route takes each cell of the first half of a row in one list
+comprehension over its two parents' numerators, padded once per row, and
+mirrors the rest: the recursion is symmetric under k -> n-1-k, λ -> -λ
+(A(n,k)(λ) = A(n,n-1-k)(-λ) for n >= 1, proved by induction on the
+recursion in ``_extend_recursion``), so each cell past the middle is an
+earlier cell with its odd numerators negated. The other two Eulerian
+routes build every cell, so the check that compares ``explicit`` with
+``recursion`` (``thm-2.6``) reads each mirrored cell against a cell
+built without the reflection. Four run on the packed kernels of
 ``algebra`` instead, because there each value enters many sums: the
 ``gf-recursion`` route, a nested Horner scheme in (x-1) in which a row
 enters the scheme of every later row (``algebra._horner_x_minus_one``,
@@ -173,20 +180,39 @@ def _extend_recursion(rows: list[tuple], max_n: int) -> None:
 
         A(n,k) = (n-k)·p + (k+1)·q + (n-1)λ·(p - q).
 
-    A(n,k) has λ-degree at most n-1, so each parent of row n is padded
+    A(n,k) has λ-degree at most n-1, so each parent a cell reads is padded
     once per row to n numerators, as it is and shifted up by one power.
+
+    The recursion is symmetric under k -> n-1-k, λ -> -λ: B(n,k) =
+    A(n,n-1-k)(-λ) satisfies B(n,k) = (n-k+(n-1)λ)·B(n-1,k-1) +
+    (k+1-(n-1)λ)·B(n-1,k), the same recursion, and B(1,0) = 1 = A(1,0), so
+    B = A for n >= 1 by induction. So only the cells k = 0..h, h =
+    (n-1)//2, take the step; each cell k = h+1..n-1 is the λ-negated cell
+    n-1-k (``algebra._negate_lambda``, one sign flip per odd numerator).
+    The top cell A(n,n), zero for n >= 1, still takes the step, so that
+    the ``eulerian-top-entry`` check reads what the recursion gives. The
+    ``explicit`` and ``gf-recursion`` routes are built without the
+    reflection, so ``thm-2.6`` compares each mirrored cell with a cell
+    built otherwise.
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
     for n in range(len(rows), max_n + 1):
-        m, zeros = n - 1, (0,) * n
-        # A(n-1,-1) and A(n-1,n) are zero: one padded zero at either end
-        pads = [zeros] + [c._num + zeros[len(c._num):] for c in rows[-1]] + [zeros]
+        m, h, zeros = n - 1, (n - 1) // 2, (0,) * n
+        parents = rows[-1]
+        # A(n-1,-1) is zero: one padded zero in front. Cell k <= h reads
+        # pads[k] and pads[k+1], parents k-1 and k
+        pads = [zeros] + [c._num + zeros[len(c._num):] for c in parents[:h + 1]]
         ups = [(0,) + p[:-1] for p in pads]
-        rows.append(tuple(
-            _make([(n - k) * a + (k + 1) * b + m * (c - d)
-                   for a, b, c, d in zip(pads[k], pads[k + 1], ups[k], ups[k + 1])], 1)
-            for k in range(n + 1)))
+        row = [_make([(n - k) * a + (k + 1) * b + m * (c - d)
+                      for a, b, c, d in zip(pads[k], pads[k + 1], ups[k], ups[k + 1])], 1)
+               for k in range(h + 1)]
+        row += [_make(_negate_lambda(row[n - 1 - k]._num), 1) for k in range(h + 1, n)]
+        # the step at k = n, where n - k = 0 and A(n-1,n) = 0 leave
+        # A(n,n) = (n-1)λ·A(n-1,n-1)
+        top = parents[-1]._num
+        row.append(_make([0] + [m * c for c in top], 1))
+        rows.append(tuple(row))
 
 
 def _extend_explicit(rows: list[tuple], max_n: int) -> None:

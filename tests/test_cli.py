@@ -161,7 +161,8 @@ def test_table_human():
     assert text.splitlines()[2] == "eulerian-poly[2] = (1 - λ) + (1 + λ)x"
 
 
-PIN_LAMBDAS = ("0", "1", "-1", "3/7", "-2/3")
+#: λ for ``table``: 0, ±1, small rationals and denominators up to 10^9.
+PIN_LAMBDAS = ("0", "1", "-1", "3/7", "-2/3", "-1/2", "999999937/1000000000", "-1000000007/999999999")
 FAMILY_ROUTE_PAIRS = [(family, route) for family in cli.TABLE_FAMILIES
                       for route in sequences.ROUTES[cli._FAMILY.get(family, family)]]
 
@@ -178,14 +179,20 @@ def _evaluated(family, symbolic_values, lam):
 
 @pytest.mark.parametrize("family,route", FAMILY_ROUTE_PAIRS)
 def test_table_rational_lambda_is_the_symbolic_table_evaluated(family, route):
-    symbolic = run_json("table", family, "--n-max", "5", "--route", route)["values"]
+    # each row's cells share one set of weights r^i·t^(d-i); every value is
+    # still the cell's own LambdaPoly.eval at λ = r/t
+    symbolic = run_json("table", family, "--n-max", "24", "--route", route)["values"]
     for token in PIN_LAMBDAS:
         expected = _evaluated(family, symbolic, parse_rational(token))
-        doc = run_json("table", family, "--n-max", "5", "--route", route, "--lambda", token)
+        if family == "eulerian-poly" and token == "-1":  # A(n,k)(-1) = n!·[k = 0]: all trimmed but A(n,0)
+            assert [len(row) for row in expected] == [1] * 25
+        if family == "eulerian-poly" and token == "-1/2":  # A(n,n-1) = (1+λ)···(1+(n-1)λ), trimmed for n >= 3
+            assert all(len(expected[n]) < n for n in range(3, 25))
+        doc = run_json("table", family, "--n-max", "24", "--route", route, "--lambda", token)
         assert doc["values"] == expected, token
         assert doc["parameters"]["lambda"] == token
 
-        code, text = run_cli("table", family, "--n-max", "5", "--route", route,
+        code, text = run_cli("table", family, "--n-max", "24", "--route", route,
                              "--lambda", token, "--format", "csv")
         assert code == 0
         lines = text.splitlines()

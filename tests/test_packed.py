@@ -12,6 +12,11 @@ site is compared with its former list code, kept here as the reference
 model, each kernel's bound is checked against what the models and the
 sites actually reach, and a slot a byte short of the unpacked values is
 shown to change them.
+
+The ``recursion`` Eulerian route steps only the first half of each row
+and mirrors the rest by A(n,k)(λ) = A(n,n-1-k)(-λ); its full-row body is
+kept here as the reference model, and the reflection is checked on the
+two routes that build every cell.
 """
 
 from itertools import zip_longest
@@ -153,6 +158,21 @@ def _stirling2_explicit_by_lists(max_n: int):
     return rows, peak
 
 
+def _recursion_by_full_rows(max_n: int):
+    """Rows 0..max_n of the eulerian ``recursion`` route with every cell
+    k = 0..n taken by the two-term step, none mirrored."""
+    rows = [(LambdaPoly((1,)),)]
+    for n in range(1, max_n + 1):
+        m, zeros = n - 1, (0,) * n
+        pads = [zeros] + [c._num + zeros[len(c._num):] for c in rows[-1]] + [zeros]
+        ups = [(0,) + p[:-1] for p in pads]
+        rows.append(tuple(
+            _make([(n - k) * a + (k + 1) * b + m * (c - d)
+                   for a, b, c, d in zip(pads[k], pads[k + 1], ups[k], ups[k + 1])], 1)
+            for k in range(n + 1)))
+    return rows
+
+
 #: The families whose ``explicit`` route sums on ``algebra._falling_sums``,
 #: with their list models.
 EXPLICIT_MODELS = {"eulerian": _eulerian_explicit_by_lists, "stirling2": _stirling2_explicit_by_lists}
@@ -286,6 +306,53 @@ def test_worpitzky_matches_the_list_model():
     for n in range(25):
         model, _ = _worpitzky_by_lists(n)
         assert _xl_stored([worpitzky_lhs(n)]) == _xl_stored([model]), n
+
+
+# ---------------------------------------------------------------------------
+# the recursion rows: half of each row by the step, the rest mirrored
+# ---------------------------------------------------------------------------
+
+
+def _mirrored(row) -> list:
+    """A(n, n-1-k)(-λ) for k = 0..n-1, from row n."""
+    return [_make(_negate_lambda(c._num), c._den) for c in reversed(row[:-1])]
+
+
+def test_recursion_rows_match_the_full_row_model():
+    model = _recursion_by_full_rows(24)
+    sequences._clear_memos()
+    assert _stored(route_rows("eulerian", 24, "recursion")) == _stored(model)
+
+
+@pytest.mark.parametrize("route", ["explicit", "gf-recursion"])
+def test_the_unmirrored_routes_satisfy_the_reflection(route):
+    # A(n,k)(λ) = A(n, n-1-k)(-λ) for n >= 1 on the routes that build every
+    # cell, so the reflection the recursion rows use is checked on rows
+    # built without it
+    rows = route_rows("eulerian", 30, route)
+    for n in range(1, 31):
+        assert _stored([_mirrored(rows[n])]) == _stored([rows[n][:-1]]), (route, n)
+
+
+def test_the_middle_cell_of_an_odd_row_is_even_in_lambda():
+    # the middle cell of odd n is its own mirror, so its odd powers vanish
+    rows = route_rows("eulerian", 31, "recursion")
+    for n in range(1, 32, 2):
+        num = rows[n][(n - 1) // 2]._num
+        assert num[0] and not any(num[1::2]), n
+        assert len(num) == n, n  # λ-degree n - 1, which is even
+
+
+def test_recursion_rows_continued_equal_the_rows_of_one_call():
+    model = _recursion_by_full_rows(24)
+    for a, b in ((0, 1), (1, 2), (0, 24), (3, 4), (7, 24), (11, 17), (23, 24)):
+        sequences._clear_memos()
+        route_rows("eulerian", a, "recursion")
+        assert _stored(route_rows("eulerian", b, "recursion")) == _stored(model[:b + 1]), (a, b)
+    sequences._clear_memos()
+    for n in range(25):  # one row per call
+        route_rows("eulerian", n, "recursion")
+    assert _stored(route_rows("eulerian", 24, "recursion")) == _stored(model)
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +549,13 @@ def test_the_suite_fails_a_faulty_kernel_at_each_binding(monkeypatch):
     monkeypatch.setattr(sequences, "_falling_sums", _falling_sums_with_one_wrong_step)
     assert _failing_checks() == {"thm-2.6-recursion", "thm-2.8-stirling2-from-eulerian",
                                  "thm-2.11-eulerian-from-stirling2", "eq-38-stirling2-binomial-expansion"}
+    monkeypatch.undo()
+    # λ -> -λ taken as the identity: the recursion rows' mirrored cells, and
+    # every sum that is stated for -λ. thm-2.6 reads only the mirror: it
+    # compares the recursion rows with the explicit rows, which negate nothing
+    monkeypatch.setattr(sequences, "_negate_lambda", list)
+    assert _failing_checks() == {
+        "thm-2.6-recursion", "prop-2.1-gf-residual", "thm-2.3-poly-recursion", "thm-2.4-at-minus-one",
+        "cor-2.5-alternating-sum", "eulerian-row-sum", "eq-19-coefficient-relation",
+        "thm-2.7-worpitzky", "thm-2.8-stirling2-from-eulerian", "thm-2.9-power-sum-eulerian",
+        "thm-2.10-power-sum-routes"}
