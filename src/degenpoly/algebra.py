@@ -50,7 +50,8 @@ denominator of the x-coefficients, like ``LambdaPoly.eval`` in λ.
 (x, λ) as one Fraction, with no LambdaPoly in between: each coefficient
 is one dot product with the shared powers of λ's numerator and
 denominator (``_weights``, which the ``table`` rows at a rational λ
-share too), and the same Horner scheme in x sums them.
+and the power-sum point kernels of ``sequences`` share too), and the
+same Horner scheme in x sums them.
 
 Packed values: where one value enters many sums, a builder packs its
 numerators c_0..c_d into one int Σ c_i·2^(S·i), in signed digits of a

@@ -39,13 +39,24 @@ value raises TypeError. A cell is written as its coefficient array
 need no escaping. So a symbolic ``table`` hands its rows of cells to
 the writer as they are. ``eval``'s one-value document has a fixed
 shape, so ``cmd_eval`` writes it as one string in the same layout, each
-string through the same quoting. At x ≠ -1 ``eulerian-at`` takes A_n(x)
-at (x, λ) from the ``recursion`` row in one integer kernel
-(``algebra._point_value``), with no polynomial in between. The
-``json`` package is imported only by ``output_schema()``. No CSV field
-can hold a comma, a quote or a line break, so rows are written directly,
-without the ``csv`` module. ``cmd_verify`` imports ``verify``, and with
-it ``oracles``, when it runs.
+string through the same quoting.
+
+``eval`` needs one number, so the queries that seldom repeat run an
+integer point kernel on the rows their route stores, build one Fraction
+and no λ-polynomial: ``eulerian-at --route direct`` takes A_n(x) at
+(x, λ), x = -1 included, from the ``recursion`` row
+(``algebra._point_value``); ``powersum --route eulerian`` sums Eulerian
+row n at -λ (``sequences._eulerian_point``), and ``--route bernoulli``
+the taps β_0..β_n (``sequences._bernoulli_point``). ``powersum --route
+direct`` and ``eulerian-at --route bernoulli`` stay on their memos (the
+running column per n; A_n(-1) per n) and ``LambdaPoly.eval``: their
+queries repeat, and a memo hit plus one Horner scheme in λ cost less
+than the point forms measured for them.
+
+The ``json`` package is imported only by ``output_schema()``. No CSV
+field can hold a comma, a quote or a line break, so rows are written
+directly, without the ``csv`` module. ``cmd_verify`` imports ``verify``,
+and with it ``oracles``, when it runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or output
 that could not be written.
@@ -64,7 +75,8 @@ from types import SimpleNamespace
 
 from . import __version__
 from .algebra import LambdaPoly, XLPoly, _point_value, _trim, _weights
-from .sequences import ROUTES, eulerian_at_minus_one, eulerian_table, power_sum, route_rows
+from .sequences import (ROUTES, _bernoulli_point, _eulerian_point, eulerian_at_minus_one, eulerian_table,
+                        power_sum, route_rows)
 
 try:  # the C string quoting that json.encoder re-exports, without loading json
     from _json import encode_basestring as _quote
@@ -359,7 +371,11 @@ def cmd_eval(args, out) -> int:
             raise UsageError("powersum requires m >= 1 and n >= 1")
         _check_caps(("--m", args.m), ("--n", args.n))
         route = _resolve_route(args.expr, args.route)
-        value = power_sum(args.m, args.n, route).eval(args.lam)
+        if route == "direct":  # a repeated (n, m) is a column lookup
+            value = power_sum(args.m, args.n, route).eval(args.lam)
+        else:  # one integer sum at λ over the route's stored row or taps
+            point = _eulerian_point if route == "eulerian" else _bernoulli_point
+            value = point(args.m, args.n, args.lam)
         head = f"powersum(m={args.m}, n={args.n}, λ={lam})"
         parameters = (f'"lambda": {_quote(lam)},\n    "m": {args.m},\n    "n": {args.n},\n'
                       f'    "route": {_quote(route)}')
@@ -368,12 +384,12 @@ def cmd_eval(args, out) -> int:
             raise UsageError("eulerian-at requires --x and --n")
         _check_caps(("--n", args.n))
         route = _resolve_route(args.expr, args.route)
-        if args.x == -1:
-            value = eulerian_at_minus_one(args.n, route).eval(args.lam)
-        elif route == "bernoulli":
-            raise UsageError("the bernoulli route only applies at x = -1")
-        else:  # A_n(x) at (x, λ) from the recursion row, with no polynomial in between
+        if route == "direct":  # A_n(x) at (x, λ) from the recursion row, with no polynomial in between
             value = _point_value(eulerian_table(args.n).row(args.n), args.x, args.lam)
+        elif args.x == -1:
+            value = eulerian_at_minus_one(args.n, route).eval(args.lam)
+        else:
+            raise UsageError("the bernoulli route only applies at x = -1")
         x = render_rational(args.x)
         head = f"eulerian-poly(n={args.n})(x={x}, λ={lam})"
         parameters = (f'"lambda": {_quote(lam)},\n    "n": {args.n},\n    "route": {_quote(route)},\n'

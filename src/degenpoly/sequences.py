@@ -84,6 +84,17 @@ per cell). The
 ``XLPoly.eval_x``, itself an integer Horner scheme. Its ``bernoulli``
 route uses the ring operators on purpose: it exercises the λ -> λ/2
 substitution.
+
+Point kernels: ``cli``'s ``eval`` needs one rational number, not a
+polynomial, and its ``eulerian`` and ``bernoulli`` power sums almost never
+repeat an (n, m). So ``_eulerian_point`` and ``_bernoulli_point`` take the
+two sums at one λ = r/t straight from the rows their routes store (Eulerian
+row n of ``recursion``, the taps β_0..β_n), each value one dot product with
+the weights of ``algebra._weights``, one Fraction per query, and store
+nothing; A_n(-1) by ``direct`` is ``algebra._point_value`` at x = -1 on
+the same row. The ``direct`` power sum and the ``bernoulli`` A_n(-1) stay
+on their memos: their repeated queries are memo hits, and a hit plus
+``LambdaPoly.eval`` cost less than the point forms measured.
 """
 
 from __future__ import annotations
@@ -91,6 +102,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import mul
 
 from .algebra import (
     _MEMOS,
@@ -108,6 +120,7 @@ from .algebra import (
     _slot,
     _times_x_minus_lambda,
     _unpack,
+    _weights,
     _x_falling,
     _xl,
     LambdaPoly,
@@ -189,11 +202,12 @@ def _extend_recursion(rows: list[tuple], max_n: int) -> None:
     B = A for n >= 1 by induction. So only the cells k = 0..h, h =
     (n-1)//2, take the step; each cell k = h+1..n-1 is the λ-negated cell
     n-1-k (``algebra._negate_lambda``, one sign flip per odd numerator).
-    The top cell A(n,n), zero for n >= 1, still takes the step, so that
-    the ``eulerian-top-entry`` check reads what the recursion gives. The
-    ``explicit`` and ``gf-recursion`` routes are built without the
-    reflection, so ``thm-2.6`` compares each mirrored cell with a cell
-    built otherwise.
+    The top cell A(n,n) still takes the step, (n-1)λ·A(n-1,n-1), which is
+    zero from A(1,1) = 0·λ on whatever the rest of the triangle holds; so
+    the ``eulerian-top-entry`` check reads A(n,n) from the ``explicit``
+    rows, where it is a full alternating sum. The ``explicit`` and
+    ``gf-recursion`` routes are built without the reflection, so
+    ``thm-2.6`` compares each mirrored cell with a cell built otherwise.
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
@@ -335,6 +349,19 @@ def _eulerian_sum(m: int, n: int, row: tuple[LambdaPoly, ...]) -> LambdaPoly:
     return _make(_negate_lambda(acc), 1)
 
 
+def _eulerian_point(m: int, n: int, lam) -> Fraction:
+    """``_eulerian_sum`` at one λ = r/t, from Eulerian row n of the
+    ``recursion`` route, with no LambdaPoly in between: with the weights of
+    -λ (``algebra._weights``), each A(n,j)(-λ)·t^d is one dot product, and
+    Σ_j C(m+j+1,n+1)·A(n,j)(-λ) is built as one Fraction over t^d."""
+    row = eulerian_table(n).row(n)
+    weights, power = _weights(-lam, max([len(c._num) for c in row]) - 1)
+    # C(m+j+1, n+1) vanishes below j = n-m
+    acc = sum([comb(m + j + 1, n + 1) * sum(map(mul, row[j]._num, weights))
+               for j in range(max(n - m, 0), n + 1)])
+    return Fraction(acc, power)
+
+
 def _power_sum_bernoulli(m: int, n: int) -> LambdaPoly:
     # β_{n+1}(x) is read on every call, memo hit or not
     return _built(("powersum", "bernoulli", n, m), _bernoulli_sum, m, n, bernoulli_polynomial(n + 1))
@@ -350,6 +377,30 @@ def _bernoulli_sum(m: int, n: int, beta: XLPoly) -> LambdaPoly:
         power *= m + 1
         _add_linear(acc, c._num, power * (den // c._den))
     return _make(acc, den * (n + 1))
+
+
+def _bernoulli_point(m: int, n: int, lam) -> Fraction:
+    """``_bernoulli_sum`` at one λ = r/t, from the taps β_0..β_n, with no
+    β_{n+1}(x) and no LambdaPoly in between:
+
+        (β_{n+1}(m+1) - β_{n+1})/(n+1)
+            = Σ_{j=1}^{n+1} C(n+1,j)·β_{n+1-j}(λ)·(m+1)_{j,λ}/(n+1).
+
+    Each β_k(λ) is one dot product with the weights of λ
+    (``algebra._weights``) over D·t^d, D the lcm of the taps' denominators,
+    and (m+1)_{j,λ} = F_j/t^j with the int F_j = Π_{i<j}((m+1)t - i·r),
+    carried along j. A Horner scheme in t lifts term j by t^(n+1-j), so the
+    Fraction is built once, over D·t^d·t^(n+1)·(n+1)."""
+    taps = bernoulli_taps(n)
+    weights, power = _weights(lam, max([len(b._num) for b in taps]) - 1)
+    den = lcm(*[b._den for b in taps])
+    r, t = lam.numerator, lam.denominator
+    base, acc, falling = (m + 1) * t, 0, 1
+    for j in range(1, n + 2):
+        b = taps[n + 1 - j]
+        falling *= base - (j - 1) * r
+        acc = acc * t + comb(n + 1, j) * (den // b._den) * sum(map(mul, b._num, weights)) * falling
+    return Fraction(acc, den * power * t ** (n + 1) * (n + 1))
 
 
 def _at_minus_one_direct(n: int) -> LambdaPoly:

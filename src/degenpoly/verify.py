@@ -310,7 +310,9 @@ def _cases_row_sum(r) -> Cases:
 
 
 def _cases_top_entry(r) -> Cases:
-    table = eulerian_table(r["n_max"])
+    # the explicit rows: there A(n,n) is a full alternating sum, where the
+    # recursion's top cell is (n-1)λ·A(n-1,n-1), zero from A(1,1) = 0·λ on
+    table = eulerian_table(r["n_max"], "explicit")
     zero = LambdaPoly()
     for n in range(1, r["n_max"] + 1):
         yield {"n": n}, table.entry(n, n), zero

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import errno
+import hashlib
 import importlib
 import io
 import json
@@ -351,6 +352,55 @@ PINNED_HUMAN_EVAL = {
 @pytest.mark.parametrize("argv, line", PINNED_HUMAN_EVAL.items(), ids=map(" ".join, PINNED_HUMAN_EVAL))
 def test_human_eval_lines_keep_their_bytes(argv, line):
     assert run_cli("eval", *argv, "--human") == (0, line)
+
+
+#: (m, n, λ) -> sha256 prefixes of the JSON documents of the direct,
+#: eulerian and bernoulli routes in that order (the version written as
+#: VERSION), and of the one --human line they all print, as the routes
+#: wrote them when each query built its λ-polynomial: λ at 0, ±1, small
+#: rationals and denominators near 10^9, m below and above n, the cap.
+PINNED_POWERSUM_BYTES = {
+    ("4", "5", "-2/3"): ("fe99cb9022fc135fdf15eb6d9716ed6d", "3963a77d7ff9891e8caf38ef7185acf3"),
+    ("64", "24", "999999937/1000000000"): ("fd8398de1fda436eba06a13e156e2ab2",
+                                          "828cf650c9f29cc2a6bfb9bad79707d3"),
+    ("64", "64", "-7/3"): ("ca062791abe84bb383e8207038e0d2ca", "79c0a077582c02bec3b66bb6be356f85"),
+    ("1", "1", "0"): ("3d8e6efdc3b0412b5239d6c1cd5776d7", "66a0019b74ae9a9c3682b0721c96cc72"),
+    ("9", "3", "1"): ("675d81e620ae8d2b233ebe8657c2a967", "fd6d1bfb6a0e8d9b23edd3278634c72b"),
+    ("3", "12", "-1"): ("66328f37a7f004392bc97e94e3eb73f0", "9b899bc22602ae7aab12aab90cffbe46"),
+    ("20", "12", "3/7"): ("d582f1cf2c8f63656b557b4bbe59a579", "d63a68f5b28997c9cb4563622e15b0ea"),
+    ("7", "24", "-1000000007/999999999"): ("795492fc2031e795591bace2d3b05dd1",
+                                           "5c9014f3a37170f460d648127d3896de"),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+@pytest.mark.parametrize("triple", PINNED_POWERSUM_BYTES, ids="/".join)
+def test_powersum_routes_keep_their_bytes(triple):
+    m, n, lam = triple
+    docs, lines = [], set()
+    for route in ("direct", "eulerian", "bernoulli"):
+        argv = ("eval", "powersum", "--m", m, "--n", n, f"--lambda={lam}", "--route", route)
+        code, text = run_cli(*argv)
+        assert code == 0, argv
+        docs.append(text.replace(degenpoly.__version__, "VERSION"))
+        code, text = run_cli(*argv, "--human")
+        assert code == 0, argv
+        lines.add(text)
+    assert (_digest("".join(docs)), *map(_digest, lines)) == PINNED_POWERSUM_BYTES[triple]
+
+
+@pytest.mark.parametrize("argv, kept", (
+    (("powersum", "--m", "20", "--n", "12", "--route", "eulerian"), {("eulerian", "recursion")}),
+    (("powersum", "--m", "20", "--n", "12", "--route", "bernoulli"), {("bernoulli", "egf-triangular")}),
+    (("eulerian-at", "--x=-1", "--n", "12"), {("eulerian", "recursion")}),
+), ids=("powersum-eulerian", "powersum-bernoulli", "eulerian-at-direct"))
+def test_a_point_query_stores_only_the_rows_it_reads(argv, kept):
+    # the point kernels build no power sum, no β_{n+1}(x) and no A_n(-1)
+    assert run_cli("eval", *argv, "--lambda=3/7")[0] == 0
+    assert set(algebra._MEMOS) == kept
 
 
 def test_the_cap_is_read_once_per_command_and_only_to_check_a_value(monkeypatch):

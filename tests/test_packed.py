@@ -545,10 +545,13 @@ def test_the_suite_fails_a_faulty_kernel_at_each_binding(monkeypatch):
     # both explicit routes: each check that reads one of them against another
     # route. thm-2.2-vanishing sums on the same kernel and still passes: each
     # faulty (j)_{n,λ} is still of degree n in j, so its (n+1)-th differences
-    # beyond the triangle still vanish
+    # beyond the triangle still vanish. eulerian-top-entry reads the explicit
+    # A(n,n), which leaves out j = 0 of that difference: the faulty (0)_{n,λ}
+    # is not zero, so neither is A(n,n)
     monkeypatch.setattr(sequences, "_falling_sums", _falling_sums_with_one_wrong_step)
     assert _failing_checks() == {"thm-2.6-recursion", "thm-2.8-stirling2-from-eulerian",
-                                 "thm-2.11-eulerian-from-stirling2", "eq-38-stirling2-binomial-expansion"}
+                                 "thm-2.11-eulerian-from-stirling2", "eq-38-stirling2-binomial-expansion",
+                                 "eulerian-top-entry"}
     monkeypatch.undo()
     # λ -> -λ taken as the identity: the recursion rows' mirrored cells, and
     # every sum that is stated for -λ. thm-2.6 reads only the mirror: it

@@ -14,7 +14,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import degenpoly
@@ -809,6 +809,32 @@ def test_power_sum_kernels_match_the_ring():
             assert _stored(power_sum(m, n, "eulerian")) == _stored(acc), (m, n)
             ring = (_ring_eval_x(poly, m + 1) - _ring_eval_x(poly, 0)) * F(1, n + 1)
             assert _stored(power_sum(m, n, "bernoulli")) == _stored(ring), (m, n)
+
+
+#: λ for the point kernels: 0, ±1, small rationals and denominators up to 10^9.
+point_lambdas = st.one_of(st.sampled_from([0, 1, -1, F(-2, 3), F(3, 7)]),
+                          st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                          st.fractions(max_denominator=10**9))
+
+
+@given(st.integers(1, 24), st.integers(1, 64), point_lambdas)
+@example(24, 64, F(999999937, 10**9))
+@example(24, 3, F(-10**9, 7))  # m < n: the leading binomials vanish
+@example(1, 1, 0)
+@settings(max_examples=60, deadline=None)
+def test_power_sum_point_kernels_are_the_routes_evaluated(n, m, lam):
+    for route, point in (("eulerian", sequences._eulerian_point), ("bernoulli", sequences._bernoulli_point)):
+        value = point(m, n, lam)
+        assert (type(value), value) == (F, power_sum(m, n, route).eval(lam)), (route, m, n, lam)
+
+
+@given(st.integers(0, 24), point_lambdas)
+@example(0, 0)
+@example(24, F(-1000000007, 999999999))
+@settings(max_examples=60, deadline=None)
+def test_the_point_kernel_at_minus_one_is_the_direct_route(n, lam):
+    value = algebra._point_value(eulerian_table(n).row(n), -1, lam)
+    assert (type(value), value) == (F, eulerian_at_minus_one(n, "direct").eval(lam)), (n, lam)
 
 
 def test_bernoulli_polynomial_kernel_matches_the_ring():

@@ -102,6 +102,17 @@ def test_pass_never_carries_counterexample():
         assert spec.status == "pass" and spec.counterexample is None
 
 
+def test_a_wrong_explicit_top_cell_fails_the_top_entry_check():
+    # A(n,n) is read from the explicit rows, where it is a full alternating
+    # sum; the recursion's top cell is (n-1)λ·A(n-1,n-1), zero by construction
+    eulerian_table(5, "explicit")
+    rows = algebra._MEMOS["eulerian", "explicit"]
+    rows[3] = rows[3][:3] + (LambdaPoly((0, 1)),)
+    spec = run_check(get_check("eulerian-top-entry"), {"n_max": 5})
+    assert spec.status == "fail"
+    assert spec.counterexample == ({"n": 3}, "λ", "0")
+
+
 def test_exact_comparison_catches_sampling_blind_spot():
     # a perturbation that vanishes at five rational λ values would pass any
     # comparison sampling only those points; exact equality must catch it
