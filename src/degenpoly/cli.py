@@ -10,13 +10,11 @@ instead of the machine formats.
 
 ``table`` runs in three steps. Every family is read from the memo of its
 route (``sequences.route_rows``) as rows of λ-polynomial cells: a
-triangle row, or the single cell β_n. A rational λ = r/t is substituted
-into each cell once, as ``algebra._point_value`` does: the weights
-r^i·t^(d-i) (``algebra._weights``, d the row's largest λ-degree) are
-built once per row, each cell's value times den·t^d is one dot product
-of its numerators with them, and one Fraction is built per cell. Then
-eulerian-poly keeps the trimmed x-coefficients of A_n(x). One short
-block per format writes the rows.
+triangle row, or the single cell β_n. A rational λ is substituted into
+each row once, by ``algebra._at_lambda``, as ``algebra._point_value``
+does: one set of weights per row, one dot product per cell, and one
+Fraction per cell. Then eulerian-poly keeps the trimmed x-coefficients
+of A_n(x). One short block per format writes the rows.
 
 λ (and any other rational argument) is either the word "symbolic" or an
 exact rational token; float literals are rejected so results stay exact
@@ -70,11 +68,10 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from operator import mul
 from types import SimpleNamespace
 
 from . import __version__
-from .algebra import LambdaPoly, XLPoly, _point_value, _trim, _weights
+from .algebra import LambdaPoly, XLPoly, _at_lambda, _point_value, _trim
 from .sequences import (ROUTES, _bernoulli_point, _eulerian_point, eulerian_at_minus_one, eulerian_table,
                         power_sum, route_rows)
 
@@ -308,12 +305,8 @@ def cmd_table(args, out) -> int:
     # rows of λ-polynomial cells: a triangle row, or the single cell β_n
     rows = route_rows(_FAMILY.get(family, family), args.n_max, route)
     symbolic = lam == "symbolic"
-    if not symbolic:  # one set of weights per row, one dot product per cell
-        values = []
-        for row in rows:
-            weights, power = _weights(lam, max([len(c._num) for c in row]) - 1)
-            values.append([Fraction(sum(map(mul, c._num, weights)), c._den * power) for c in row])
-        rows = values
+    if not symbolic:  # each row's cells at λ over one denominator, one Fraction per cell
+        rows = [[Fraction(s, den) for s in sums] for sums, den in (_at_lambda(row, lam) for row in rows)]
     if family == "eulerian-poly":  # A_n(x)'s x-coefficients, trimmed after λ: a value can zero the top one
         rows = [_trim(list(row)) for row in rows]
     flat = family == "bernoulli"  # one cell per n, written without k

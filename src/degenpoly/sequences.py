@@ -81,9 +81,9 @@ adding it to a list once, so the builders whose values each enter only
 a few sums stay on lists, such as the ``recursion`` route (two parents
 per cell). The
 ``direct`` route of ``eulerian_at_minus_one`` evaluates A_n(-1) with
-``XLPoly.eval_x``, itself an integer Horner scheme. Its ``bernoulli``
-route uses the ring operators on purpose: it exercises the λ -> λ/2
-substitution.
+``XLPoly.eval_x``, one linear combination on the weights of x = -1. Its
+``bernoulli`` route uses the ring operators on purpose: it exercises the
+λ -> λ/2 substitution.
 
 Point kernels: ``cli``'s ``eval`` needs one rational number, not a
 polynomial, and its ``eulerian`` and ``bernoulli`` power sums almost never
@@ -92,9 +92,12 @@ two sums at one λ = r/t straight from the rows their routes store (Eulerian
 row n of ``recursion``, the taps β_0..β_n), each value one dot product with
 the weights of ``algebra._weights``, one Fraction per query, and store
 nothing; A_n(-1) by ``direct`` is ``algebra._point_value`` at x = -1 on
-the same row. The ``direct`` power sum and the ``bernoulli`` A_n(-1) stay
-on their memos: their repeated queries are memo hits, and a hit plus
-``LambdaPoly.eval`` cost less than the point forms measured.
+the same row. The two keep their own dot products, which fold the
+binomials into the same pass, rather than ``algebra._at_lambda``'s sums
+(7-11% slower on ``eval-stream``). The ``direct`` power sum and the
+``bernoulli`` A_n(-1) stay on their memos: their repeated queries are
+memo hits, and a hit plus ``LambdaPoly.eval`` cost less than the point
+forms measured.
 """
 
 from __future__ import annotations
@@ -202,15 +205,17 @@ def _extend_recursion(rows: list[tuple], max_n: int) -> None:
     B = A for n >= 1 by induction. So only the cells k = 0..h, h =
     (n-1)//2, take the step; each cell k = h+1..n-1 is the λ-negated cell
     n-1-k (``algebra._negate_lambda``, one sign flip per odd numerator).
-    The top cell A(n,n) still takes the step, (n-1)λ·A(n-1,n-1), which is
-    zero from A(1,1) = 0·λ on whatever the rest of the triangle holds; so
-    the ``eulerian-top-entry`` check reads A(n,n) from the ``explicit``
-    rows, where it is a full alternating sum. The ``explicit`` and
-    ``gf-recursion`` routes are built without the reflection, so
-    ``thm-2.6`` compares each mirrored cell with a cell built otherwise.
+    The top cell A(n,n) would take the step (n-1)λ·A(n-1,n-1), which is
+    zero from A(1,1) = 0·λ on, so it is one zero shared by the rows of a
+    call, as in the ``gf-recursion`` rows; the ``eulerian-top-entry``
+    check reads A(n,n) from the ``explicit`` rows, where it is a full
+    alternating sum. The ``explicit`` and ``gf-recursion`` routes are
+    built without the reflection, so ``thm-2.6`` compares each mirrored
+    cell, and the top zero, with a cell built otherwise.
     """
     if not rows:
         rows.append((LambdaPoly((1,)),))
+    zero = _make([], 1)
     for n in range(len(rows), max_n + 1):
         m, h, zeros = n - 1, (n - 1) // 2, (0,) * n
         parents = rows[-1]
@@ -222,10 +227,7 @@ def _extend_recursion(rows: list[tuple], max_n: int) -> None:
                       for a, b, c, d in zip(pads[k], pads[k + 1], ups[k], ups[k + 1])], 1)
                for k in range(h + 1)]
         row += [_make(_negate_lambda(row[n - 1 - k]._num), 1) for k in range(h + 1, n)]
-        # the step at k = n, where n - k = 0 and A(n-1,n) = 0 leave
-        # A(n,n) = (n-1)λ·A(n-1,n-1)
-        top = parents[-1]._num
-        row.append(_make([0] + [m * c for c in top], 1))
+        row.append(zero)
         rows.append(tuple(row))
 
 

@@ -1,7 +1,7 @@
 """Ring contracts: canonical form, exact arithmetic, basis constructors."""
 
 from fractions import Fraction as F
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +13,8 @@ from degenpoly.algebra import (
     X,
     XLPoly,
     _add_linear,
+    _at_lambda,
+    _horner,
     _horner_bound,
     _horner_x_minus_one,
     _make,
@@ -26,12 +28,14 @@ from degenpoly.algebra import (
     falling_factorial_classical,
     falling_factorial_degenerate,
 )
+from degenpoly.egf import bernoulli_taps
 from degenpoly.sequences import (
     _clear_memos,
     bernoulli_polynomial,
     eulerian_at_minus_one,
     eulerian_poly,
     eulerian_table,
+    route_rows,
 )
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -310,6 +314,7 @@ def test_floats_are_rejected():
         lambda: LAM.eval(0.5),
         lambda: LambdaPoly().eval(0.5),
         lambda: p.scale_lambda(0.5),
+        lambda: LambdaPoly().scale_lambda(0.5),
         lambda: X.eval_x(0.5),
         lambda: XLPoly().eval_x(1.0),
         lambda: X.eval_lambda(0.5),
@@ -602,6 +607,44 @@ def test_point_kernel_is_eval_x_then_eval_on_the_eulerian_rows(n, x, lam):
 def test_point_kernel_is_eval_x_then_eval(rows, x, lam):
     cells = [LambdaPoly(r) for r in rows]
     assert _point_value(cells, x, lam) == XLPoly(cells).eval_x(x).eval(lam)
+
+
+def _plain_value(cell: LambdaPoly, lam) -> F:
+    return sum((c * F(lam) ** i for i, c in enumerate(cell.coeffs)), F(0))
+
+
+#: cells of one row: the Bernoulli taps (mixed denominators), a stirling2
+#: row (summed over k! and reduced to Z[λ]), or drawn cells with
+#: denominators up to 10^9, zero polynomials and the empty row among them
+kernel_rows = st.one_of(
+    st.integers(0, 24).map(lambda n: list(bernoulli_taps(n))),
+    st.integers(0, 24).map(lambda n: list(route_rows("stirling2", n, "explicit")[n])),
+    st.lists(st.one_of(st.just(LambdaPoly()), st.lists(ring_scalars, max_size=5).map(LambdaPoly)), max_size=5),
+)
+
+
+@given(kernel_rows, point_scalars)
+@example([], F(3, 7))
+@example([LambdaPoly(), LambdaPoly()], F(-2, 3))
+@example([LambdaPoly((F(1, 2), 3)), LambdaPoly((F(-1, 999999999), 0, 7))], -1)
+@settings(max_examples=150)
+def test_at_lambda_is_each_cell_as_a_plain_fraction_sum(row, lam):
+    sums, den = _at_lambda(row, lam)
+    d = max([c.degree for c in row], default=0)
+    assert all(type(s) is int for s in sums) and type(den) is int
+    assert den == lcm(*[c._den for c in row]) * F(lam).denominator ** max(d, 0)
+    assert [F(s, den) for s in sums] == [_plain_value(c, lam) for c in row]
+
+
+@given(st.lists(st.integers(-10**12, 10**12), max_size=8), point_scalars)
+@example([], 0)
+@example([0, 0, 5], -1)
+@example([3, -1, 4, 1], F(7, 10**9))
+@settings(max_examples=150)
+def test_horner_is_a_plain_fraction_sum(nums, v):
+    acc, qpow = _horner(nums, v)
+    assert type(acc) is int and qpow == F(v).denominator ** max(len(nums) - 1, 0)
+    assert F(acc, qpow) == sum((c * F(v) ** i for i, c in enumerate(nums)), F(0))
 
 
 @pytest.mark.parametrize("factor", [0, 1, -1, 6, F(3, 4), F(-5, 2), LambdaPoly((F(2, 3),)), LambdaPoly()])

@@ -17,19 +17,30 @@ The ``recursion`` Eulerian route steps only the first half of each row
 and mirrors the rest by A(n,k)(λ) = A(n,n-1-k)(-λ); its full-row body is
 kept here as the reference model, and the reflection is checked on the
 two routes that build every cell.
+
+The substitutions ``LambdaPoly.eval``, ``LambdaPoly.scale_lambda`` and
+``XLPoly.eval_x`` run on the two kernels ``algebra._horner`` and
+``algebra._weights``; their former bodies, each with its own power
+loops, are kept here as the reference models.
 """
 
 from itertools import zip_longest
 from math import comb, factorial
 from operator import sub
 
+from fractions import Fraction as F
+from math import lcm
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenpoly import algebra, egf, sequences
-from degenpoly.algebra import (LAM, LambdaPoly, _add_linear, _horner_bound, _make, _negate_lambda, _norm,
+from degenpoly.algebra import (LAM, LambdaPoly, XLPoly, _add_linear, _horner_bound, _make, _negate_lambda, _norm,
                                _x_falling, _xl, falling_factorial_degenerate)
-from degenpoly.egf import _residual_taps
-from degenpoly.sequences import _explicit_sums, eulerian_explicit, eulerian_table, route_rows, worpitzky_lhs
+from degenpoly.egf import _residual_taps, bernoulli_taps
+from degenpoly.sequences import (_explicit_sums, bernoulli_polynomial, eulerian_explicit, eulerian_poly,
+                                 eulerian_table, route_rows, worpitzky_lhs)
 from degenpoly.verify import run_suite
 
 
@@ -343,6 +354,16 @@ def test_the_middle_cell_of_an_odd_row_is_even_in_lambda():
         assert len(num) == n, n  # λ-degree n - 1, which is even
 
 
+def test_each_recursion_row_ends_in_the_zero_top_cell():
+    sequences._clear_memos()
+    rows = route_rows("eulerian", 40, "recursion")
+    for n in range(1, 41):
+        assert len(rows[n]) == n + 1 and rows[n][-1] == LambdaPoly(), n
+    # thm-2.6 compares each stored zero with the explicit A(n,n), which
+    # eulerian-top-entry reads as a full alternating sum
+    assert [spec.status for spec in run_suite(["thm-2.6-recursion", "eulerian-top-entry"])] == ["pass", "pass"]
+
+
 def test_recursion_rows_continued_equal_the_rows_of_one_call():
     model = _recursion_by_full_rows(24)
     for a, b in ((0, 1), (1, 2), (0, 24), (3, 4), (7, 24), (11, 17), (23, 24)):
@@ -353,6 +374,94 @@ def test_recursion_rows_continued_equal_the_rows_of_one_call():
     for n in range(25):  # one row per call
         route_rows("eulerian", n, "recursion")
     assert _stored(route_rows("eulerian", 24, "recursion")) == _stored(model)
+
+
+# ---------------------------------------------------------------------------
+# the substitutions: each against the body it replaced
+# ---------------------------------------------------------------------------
+
+
+def _eval_by_horner(p: LambdaPoly, v) -> F:
+    """p at λ = v = a/q: an integer Horner scheme for Σ_i num_i·a^i·q^(d-i),
+    divided by den·q^d once at the end."""
+    num = p._num
+    if not num:
+        return F(0)
+    a, q = v.numerator, v.denominator
+    acc, qpow = num[-1], 1
+    for c in reversed(num[:-1]):
+        qpow *= q
+        acc = acc * a + c * qpow
+    return F(acc, p._den * qpow)
+
+
+def _scale_lambda_by_loops(p: LambdaPoly, s) -> LambdaPoly:
+    """p(s·λ): with s = a/q, numerator i becomes num_i·a^i·q^(d-i) over
+    den·q^d, by two power loops."""
+    a, q = s.numerator, s.denominator
+    out = list(p._num)
+    apow = 1
+    for i in range(1, len(out)):
+        apow *= a
+        out[i] *= apow
+    qpow = 1
+    if q != 1:
+        for i in range(len(out) - 2, -1, -1):
+            qpow *= q
+            out[i] *= qpow
+    return _make(out, p._den * qpow)
+
+
+def _eval_x_by_horner(p: XLPoly, v) -> LambdaPoly:
+    """p at x = v = a/q: an integer Horner scheme over D = lcm of the
+    coefficient denominators, acc <- acc·a + num_j·q^(d-j)·(D/den_j),
+    divided by D·q^d once at the end."""
+    cs = p.coeffs
+    if not cs:
+        return _make([], 1)
+    a, q = v.numerator, v.denominator
+    den = lcm(*[c._den for c in cs])
+    top = cs[-1]
+    acc, qpow = [c * (den // top._den) for c in top._num], 1
+    for c in reversed(cs[:-1]):
+        qpow *= q
+        acc = _add_linear([b * a for b in acc], c._num, qpow * (den // c._den))
+    return _make(acc, den * qpow)
+
+
+#: 0, ±1, small rationals, and denominators up to 10^9.
+SUBSTITUTED = (0, 1, -1, F(-7, 3), F(3, 7), F(1, 2), F(-1000000007, 999999999), 5)
+substituted = st.one_of(st.sampled_from(SUBSTITUTED), st.integers(-10**6, 10**6),
+                        st.fractions(max_denominator=10**9))
+drawn_cells = st.lists(st.fractions(max_denominator=10**9), max_size=6).map(LambdaPoly)
+
+
+def _stored_poly(p: LambdaPoly) -> tuple:
+    return p._num, p._den
+
+
+def test_substitutions_match_their_former_bodies_up_to_n_24():
+    sequences._clear_memos()
+    # β_n(x) over mixed denominators, A_n(x) in Z[λ], and their cells
+    polys = [bernoulli_polynomial(n) for n in range(25)] + [eulerian_poly(n) for n in range(25)] + [XLPoly()]
+    for p in polys:
+        for v in SUBSTITUTED:
+            assert _stored_poly(p.eval_x(v)) == _stored_poly(_eval_x_by_horner(p, v)), (p, v)
+    for c in [c for p in polys for c in p.coeffs] + bernoulli_taps(24) + [LambdaPoly()]:
+        for v in SUBSTITUTED:
+            value = c.eval(v)
+            assert (type(value), value) == (F, _eval_by_horner(c, v)), (c, v)
+            assert _stored_poly(c.scale_lambda(v)) == _stored_poly(_scale_lambda_by_loops(c, v)), (c, v)
+
+
+@given(st.lists(drawn_cells, max_size=5), substituted)
+@settings(max_examples=150)
+def test_substitutions_match_their_former_bodies_on_random_polys(coeffs, v):
+    p = XLPoly(coeffs)
+    assert _stored_poly(p.eval_x(v)) == _stored_poly(_eval_x_by_horner(p, v))
+    for c in coeffs:
+        assert c.eval(v) == _eval_by_horner(c, v)
+        assert _stored_poly(c.scale_lambda(v)) == _stored_poly(_scale_lambda_by_loops(c, v))
 
 
 # ---------------------------------------------------------------------------
